@@ -15,7 +15,6 @@ from .autgroup import (
     shear,
 )
 from .cancellation import (
-    CancellationReport,
     CancellationWitness,
     build_witness,
     restrict_to_surface,

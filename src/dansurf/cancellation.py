@@ -29,7 +29,9 @@ from dataclasses import dataclass
 
 from .errors import AlgebraError, IllegalParameters
 from .expmaps import (
+    CheckResult,
     ExponentialMap,
+    VerificationReport,
     build_exponential,
     expand_in_slice,
     verify_exponential,
@@ -49,32 +51,14 @@ class CancellationWitness:
     y1: RElem
     phi: ExponentialMap
     s: RElem
-
-
-@dataclass(frozen=True)
-class CheckEntry:
-    name: str
-    passed: bool
-    detail: str = ""
-
-
-@dataclass(frozen=True)
-class CancellationReport:
-    entries: tuple
-
-    @property
-    def passed(self) -> bool:
-        return all(e.passed for e in self.entries)
-
-    def entry(self, name: str) -> CheckEntry:
-        for e in self.entries:
-            if e.name == name:
-                return e
-        raise KeyError(name)
+    report: VerificationReport | None = None  # set by build_witness
 
 
 def build_witness(field: FieldSpec, n1: int, n2: int) -> CancellationWitness:
-    """Construct the embedding, the map, and the slice, then verify everything."""
+    """Construct the embedding, the map, and the slice, then verify everything.
+
+    The passing report is kept as the witness's `report`.
+    """
     if not (2 <= n1 < n2 <= 2 * n1):
         raise IllegalParameters(
             f"need 2 <= n1 < n2 <= 2*n1; got n1={n1}, n2={n2}"
@@ -104,51 +88,45 @@ def build_witness(field: FieldSpec, n1: int, n2: int) -> CancellationWitness:
     )
 
     witness = CancellationWitness(spec2, n1, n2, x, z1, y1, phi, s)
-    report = verify_witness(witness)
-    if not report.passed:
+    witness.report = verify_witness(witness)
+    if not witness.report.passed:
         raise AlgebraError(
             "internal error: cylinder construction failed verification: "
-            + "; ".join(f"{e.name}: {e.detail}" for e in report.entries if not e.passed)
+            + witness.report.summary()
         )
     return witness
 
 
-def verify_witness(w: CancellationWitness) -> CancellationReport:
-    """Run the seven checks; failures become report entries, never exceptions."""
+def verify_witness(w: CancellationWitness) -> VerificationReport:
+    """Run the seven checks; failures become report checks, never exceptions."""
     spec2 = w.spec2
     x = RElem.var(spec2, "x")
     y = RElem.var(spec2, "y")
     z = RElem.var(spec2, "z")
     t = RElem.var(spec2, "T")
     u = RElem.var(spec2, "U")
-    entries = []
+    checks = []
 
     report = verify_exponential(spec2, w.phi.images)
-    entries.append(
-        CheckEntry(
-            "exponential",
-            report.passed,
-            "; ".join(f"{c.name}: {c.detail}" for c in report.failures()),
-        )
-    )
+    checks.append(CheckResult("exponential", report.passed, report.summary()))
 
     emb = x**w.n1 * w.y1 - (w.z1 * w.z1 + w.z1)
-    entries.append(
-        CheckEntry("embedded_relation", emb.is_zero(), "" if emb.is_zero() else str(emb))
+    checks.append(
+        CheckResult("embedded_relation", emb.is_zero(), "" if emb.is_zero() else str(emb))
     )
 
     rec_z = w.z1 - x**w.n1 * t
     rec = x**w.n2 * y - (rec_z * rec_z + rec_z)
-    entries.append(
-        CheckEntry("recovered_relation", rec.is_zero(), "" if rec.is_zero() else str(rec))
+    checks.append(
+        CheckResult("recovered_relation", rec.is_zero(), "" if rec.is_zero() else str(rec))
     )
 
     moved = []
     for name, elem in (("x", w.x1), ("y1", w.y1), ("z1", w.z1)):
         if w.phi.apply(elem) != elem:
             moved.append(name)
-    entries.append(
-        CheckEntry(
+    checks.append(
+        CheckResult(
             "invariance",
             not moved,
             "" if not moved else "not invariant: " + ", ".join(moved),
@@ -156,8 +134,8 @@ def verify_witness(w: CancellationWitness) -> CancellationReport:
     )
 
     slice_diff = w.phi.apply(w.s) - (w.s + u)
-    entries.append(
-        CheckEntry(
+    checks.append(
+        CheckResult(
             "slice_action",
             slice_diff.is_zero(),
             "" if slice_diff.is_zero() else f"phi(s) - s - U = {slice_diff}",
@@ -165,8 +143,8 @@ def verify_witness(w: CancellationWitness) -> CancellationReport:
     )
 
     linear = x ** (w.n2 - w.n1) * w.s + t - w.y1 * (2 * w.z1 + 1)
-    entries.append(
-        CheckEntry(
+    checks.append(
+        CheckResult(
             "linear_form", linear.is_zero(), "" if linear.is_zero() else str(linear)
         )
     )
@@ -185,11 +163,11 @@ def verify_witness(w: CancellationWitness) -> CancellationReport:
             rebuilt = rebuilt + coeff * w.s**power
         if rebuilt != a:
             bad.append(f"{name}: reconstruction differs")
-    entries.append(
-        CheckEntry("slice_generates", not bad, "; ".join(bad))
+    checks.append(
+        CheckResult("slice_generates", not bad, "; ".join(bad))
     )
 
-    return CancellationReport(tuple(entries))
+    return VerificationReport(tuple(checks))
 
 
 def restrict_to_surface(w: CancellationWitness) -> ExponentialMap:
@@ -198,11 +176,7 @@ def restrict_to_surface(w: CancellationWitness) -> ExponentialMap:
     for var, img in images.items():
         if img.degree_in("T") >= 1:
             raise AlgebraError(f"restricted image of {var} still involves T")
-    report = verify_exponential(w.spec2, images)
-    if not report.passed:
-        raise AlgebraError("internal error: restriction is not exponential")
-    restricted = ExponentialMap(w.spec2, images, verified=True)
     reference = build_exponential(w.spec2, [(1, 1)])
-    if restricted != reference:
+    if images != reference.images:
         raise AlgebraError("internal error: restriction differs from the F = U map")
-    return restricted
+    return reference

@@ -6,23 +6,26 @@ accepts --json, which wraps the output in the envelope
 
     {"command": ..., "inputs": ..., "result": ..., "checks": [...]}
 
-All output is byte-deterministic for identical inputs and --seed.
+All output is byte-deterministic for identical inputs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
+from typing import NamedTuple
 
 from .autgroup import decompose, group_structure
-from .cancellation import build_witness, verify_witness
+from .cancellation import build_witness
 from .errors import AlgebraError, ParseError
 from .expmaps import (
+    CheckResult,
+    VerificationReport,
     build_exponential,
     degree,
     derivation,
+    make_exponential,
     verify_exponential,
 )
 from .grading import homogenize
@@ -30,8 +33,6 @@ from .ioformats import (
     format_aut_word,
     format_generator_map,
     format_relem,
-    format_ring_spec,
-    format_scalar,
     parse_aut_word,
     parse_generator_map,
     parse_poly,
@@ -39,6 +40,7 @@ from .ioformats import (
     parse_weights,
 )
 from .isoclass import classify, witness
+from .polyring import Poly
 from .scalars import FieldSpec
 from .surface import RingSpec, normal_form
 
@@ -56,7 +58,6 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="dansurf", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit the JSON envelope")
-    common.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
     common.add_argument("--scan-bound", type=int, default=10**4,
                         help="bound for F_p root scans")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -119,25 +120,25 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _envelope(command, inputs, result, checks):
-    return json.dumps(
-        {"command": command, "inputs": inputs, "result": result, "checks": checks}
-    )
+class _Outcome(NamedTuple):
+    """One command's output: the envelope's inputs and result, the text
+    printed without --json, and the report whose checks the envelope lists
+    and whose verdict sets the exit code."""
+
+    inputs: dict
+    result: object
+    text: str
+    report: VerificationReport = VerificationReport(())
 
 
-def _build_map(args, spec: RingSpec):
-    return parse_generator_map(args.map, spec)
+def _check_lines(report: VerificationReport) -> list:
+    return [f"{c.name}: {'PASS' if c.passed else 'FAIL ' + c.detail}" for c in report.checks]
 
 
 def _cmd_normal_form(args):
     spec = parse_ring_spec(args.ring)
-    elem = normal_form(spec, parse_poly(args.expr, spec.field))
-    text = format_relem(elem)
-    if args.json:
-        return 0, _envelope("normal-form",
-                            {"ring": format_ring_spec(spec), "expr": args.expr},
-                            text, [])
-    return 0, text
+    text = format_relem(normal_form(spec, parse_poly(args.expr, spec.field)))
+    return _Outcome({"ring": spec, "expr": args.expr}, text, text)
 
 
 def _cmd_exp_build(args):
@@ -147,98 +148,64 @@ def _cmd_exp_build(args):
         e_text, colon, poly_text = item.partition(":")
         if not colon:
             raise ParseError(f"coefficient {item!r} must look like E:POLY", 0)
-        coeffs.append((int(e_text), parse_poly(poly_text, spec.field)))
-    phi = build_exponential(spec, coeffs)
-    text = format_generator_map(phi.images)
-    if args.json:
-        return 0, _envelope("exp-build",
-                            {"ring": format_ring_spec(spec), "coeff": args.coeff},
-                            text, [])
-    return 0, text
+        try:
+            e = int(e_text)
+        except ValueError:
+            raise ParseError(f"bad exponent {e_text!r} in coefficient {item!r}", 0) from None
+        coeffs.append((e, parse_poly(poly_text, spec.field)))
+    text = format_generator_map(build_exponential(spec, coeffs).images)
+    return _Outcome({"ring": spec, "coeff": args.coeff}, text, text)
 
 
 def _cmd_exp_verify(args):
     spec = parse_ring_spec(args.ring)
-    images = _build_map(args, spec)
-    report = verify_exponential(spec, images)
-    checks = [
-        {"name": c.name, "pass": c.passed, "detail": c.detail} for c in report.checks
-    ]
-    code = 0 if report.passed else 1
-    if args.json:
-        return code, _envelope("exp-verify",
-                               {"ring": format_ring_spec(spec), "map": args.map},
-                               "verified" if report.passed else "failed", checks)
-    lines = [f"{c.name}: {'PASS' if c.passed else 'FAIL ' + c.detail}" for c in report.checks]
-    lines.append("verified" if report.passed else "failed")
-    return code, "\n".join(lines)
+    report = verify_exponential(spec, parse_generator_map(args.map, spec))
+    verdict = "verified" if report.passed else "failed"
+    return _Outcome({"ring": spec, "map": args.map}, verdict,
+                    "\n".join(_check_lines(report) + [verdict]), report)
 
 
 def _cmd_exp_degree(args):
     spec = parse_ring_spec(args.ring)
-    images = _build_map(args, spec)
-    phi = _verified_map(spec, images)
-    a = normal_form(spec, parse_poly(args.expr, spec.field))
-    d = degree(phi, a)
+    phi = make_exponential(spec, parse_generator_map(args.map, spec))
+    d = degree(phi, normal_form(spec, parse_poly(args.expr, spec.field)))
     text = "-inf" if d == float("-inf") else str(int(d))
-    if args.json:
-        return 0, _envelope("exp-degree",
-                            {"ring": format_ring_spec(spec), "map": args.map,
-                             "expr": args.expr}, text, [])
-    return 0, text
-
-
-def _verified_map(spec, images):
-    from .expmaps import make_exponential
-
-    return make_exponential(spec, images)
+    return _Outcome({"ring": spec, "map": args.map, "expr": args.expr}, text, text)
 
 
 def _cmd_derive(args):
     spec = parse_ring_spec(args.ring)
-    images = _build_map(args, spec)
-    phi = _verified_map(spec, images)
+    phi = make_exponential(spec, parse_generator_map(args.map, spec))
     a = normal_form(spec, parse_poly(args.expr, spec.field))
-    result = derivation(phi, args.order, a)
-    text = format_relem(result)
-    if args.json:
-        return 0, _envelope("derive",
-                            {"ring": format_ring_spec(spec), "map": args.map,
-                             "expr": args.expr, "order": args.order}, text, [])
-    return 0, text
+    text = format_relem(derivation(phi, args.order, a))
+    return _Outcome({"ring": spec, "map": args.map, "expr": args.expr,
+                     "order": args.order}, text, text)
 
 
 def _cmd_homogenize(args):
     spec = parse_ring_spec(args.ring)
-    images = _build_map(args, spec)
-    phi = _verified_map(spec, images)
+    phi = make_exponential(spec, parse_generator_map(args.map, spec))
     w = parse_weights(args.weights)
     if args.target is not None:
         target = parse_ring_spec(args.target)
     elif spec.free:
         target = spec
     else:
-        from .polyring import Poly
-
         target = RingSpec(spec.field, spec.n, Poly.zero(spec.field), graded=True)
     result = homogenize(phi, w, target)
+    bar_map = format_generator_map(result.bar.images)
     lines = [
         f"grdeg(U) = {result.parameter_weight}",
-        f"target = {format_ring_spec(target)}",
-        f"bar map: {format_generator_map(result.bar.images)}",
+        f"target = {target}",
+        f"bar map: {bar_map}",
     ]
     for g in sorted(result.s_sets):
         lines.append(f"S({g}) = {{{', '.join(str(i) for i in result.s_sets[g])}}}")
-    if args.json:
-        return 0, _envelope(
-            "homogenize",
-            {"ring": format_ring_spec(spec), "map": args.map,
-             "weights": args.weights, "target": format_ring_spec(target)},
-            {"parameter_weight": str(result.parameter_weight),
-             "bar_map": format_generator_map(result.bar.images),
-             "s_sets": {g: list(v) for g, v in sorted(result.s_sets.items())}},
-            [])
-    return 0, "\n".join(lines)
+    return _Outcome(
+        {"ring": spec, "map": args.map, "weights": args.weights, "target": target},
+        {"parameter_weight": str(result.parameter_weight), "bar_map": bar_map,
+         "s_sets": {g: list(v) for g, v in sorted(result.s_sets.items())}},
+        "\n".join(lines))
 
 
 def _cmd_aut_apply(args):
@@ -246,34 +213,19 @@ def _cmd_aut_apply(args):
     word = parse_aut_word(args.word, spec)
     a = normal_form(spec, parse_poly(args.expr, spec.field))
     text = format_relem(word.apply(a))
-    if args.json:
-        return 0, _envelope("aut-apply",
-                            {"ring": format_ring_spec(spec), "word": args.word,
-                             "expr": args.expr}, text, [])
-    return 0, text
+    return _Outcome({"ring": spec, "word": args.word, "expr": args.expr}, text, text)
 
 
 def _cmd_aut_compose(args):
     spec = parse_ring_spec(args.ring)
-    word = parse_aut_word(args.word, spec)
-    text = str(word)
-    if args.json:
-        return 0, _envelope("aut-compose",
-                            {"ring": format_ring_spec(spec), "word": args.word},
-                            text, [])
-    return 0, text
+    text = str(parse_aut_word(args.word, spec))
+    return _Outcome({"ring": spec, "word": args.word}, text, text)
 
 
 def _cmd_aut_decompose(args):
     spec = parse_ring_spec(args.ring)
-    word = parse_aut_word(args.word, spec)
-    mu, eps, g = decompose(word)
-    text = format_aut_word(mu, eps, g)
-    if args.json:
-        return 0, _envelope("aut-decompose",
-                            {"ring": format_ring_spec(spec), "word": args.word},
-                            text, [])
-    return 0, text
+    text = format_aut_word(*decompose(parse_aut_word(args.word, spec)))
+    return _Outcome({"ring": spec, "word": args.word}, text, text)
 
 
 def _cmd_aut_structure(args):
@@ -286,58 +238,38 @@ def _cmd_aut_structure(args):
         f"H = {gs.h_description}",
         f"N = {gs.n_description}",
     ]
-    if args.json:
-        return 0, _envelope("aut-structure", {"ring": format_ring_spec(spec)},
-                            {"m": gs.m, "l_order": gs.l_order,
-                             "l": gs.l_description, "h": gs.h_description,
-                             "n": gs.n_description}, [])
-    return 0, "\n".join(lines)
-
-
-def _verdict_json(verdict):
-    return {
-        "isomorphic": verdict.isomorphic,
-        "eta": format_scalar(verdict.eta) if verdict.eta is not None else None,
-        "mu": format_scalar(verdict.mu) if verdict.mu is not None else None,
-        "reason": verdict.reason,
-    }
+    return _Outcome({"ring": spec},
+                    {"m": gs.m, "l_order": gs.l_order, "l": gs.l_description,
+                     "h": gs.h_description, "n": gs.n_description},
+                    "\n".join(lines))
 
 
 def _cmd_iso_check(args):
     left = parse_ring_spec(args.left)
     right = parse_ring_spec(args.right)
     verdict = classify(left, right, args.scan_bound)
-    payload = _verdict_json(verdict)
-    checks = []
+    payload = {
+        "isomorphic": verdict.isomorphic,
+        "eta": str(verdict.eta) if verdict.eta is not None else None,
+        "mu": str(verdict.mu) if verdict.mu is not None else None,
+        "reason": verdict.reason,
+    }
+    checks = ()
     if verdict.isomorphic:
+        # witness() raises unless the relation maps to zero
         images = witness(left, right, verdict)
-        checks.append({"name": "witness_relation", "pass": True,
-                       "detail": format_generator_map(images)})
-    if args.json:
-        return 0, _envelope("iso-check",
-                            {"left": format_ring_spec(left),
-                             "right": format_ring_spec(right)},
-                            payload, checks)
-    return 0, json.dumps(payload)
+        checks = (CheckResult("witness_relation", True, format_generator_map(images)),)
+    return _Outcome({"left": left, "right": right},
+                    payload, json.dumps(payload), VerificationReport(checks))
 
 
 def _cmd_cancel_verify(args):
     field = FieldSpec.parse(args.field)
     w = build_witness(field, args.n1, args.n2)
-    report = verify_witness(w)
-    checks = [
-        {"name": e.name, "pass": e.passed, "detail": e.detail} for e in report.entries
-    ]
-    code = 0 if report.passed else 1
-    if args.json:
-        return code, _envelope("cancel-verify",
-                               {"n1": args.n1, "n2": args.n2, "field": field.label},
-                               {"passed": report.passed, "s": format_relem(w.s)},
-                               checks)
-    lines = [f"{e.name}: {'PASS' if e.passed else 'FAIL ' + e.detail}"
-             for e in report.entries]
-    lines.append(f"s = {format_relem(w.s)}")
-    return code, "\n".join(lines)
+    s = format_relem(w.s)
+    return _Outcome({"n1": args.n1, "n2": args.n2, "field": field.label},
+                    {"passed": w.report.passed, "s": s},
+                    "\n".join(_check_lines(w.report) + [f"s = {s}"]), w.report)
 
 
 _HANDLERS = {
@@ -363,13 +295,19 @@ def dispatch(argv) -> tuple:
         args = parser.parse_args(argv)
     except UsageError as exc:
         return 2, f"usage error: {exc}"
-    random.seed(args.seed)
     try:
-        return _HANDLERS[args.command](args)
+        out = _HANDLERS[args.command](args)
     except ParseError as exc:
         return 2, f"input error: {exc}"
     except AlgebraError as exc:
         return 1, f"error: {exc}"
+    code = 0 if out.report.passed else 1
+    if not args.json:
+        return code, out.text
+    checks = [{"name": c.name, "pass": c.passed, "detail": c.detail} for c in out.report.checks]
+    # default=str renders the parsed ring specs among the inputs canonically
+    return code, json.dumps({"command": args.command, "inputs": out.inputs,
+                             "result": out.result, "checks": checks}, default=str)
 
 
 def main(argv=None) -> int:

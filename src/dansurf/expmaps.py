@@ -49,6 +49,10 @@ class VerificationReport:
                 return c
         raise KeyError(name)
 
+    def summary(self) -> str:
+        """The failed checks as "name: detail" items joined by "; "."""
+        return "; ".join(f"{c.name}: {c.detail}" for c in self.failures())
+
 
 class ExponentialMap:
     """Generator images in R[U], with a flag recording a passed verification.
@@ -164,12 +168,11 @@ def build_exponential(spec: RingSpec, coeffs) -> ExponentialMap:
     xnF = Poly.variable(field, "x", spec.n) * F
     image_z = RElem(spec, xnF, Poly.const(field, 1))
     images = solve_generator_images(spec, image_z)
-    phi = ExponentialMap(spec, images)
     report = verify_exponential(spec, images)
     if not report.passed:
         raise AlgebraError(
             "internal error: a coefficient-family map failed verification: "
-            + "; ".join(f"{c.name}: {c.detail}" for c in report.failures())
+            + report.summary()
         )
     return ExponentialMap(spec, images, verified=True)
 
@@ -179,8 +182,7 @@ def make_exponential(spec: RingSpec, images: dict) -> ExponentialMap:
     report = verify_exponential(spec, images)
     if not report.passed:
         raise AlgebraError(
-            "candidate images are not an exponential map: "
-            + "; ".join(f"{c.name}: {c.detail}" for c in report.failures())
+            "candidate images are not an exponential map: " + report.summary()
         )
     return ExponentialMap(spec, images, verified=True)
 

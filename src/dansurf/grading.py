@@ -111,10 +111,7 @@ def homogenize(phi: ExponentialMap, w: WeightVector, target: RingSpec) -> Homoge
 
     report = verify_exponential(target, bar_images)
     if not report.passed:
-        raise AlgebraError(
-            "homogenized map failed verification: "
-            + "; ".join(f"{c.name}: {c.detail}" for c in report.failures())
-        )
+        raise AlgebraError("homogenized map failed verification: " + report.summary())
     bar_map = ExponentialMap(target, bar_images, verified=True)
 
     for a in _invariant_sample(spec):

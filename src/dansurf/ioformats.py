@@ -1,6 +1,7 @@
 """Expression parser and canonical printers for the CLI and file formats.
 
-Grammar (no implicit multiplication; exponents are decimal naturals):
+Grammar (no implicit multiplication; integers and exponents use the ASCII
+digits 0-9):
 
     expr   := ('+' | '-')? term (('+' | '-') term)*
     term   := factor ('*' factor)*
@@ -36,9 +37,9 @@ class _Tokens:
             if ch.isspace():
                 i += 1
                 continue
-            if ch.isdigit():
+            if "0" <= ch <= "9":
                 j = i
-                while j < len(text) and text[j].isdigit():
+                while j < len(text) and "0" <= text[j] <= "9":
                     j += 1
                 self.items.append(("INT", text[i:j], i))
                 i = j
@@ -166,10 +167,6 @@ def parse_scalar(text: str, field: FieldSpec) -> Scalar:
 print_poly = format_poly
 
 
-def format_scalar(s: Scalar) -> str:
-    return str(s)
-
-
 def format_relem(a: RElem) -> str:
     return format_poly(a.to_poly())
 
@@ -208,8 +205,7 @@ def parse_ring_spec(text: str) -> RingSpec:
 
 
 def format_ring_spec(spec: RingSpec) -> str:
-    flags = ", graded" if spec.graded else (", free" if spec.free else "")
-    return f"R(n={spec.n}, h={format_poly(spec.h)}, field={spec.field.label}{flags})"
+    return str(spec)
 
 
 def parse_weights(text: str) -> WeightVector:

@@ -395,12 +395,12 @@ def test_criterion_7_cancellation():
         for n1, n2 in pairs:
             w = build_witness(field, n1, n2)
             report = verify_witness(w)
-            assert report.passed, (char, n1, n2, [e for e in report.entries if not e.passed])
+            assert report.passed, (char, n1, n2, report.failures())
             # phi(s) = s + U exactly, and the in-ring linear form, are among
             # the checks; assert them individually as well
-            assert report.entry("slice_action").passed
-            assert report.entry("linear_form").passed
-            assert report.entry("slice_generates").passed
+            assert report.check("slice_action").passed
+            assert report.check("linear_form").passed
+            assert report.check("slice_generates").passed
 
 
 @criterion(8, "CLI determinism and parser fuzz")

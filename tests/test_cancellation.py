@@ -36,7 +36,8 @@ def test_all_checks_pass_23_over_q():
     w = build_witness(Q, 2, 3)
     report = verify_witness(w)
     assert report.passed
-    assert [e.name for e in report.entries] == [
+    assert w.report == report  # build_witness hands back the report it computed
+    assert [c.name for c in report.checks] == [
         "exponential",
         "embedded_relation",
         "recovered_relation",
@@ -139,9 +140,9 @@ def test_tampered_witness_fails_invariance():
     )
     report = verify_witness(tampered)
     assert not report.passed
-    inv = report.entry("invariance")
+    inv = report.check("invariance")
     assert not inv.passed and "z1" in inv.detail
-    assert not report.entry("slice_action").passed
+    assert not report.check("slice_action").passed
 
 
 @pytest.mark.parametrize("pair", [(2, 3), (3, 4), (3, 6)])

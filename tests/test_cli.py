@@ -1,4 +1,7 @@
 import json
+import sys
+
+import pytest
 
 from dansurf.cli import dispatch
 
@@ -74,6 +77,14 @@ def test_usage_errors_exit_2():
     )
     assert code == 2
     assert "offset 1" in out
+    code, out = dispatch(
+        ["normal-form", "--ring", "R(n=2,h=1,field=Q)", "--expr", "\u00b2"]
+    )
+    assert (code, out) == (2, "input error: unexpected character '\u00b2' (offset 0)")
+    code, out = dispatch(
+        ["exp-build", "--ring", "R(n=2,h=1,field=Q)", "--coeff", "a:1"]
+    )
+    assert (code, out) == (2, "input error: bad exponent 'a' in coefficient 'a:1' (offset 0)")
 
 
 def test_exp_build_and_degree_and_derive():
@@ -132,6 +143,25 @@ def test_cancel_verify_command():
     assert "s = x*T^2 + y" in out
 
 
+def test_cancel_verify_verifies_once(monkeypatch):
+    import dansurf.cancellation
+
+    calls = []
+    original = dansurf.cancellation.verify_witness
+
+    def counting(w):
+        calls.append(w)
+        return original(w)
+
+    # rebind every dansurf name for the function, so no caller escapes the count
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "dansurf" and vars(module).get("verify_witness") is original:
+            monkeypatch.setattr(module, "verify_witness", counting)
+    code, _ = dispatch(["cancel-verify", "--n1", "2", "--n2", "3", "--field", "F2"])
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_json_envelopes():
     code, out = dispatch(
         ["iso-check", "--left", "R(n=2,h=1,field=Q)", "--right",
@@ -161,3 +191,107 @@ def test_word_decompose_roundtrip_via_cli():
     code3, out3 = dispatch(["aut-compose", "--ring", ring, "--word", word])
     assert code2 == code3 == 0
     assert out2 == out3
+
+
+_Q2 = "R(n=2,h=1,field=Q)"
+_MAP = "x->x; z->z+x^2*U; y->y+(2*z+1)*U+x^2*U^2"
+_BAD_MAP = "x->x; z->z+x*U; y->y"
+_BAD_RELATION = "image of the relation is -x^2*U^2 - 2*x*z*U - x*U, not 0"
+_PASS_CHECK = '{{"name": "{}", "pass": true, "detail": ""}}'
+_CANCEL_CHECKS = ("exponential", "embedded_relation", "recovered_relation", "invariance",
+                  "slice_action", "linear_form", "slice_generates")
+
+# (argv, exit code, text output, --json output): every command, a failing
+# verification, an algebra error and an input error, byte for byte.
+GOLDEN = [
+    (["normal-form", "--ring", "R(n=2,h=1,field=F2)", "--expr", "z^2+z"], 0,
+     "x^2*y",
+     '{"command": "normal-form", "inputs": {"ring": "R(n=2, h=1, field=F2)", '
+     '"expr": "z^2+z"}, "result": "x^2*y", "checks": []}'),
+    (["exp-build", "--ring", _Q2, "--coeff", "1:1+x"], 0,
+     "x -> x; y -> x^4*U^2 + 2*x^3*U^2 + x^2*U^2 + 2*x*z*U + 2*z*U + x*U + y + U; "
+     "z -> x^3*U + x^2*U + z",
+     '{"command": "exp-build", "inputs": {"ring": "R(n=2, h=1, field=Q)", '
+     '"coeff": ["1:1+x"]}, "result": "x -> x; y -> x^4*U^2 + 2*x^3*U^2 + x^2*U^2 '
+     '+ 2*x*z*U + 2*z*U + x*U + y + U; z -> x^3*U + x^2*U + z", "checks": []}'),
+    (["exp-verify", "--ring", _Q2, "--map", _MAP], 0,
+     "relation: PASS\naxiom_i: PASS\naxiom_ii: PASS\nverified",
+     '{"command": "exp-verify", "inputs": {"ring": "R(n=2, h=1, field=Q)", '
+     f'"map": "{_MAP}"}}, "result": "verified", "checks": ['
+     + ", ".join(_PASS_CHECK.format(n) for n in ("relation", "axiom_i", "axiom_ii"))
+     + "]}"),
+    (["exp-verify", "--ring", _Q2, "--map", _BAD_MAP], 1,
+     f"relation: FAIL {_BAD_RELATION}\naxiom_i: PASS\naxiom_ii: PASS\nfailed",
+     '{"command": "exp-verify", "inputs": {"ring": "R(n=2, h=1, field=Q)", '
+     f'"map": "{_BAD_MAP}"}}, "result": "failed", "checks": [{{"name": "relation", '
+     f'"pass": false, "detail": "{_BAD_RELATION}"}}, '
+     + ", ".join(_PASS_CHECK.format(n) for n in ("axiom_i", "axiom_ii"))
+     + "]}"),
+    (["exp-degree", "--ring", _Q2, "--map", _MAP, "--expr", "y"], 0,
+     "2",
+     '{"command": "exp-degree", "inputs": {"ring": "R(n=2, h=1, field=Q)", '
+     f'"map": "{_MAP}", "expr": "y"}}, "result": "2", "checks": []}}'),
+    (["exp-degree", "--ring", _Q2, "--map", _BAD_MAP, "--expr", "y"], 1,
+     f"error: candidate images are not an exponential map: relation: {_BAD_RELATION}",
+     f"error: candidate images are not an exponential map: relation: {_BAD_RELATION}"),
+    (["derive", "--ring", _Q2, "--map", _MAP, "--expr", "y", "--order", "2"], 0,
+     "x^2",
+     '{"command": "derive", "inputs": {"ring": "R(n=2, h=1, field=Q)", '
+     f'"map": "{_MAP}", "expr": "y", "order": 2}}, "result": "x^2", "checks": []}}'),
+    (["homogenize", "--ring", _Q2, "--map", _MAP, "--weights", "w{x:0, y:2, z:1}"], 0,
+     "grdeg(U) = 1\ntarget = R(n=2, h=0, field=Q, graded)\n"
+     "bar map: x -> x; y -> x^2*U^2 + 2*z*U + y; z -> x^2*U + z\n"
+     "S(x) = {0}\nS(y) = {0, 1, 2}\nS(z) = {0, 1}",
+     '{"command": "homogenize", "inputs": {"ring": "R(n=2, h=1, field=Q)", '
+     f'"map": "{_MAP}", "weights": "w{{x:0, y:2, z:1}}", '
+     '"target": "R(n=2, h=0, field=Q, graded)"}, "result": {"parameter_weight": "1", '
+     '"bar_map": "x -> x; y -> x^2*U^2 + 2*z*U + y; z -> x^2*U + z", '
+     '"s_sets": {"x": [0], "y": [0, 1, 2], "z": [0, 1]}}, "checks": []}'),
+    (["aut-apply", "--ring", _Q2, "--word", "E(1)", "--expr", "z"], 0,
+     "x^2 + z",
+     '{"command": "aut-apply", "inputs": {"ring": "R(n=2, h=1, field=Q)", '
+     '"word": "E(1)", "expr": "z"}, "result": "x^2 + z", "checks": []}'),
+    (["aut-compose", "--ring", _Q2, "--word", "L(3) * E(x) * T * E(1+x)"], 0,
+     "(mu=3, sigma=-1, f=9*x^2 - 1)",
+     '{"command": "aut-compose", "inputs": {"ring": "R(n=2, h=1, field=Q)", '
+     '"word": "L(3) * E(x) * T * E(1+x)"}, "result": "(mu=3, sigma=-1, f=9*x^2 - 1)", '
+     '"checks": []}'),
+    (["aut-decompose", "--ring", _Q2, "--word", "E(1) * T"], 0,
+     "L(1) * T * E(-1)",
+     '{"command": "aut-decompose", "inputs": {"ring": "R(n=2, h=1, field=Q)", '
+     '"word": "E(1) * T"}, "result": "L(1) * T * E(-1)", "checks": []}'),
+    (["aut-structure", "--ring", "R(n=2,h=1+x,field=Q)"], 0,
+     "m = 1\nL = trivial (order 1)\nH = C2\nN = additive group of k[x] (shears E_f)",
+     '{"command": "aut-structure", "inputs": {"ring": "R(n=2, h=x + 1, field=Q)"}, '
+     '"result": {"m": 1, "l_order": 1, "l": "trivial", "h": "C2", '
+     '"n": "additive group of k[x] (shears E_f)"}, "checks": []}'),
+    (["iso-check", "--left", "R(n=2,h=1+x,field=Q)", "--right", "R(n=2,h=2+4*x,field=Q)"], 0,
+     '{"isomorphic": true, "eta": "2", "mu": "2", "reason": "ok"}',
+     '{"command": "iso-check", "inputs": {"left": "R(n=2, h=x + 1, field=Q)", '
+     '"right": "R(n=2, h=4*x + 2, field=Q)"}, "result": {"isomorphic": true, '
+     '"eta": "2", "mu": "2", "reason": "ok"}, "checks": [{"name": "witness_relation", '
+     '"pass": true, "detail": "x -> 2*x; y -> 1/16*y; z -> 1/2*z"}]}'),
+    (["iso-check", "--left", _Q2, "--right", "R(n=3,h=1,field=Q)"], 0,
+     '{"isomorphic": false, "eta": null, "mu": null, "reason": "n_mismatch"}',
+     '{"command": "iso-check", "inputs": {"left": "R(n=2, h=1, field=Q)", '
+     '"right": "R(n=3, h=1, field=Q)"}, "result": {"isomorphic": false, "eta": null, '
+     '"mu": null, "reason": "n_mismatch"}, "checks": []}'),
+    (["cancel-verify", "--n1", "2", "--n2", "3", "--field", "F2"], 0,
+     "".join(f"{n}: PASS\n" for n in _CANCEL_CHECKS) + "s = x*T^2 + y",
+     '{"command": "cancel-verify", "inputs": {"n1": 2, "n2": 3, "field": "F2"}, '
+     '"result": {"passed": true, "s": "x*T^2 + y"}, "checks": ['
+     + ", ".join(_PASS_CHECK.format(n) for n in _CANCEL_CHECKS) + "]}"),
+    (["cancel-verify", "--n1", "2", "--n2", "5"], 1,
+     "error: need 2 <= n1 < n2 <= 2*n1; got n1=2, n2=5",
+     "error: need 2 <= n1 < n2 <= 2*n1; got n1=2, n2=5"),
+    (["normal-form", "--ring", _Q2, "--expr", "2x"], 2,
+     "input error: unexpected 'x' (offset 1)",
+     "input error: unexpected 'x' (offset 1)"),
+]
+
+
+@pytest.mark.parametrize("argv, code, text, json_text", GOLDEN,
+                         ids=[" ".join(case[0][:1] + case[0][-1:]) for case in GOLDEN])
+def test_golden_output(argv, code, text, json_text):
+    assert dispatch(argv) == (code, text)
+    assert dispatch(argv + ["--json"]) == (code, json_text)

@@ -51,6 +51,13 @@ def test_parse_errors_carry_offsets():
         parse_poly("w + 1", Q)
     with pytest.raises(ParseError):
         parse_poly("(x + 1", Q)
+    # only the ASCII digits 0-9 are digits
+    with pytest.raises(ParseError) as exc:
+        parse_poly("\u00b2", Q)
+    assert exc.value.offset == 0
+    with pytest.raises(ParseError) as exc:
+        parse_poly("x^\u0663", Q)
+    assert exc.value.offset == 2
 
 
 def test_exponent_overflow():
