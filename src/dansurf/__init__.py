@@ -10,6 +10,7 @@ from .autgroup import (
     identity,
     inverse,
     involution,
+    parse_aut_word,
     recompose,
     scaling,
     shear,
@@ -55,7 +56,6 @@ from .ioformats import (
     format_generator_map,
     format_relem,
     format_ring_spec,
-    parse_aut_word,
     parse_generator_map,
     parse_poly,
     parse_ring_spec,

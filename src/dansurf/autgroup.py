@@ -28,10 +28,12 @@ from .errors import (
     NotEndomorphism,
     NotInvertible,
     NotCanonicalShape,
+    ParseError,
 )
+from .ioformats import parse_poly, parse_scalar
 from .polyring import Poly, format_poly
 from .scalars import DEFAULT_SCAN_BOUND, Scalar, nth_roots
-from .surface import RElem, RingSpec, r_x_divide, substitute_poly
+from .surface import RElem, RingSpec, apply_images, r_x_divide, substitute_poly
 
 
 def _low_part(p: Poly, n: int) -> Poly:
@@ -93,7 +95,7 @@ class Automorphism:
     def apply(self, a: RElem) -> RElem:
         if a.spec != self.spec:
             raise AlgebraError("element of a different ring")
-        return substitute_poly(self.spec, a.to_poly(), self.images())
+        return apply_images(self.spec, self.images(), a)
 
     def is_identity(self) -> bool:
         return self.mu == 1 and self.sigma == 1 and self.f.is_zero()
@@ -235,6 +237,47 @@ def recompose(spec: RingSpec, mu, eps: int, g) -> Automorphism:
     if eps:
         word = compose(involution(spec), word)
     return compose(scaling(spec, mu), word)
+
+
+def _split_word(text: str):
+    parts = []
+    depth = 0
+    current = []
+    for ch in text:
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        if ch == "*" and depth == 0:
+            parts.append("".join(current).strip())
+            current = []
+        else:
+            current.append(ch)
+    parts.append("".join(current).strip())
+    return parts
+
+
+def parse_aut_word(text: str, spec: RingSpec) -> Automorphism:
+    """Parse "L(2) * T * E(x+1)"; the rightmost factor acts first."""
+    atoms = []
+    for part in _split_word(text):
+        if not part:
+            raise ParseError("empty factor in automorphism word", 0)
+        if part == "T":
+            atoms.append(involution(spec))
+        elif part.startswith("L(") and part.endswith(")"):
+            atoms.append(scaling(spec, parse_scalar(part[2:-1], spec.field)))
+        elif part.startswith("E(") and part.endswith(")"):
+            f = parse_poly(part[2:-1], spec.field)
+            if not f.variables() <= {"x"}:
+                raise ParseError("shear argument must be a polynomial in x", 0)
+            atoms.append(shear(spec, f))
+        else:
+            raise ParseError(f"unknown automorphism factor {part!r}", 0)
+    word = atoms[0]
+    for atom in atoms[1:]:
+        word = compose(word, atom)
+    return word
 
 
 @dataclass(frozen=True)

@@ -97,6 +97,11 @@ def build_witness(field: FieldSpec, n1: int, n2: int) -> CancellationWitness:
     return witness
 
 
+def _zero_check(name: str, value: RElem, label: str = "") -> CheckResult:
+    """Passes when value is zero; otherwise the detail shows the value."""
+    return CheckResult(name, value.is_zero(), "" if value.is_zero() else f"{label}{value}")
+
+
 def verify_witness(w: CancellationWitness) -> VerificationReport:
     """Run the seven checks; failures become report checks, never exceptions."""
     spec2 = w.spec2
@@ -111,15 +116,11 @@ def verify_witness(w: CancellationWitness) -> VerificationReport:
     checks.append(CheckResult("exponential", report.passed, report.summary()))
 
     emb = x**w.n1 * w.y1 - (w.z1 * w.z1 + w.z1)
-    checks.append(
-        CheckResult("embedded_relation", emb.is_zero(), "" if emb.is_zero() else str(emb))
-    )
+    checks.append(_zero_check("embedded_relation", emb))
 
     rec_z = w.z1 - x**w.n1 * t
     rec = x**w.n2 * y - (rec_z * rec_z + rec_z)
-    checks.append(
-        CheckResult("recovered_relation", rec.is_zero(), "" if rec.is_zero() else str(rec))
-    )
+    checks.append(_zero_check("recovered_relation", rec))
 
     moved = []
     for name, elem in (("x", w.x1), ("y1", w.y1), ("z1", w.z1)):
@@ -134,20 +135,10 @@ def verify_witness(w: CancellationWitness) -> VerificationReport:
     )
 
     slice_diff = w.phi.apply(w.s) - (w.s + u)
-    checks.append(
-        CheckResult(
-            "slice_action",
-            slice_diff.is_zero(),
-            "" if slice_diff.is_zero() else f"phi(s) - s - U = {slice_diff}",
-        )
-    )
+    checks.append(_zero_check("slice_action", slice_diff, "phi(s) - s - U = "))
 
     linear = x ** (w.n2 - w.n1) * w.s + t - w.y1 * (2 * w.z1 + 1)
-    checks.append(
-        CheckResult(
-            "linear_form", linear.is_zero(), "" if linear.is_zero() else str(linear)
-        )
-    )
+    checks.append(_zero_check("linear_form", linear))
 
     bad = []
     for name, a in (("T", t), ("y2", y), ("z2", z), ("T^2", t * t), ("y2*z2", y * z)):

@@ -16,7 +16,7 @@ import json
 import sys
 from typing import NamedTuple
 
-from .autgroup import decompose, group_structure
+from .autgroup import decompose, group_structure, parse_aut_word
 from .cancellation import build_witness
 from .errors import AlgebraError, ParseError
 from .expmaps import (
@@ -33,7 +33,6 @@ from .ioformats import (
     format_aut_word,
     format_generator_map,
     format_relem,
-    parse_aut_word,
     parse_generator_map,
     parse_poly,
     parse_ring_spec,
@@ -41,7 +40,7 @@ from .ioformats import (
 )
 from .isoclass import classify, witness
 from .polyring import Poly
-from .scalars import FieldSpec
+from .scalars import FieldSpec, require_ascii
 from .surface import RingSpec, normal_form
 
 
@@ -54,6 +53,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# The arguments that are not required plain strings.
+_ARGUMENTS = {
+    "--coeff": {"action": "append", "required": True, "metavar": "E:POLY",
+                "help": "one F-term, e.g. 1:1+x (repeatable)"},
+    "--order": {"type": int, "required": True},
+    "--target": {"default": None},
+    "--n1": {"type": int, "required": True},
+    "--n2": {"type": int, "required": True},
+    "--field": {"default": "Q"},
+}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="dansurf", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
@@ -61,62 +72,10 @@ def _build_parser() -> _Parser:
     common.add_argument("--scan-bound", type=int, default=10**4,
                         help="bound for F_p root scans")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("normal-form", parents=[common])
-    p.add_argument("--ring", required=True)
-    p.add_argument("--expr", required=True)
-
-    p = sub.add_parser("exp-build", parents=[common])
-    p.add_argument("--ring", required=True)
-    p.add_argument("--coeff", action="append", required=True,
-                   metavar="E:POLY", help="one F-term, e.g. 1:1+x (repeatable)")
-
-    p = sub.add_parser("exp-verify", parents=[common])
-    p.add_argument("--ring", required=True)
-    p.add_argument("--map", required=True)
-
-    p = sub.add_parser("exp-degree", parents=[common])
-    p.add_argument("--ring", required=True)
-    p.add_argument("--map", required=True)
-    p.add_argument("--expr", required=True)
-
-    p = sub.add_parser("derive", parents=[common])
-    p.add_argument("--ring", required=True)
-    p.add_argument("--map", required=True)
-    p.add_argument("--expr", required=True)
-    p.add_argument("--order", type=int, required=True)
-
-    p = sub.add_parser("homogenize", parents=[common])
-    p.add_argument("--ring", required=True)
-    p.add_argument("--map", required=True)
-    p.add_argument("--weights", required=True)
-    p.add_argument("--target", default=None)
-
-    p = sub.add_parser("aut-apply", parents=[common])
-    p.add_argument("--ring", required=True)
-    p.add_argument("--word", required=True)
-    p.add_argument("--expr", required=True)
-
-    p = sub.add_parser("aut-compose", parents=[common])
-    p.add_argument("--ring", required=True)
-    p.add_argument("--word", required=True)
-
-    p = sub.add_parser("aut-decompose", parents=[common])
-    p.add_argument("--ring", required=True)
-    p.add_argument("--word", required=True)
-
-    p = sub.add_parser("aut-structure", parents=[common])
-    p.add_argument("--ring", required=True)
-
-    p = sub.add_parser("iso-check", parents=[common])
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-
-    p = sub.add_parser("cancel-verify", parents=[common])
-    p.add_argument("--n1", type=int, required=True)
-    p.add_argument("--n2", type=int, required=True)
-    p.add_argument("--field", default="Q")
-
+    for command, (_, arguments) in _HANDLERS.items():
+        p = sub.add_parser(command, parents=[common])
+        for name in arguments.split():
+            p.add_argument(name, **_ARGUMENTS.get(name, {"required": True}))
     return parser
 
 
@@ -149,7 +108,7 @@ def _cmd_exp_build(args):
         if not colon:
             raise ParseError(f"coefficient {item!r} must look like E:POLY", 0)
         try:
-            e = int(e_text)
+            e = int(require_ascii(e_text))
         except ValueError:
             raise ParseError(f"bad exponent {e_text!r} in coefficient {item!r}", 0) from None
         coeffs.append((e, parse_poly(poly_text, spec.field)))
@@ -272,19 +231,20 @@ def _cmd_cancel_verify(args):
                     "\n".join(_check_lines(w.report) + [f"s = {s}"]), w.report)
 
 
+# Each command's handler and its arguments, in --help order.
 _HANDLERS = {
-    "normal-form": _cmd_normal_form,
-    "exp-build": _cmd_exp_build,
-    "exp-verify": _cmd_exp_verify,
-    "exp-degree": _cmd_exp_degree,
-    "derive": _cmd_derive,
-    "homogenize": _cmd_homogenize,
-    "aut-apply": _cmd_aut_apply,
-    "aut-compose": _cmd_aut_compose,
-    "aut-decompose": _cmd_aut_decompose,
-    "aut-structure": _cmd_aut_structure,
-    "iso-check": _cmd_iso_check,
-    "cancel-verify": _cmd_cancel_verify,
+    "normal-form": (_cmd_normal_form, "--ring --expr"),
+    "exp-build": (_cmd_exp_build, "--ring --coeff"),
+    "exp-verify": (_cmd_exp_verify, "--ring --map"),
+    "exp-degree": (_cmd_exp_degree, "--ring --map --expr"),
+    "derive": (_cmd_derive, "--ring --map --expr --order"),
+    "homogenize": (_cmd_homogenize, "--ring --map --weights --target"),
+    "aut-apply": (_cmd_aut_apply, "--ring --word --expr"),
+    "aut-compose": (_cmd_aut_compose, "--ring --word"),
+    "aut-decompose": (_cmd_aut_decompose, "--ring --word"),
+    "aut-structure": (_cmd_aut_structure, "--ring"),
+    "iso-check": (_cmd_iso_check, "--left --right"),
+    "cancel-verify": (_cmd_cancel_verify, "--n1 --n2 --field"),
 }
 
 
@@ -296,7 +256,7 @@ def dispatch(argv) -> tuple:
     except UsageError as exc:
         return 2, f"usage error: {exc}"
     try:
-        out = _HANDLERS[args.command](args)
+        out = _HANDLERS[args.command][0](args)
     except ParseError as exc:
         return 2, f"input error: {exc}"
     except AlgebraError as exc:

@@ -62,4 +62,5 @@ class ParseError(AlgebraError):
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (offset {offset})")
+        self.message = message
         self.offset = offset

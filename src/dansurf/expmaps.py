@@ -21,7 +21,7 @@ from .errors import (
     NotApplicable,
     StepLimit,
 )
-from .polyring import Poly
+from .polyring import Poly, power
 from .surface import RElem, RingSpec, apply_images, r_x_divide, substitute_poly
 
 
@@ -244,8 +244,7 @@ def derivation(phi: ExponentialMap, i: int, a: RElem) -> RElem:
     """D^i(a): the U^i-coefficient of phi(a).  D^0 is the identity."""
     if i < 0:
         raise AlgebraError("derivation index must be a natural number")
-    pa = phi.apply(a)
-    return RElem(phi.spec, pa.f1.coeff_of("U", i), pa.f2.coeff_of("U", i))
+    return phi.apply(a).coeff_of("U", i)
 
 
 def degree(phi: ExponentialMap, a: RElem):
@@ -282,29 +281,28 @@ def expand_in_slice(phi: ExponentialMap, s: RElem, a: RElem, max_steps: int = 64
     Requires phi(s) = s + U (so s has degree 1 and D^1(s) = 1).  The
     recursion subtracts D^d(a) * s^d where d = deg_phi(a); each step strictly
     lowers the degree, and D^d(a) is invariant because deg_phi(D^d(a)) <=
-    deg_phi(a) - d.  Returns (coefficient, power) pairs in ascending power
-    order, nonzero coefficients only.
+    deg_phi(a) - d.  Each step applies phi once: the image gives the degree,
+    D^d and the check that the degree dropped.  Returns (coefficient, power)
+    pairs in ascending power order, nonzero coefficients only.
     """
-    spec = phi.spec
-    u_elem = RElem.var(spec, "U")
-    if phi.apply(s) != s + u_elem:
+    if phi.apply(s) != s + RElem.var(phi.spec, "U"):
         raise NotApplicable(f"phi({s}) != {s} + U; the element is not a slice")
+    s_powers = {1: s}
     coeffs = []
     current = a
-    steps = 0
     while current:
-        steps += 1
-        if steps > max_steps:
+        image = phi.apply(current)
+        d = image.degree_in("U")
+        if coeffs and d >= coeffs[-1][1]:
+            raise AlgebraError("internal error: slice recursion failed to reduce degree")
+        if len(coeffs) >= max_steps:
             raise StepLimit(f"no termination within {max_steps} steps")
-        d = degree(phi, current)
         if d <= 0:
             coeffs.append((current, 0))
             break
         d = int(d)
-        c_d = derivation(phi, d, current)
+        c_d = image.coeff_of("U", d)
         coeffs.append((c_d, d))
-        current = current - c_d * s**d
-        if current and degree(phi, current) >= d:
-            raise AlgebraError("internal error: slice recursion failed to reduce degree")
+        current = current - c_d * power(s_powers, d)
     coeffs.reverse()
     return coeffs

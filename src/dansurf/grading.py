@@ -23,10 +23,6 @@ from .polyring import NEG_INF, Poly, WeightVector
 from .surface import RElem, RingSpec
 
 
-def _image_coefficient(img: RElem, i: int) -> RElem:
-    return RElem(img.spec, img.f1.coeff_of("U", i), img.f2.coeff_of("U", i))
-
-
 def parameter_weight(phi: ExponentialMap, w: WeightVector) -> Fraction:
     """The induced weight of U; raises TrivialMap when no D^i(g) is nonzero."""
     if not phi.verified:
@@ -39,7 +35,7 @@ def parameter_weight(phi: ExponentialMap, w: WeightVector) -> Fraction:
             continue
         g_weight = RElem.var(phi.spec, g).weighted_degree(w)
         for i in range(1, int(top) + 1):
-            di = _image_coefficient(img, i)
+            di = img.coeff_of("U", i)
             if di.is_zero():
                 continue
             candidates.append(Fraction(g_weight - di.weighted_degree(w), i))
@@ -100,7 +96,7 @@ def homogenize(phi: ExponentialMap, w: WeightVector, target: RingSpec) -> Homoge
         indices = []
         bar = RElem.zero(target)
         for i in range(top + 1):
-            di = _image_coefficient(img, i)
+            di = img.coeff_of("U", i)
             if di.is_zero():
                 continue
             if di.weighted_degree(w) + i * g_u == g_weight:

@@ -14,12 +14,12 @@ Variables are x, y, z, T, U, S; the aliases X, Y, Z normalize to lowercase.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from fractions import Fraction
 
-from .autgroup import Automorphism, compose, involution, scaling, shear
 from .errors import AlgebraError, ParseError
 from .polyring import Poly, WeightVector, format_poly
-from .scalars import FieldSpec, Scalar
+from .scalars import FieldSpec, Scalar, require_ascii
 from .surface import RElem, RingSpec, normal_form
 
 MAX_EXPONENT = 10**6
@@ -171,36 +171,61 @@ def format_relem(a: RElem) -> str:
     return format_poly(a.to_poly())
 
 
+def _strip(text: str, at: int):
+    """text.strip() and its offset, for a text that starts at offset `at`."""
+    return text.strip(), at + len(text) - len(text.lstrip())
+
+
+def _items(text: str, sep: str, at: int):
+    """The stripped items of text split at sep, each with its offset."""
+    for part in text.split(sep):
+        yield _strip(part, at)
+        at += len(part) + len(sep)
+
+
+@contextmanager
+def _offset(at: int):
+    """Report parse errors of a substring at offsets in the enclosing text."""
+    try:
+        yield
+    except ParseError as exc:
+        raise ParseError(exc.message, exc.offset + at) from None
+
+
 def parse_ring_spec(text: str) -> RingSpec:
     """Parse "R(n=<int>, h=<poly>, field=<fieldspec>[, graded][, free])"."""
     stripped = text.strip()
     if not (stripped.startswith("R(") and stripped.endswith(")")):
         raise ParseError("ring spec must look like R(n=..., h=..., field=...)", 0)
-    inner = stripped[2:-1]
     fields = {}
     flags = set()
-    for part in inner.split(","):
-        part = part.strip()
+    for part, at in _items(stripped[2:-1], ",", text.index("R(") + 2):
         if not part:
             continue
         if "=" in part:
             key, _, value = part.partition("=")
-            fields[key.strip()] = value.strip()
+            if key.strip() in fields:
+                raise ParseError(f"repeated ring-spec key {key.strip()!r}", at)
+            fields[key.strip()] = _strip(value, at + len(key) + 1)
         elif part in ("graded", "free"):
             flags.add(part)
         else:
-            raise ParseError(f"unknown ring-spec item {part!r}", text.find(part))
+            raise ParseError(f"unknown ring-spec item {part!r}", at)
     if "field" not in fields:
         raise ParseError("ring spec is missing field=...", 0)
     if "n" not in fields:
         raise ParseError("ring spec is missing n=...", 0)
-    field = FieldSpec.parse(fields["field"])
+    field_text, at = fields["field"]
+    with _offset(at):
+        field = FieldSpec.parse(field_text)
+    n_text, at = fields["n"]
     try:
-        n = int(fields["n"])
+        n = int(require_ascii(n_text, at))
     except ValueError:
-        raise ParseError(f"bad n value {fields['n']!r}", 0) from None
-    h_text = fields.get("h", "0")
-    h = parse_poly(h_text, field)
+        raise ParseError(f"bad n value {n_text!r}", at) from None
+    h_text, at = fields.get("h", ("0", 0))
+    with _offset(at):
+        h = parse_poly(h_text, field)
     return RingSpec(field, n, h, graded="graded" in flags, free="free" in flags)
 
 
@@ -216,34 +241,37 @@ def parse_weights(text: str) -> WeightVector:
     weights = {}
     inner = stripped[2:-1]
     if inner.strip():
-        for part in inner.split(","):
-            name, colon, value = part.partition(":")
+        for part, at in _items(inner, ",", text.index("w{") + 2):
+            key, colon, value = part.partition(":")
             if not colon:
-                raise ParseError(f"bad weight entry {part.strip()!r}", 0)
-            name = name.strip()
-            name = ALIASES.get(name, name)
+                raise ParseError(f"bad weight entry {part!r}", at)
+            name = ALIASES.get(key.strip(), key.strip())
+            value, value_at = _strip(value, at + len(key) + 1)
             try:
-                weights[name] = Fraction(value.strip())
+                weights[name] = Fraction(require_ascii(value, value_at))
             except (ValueError, ZeroDivisionError):
-                raise ParseError(f"bad weight value {value.strip()!r}", 0) from None
+                raise ParseError(f"bad weight value {value!r}", value_at) from None
     return WeightVector(weights)
 
 
 def parse_generator_map(text: str, spec: RingSpec) -> dict:
     """Parse "x -> <expr>; y -> <expr>; z -> <expr>" into ring-element images."""
     images = {}
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
+    for chunk, at in _items(text, ";", 0):
         if not chunk:
             continue
         lhs, arrow, rhs = chunk.partition("->")
         if not arrow:
-            raise ParseError(f"assignment {chunk!r} is missing '->'", 0)
+            raise ParseError(f"assignment {chunk!r} is missing '->'", at)
         name = lhs.strip()
         name = ALIASES.get(name, name)
         if name not in ("x", "y", "z", "T"):
-            raise ParseError(f"cannot assign an image to {lhs.strip()!r}", 0)
-        images[name] = normal_form(spec, parse_poly(rhs.strip(), spec.field))
+            raise ParseError(f"cannot assign an image to {lhs.strip()!r}", at)
+        if name in images:
+            raise ParseError(f"repeated image for {name}", at)
+        rhs, rhs_at = _strip(rhs, at + len(lhs) + 2)
+        with _offset(rhs_at):
+            images[name] = normal_form(spec, parse_poly(rhs, spec.field))
     for gen in spec.generators():
         if gen not in images:
             raise ParseError(f"map is missing an image for {gen}", 0)
@@ -253,47 +281,6 @@ def parse_generator_map(text: str, spec: RingSpec) -> dict:
 def format_generator_map(images: dict) -> str:
     order = [v for v in ("x", "y", "z", "T") if v in images]
     return "; ".join(f"{v} -> {format_relem(images[v])}" for v in order)
-
-
-def _split_word(text: str):
-    parts = []
-    depth = 0
-    current = []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "*" and depth == 0:
-            parts.append("".join(current).strip())
-            current = []
-        else:
-            current.append(ch)
-    parts.append("".join(current).strip())
-    return parts
-
-
-def parse_aut_word(text: str, spec: RingSpec) -> Automorphism:
-    """Parse "L(2) * T * E(x+1)"; the rightmost factor acts first."""
-    atoms = []
-    for part in _split_word(text):
-        if not part:
-            raise ParseError("empty factor in automorphism word", 0)
-        if part == "T":
-            atoms.append(involution(spec))
-        elif part.startswith("L(") and part.endswith(")"):
-            atoms.append(scaling(spec, parse_scalar(part[2:-1], spec.field)))
-        elif part.startswith("E(") and part.endswith(")"):
-            f = parse_poly(part[2:-1], spec.field)
-            if not f.variables() <= {"x"}:
-                raise ParseError("shear argument must be a polynomial in x", 0)
-            atoms.append(shear(spec, f))
-        else:
-            raise ParseError(f"unknown automorphism factor {part!r}", 0)
-    word = atoms[0]
-    for atom in atoms[1:]:
-        word = compose(word, atom)
-    return word
 
 
 def format_aut_word(mu: Scalar, eps: int, g: Poly) -> str:

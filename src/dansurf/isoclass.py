@@ -26,11 +26,14 @@ class IsoVerdict:
     reason: str  # n_mismatch | support_mismatch | no_root | ok
 
 
-def _require_classifiable(spec: RingSpec):
-    if not spec.standard:
-        raise AlgebraError("classification applies to standard specs only")
-    if spec.h.degree_in("x") >= spec.n:
-        raise UnreducedSpec("spec must be reduced (deg h < n)")
+def _require_classifiable(spec1: RingSpec, spec2: RingSpec):
+    for spec in (spec1, spec2):
+        if not spec.standard:
+            raise AlgebraError("classification applies to standard specs only")
+        if spec.h.degree_in("x") >= spec.n:
+            raise UnreducedSpec("spec must be reduced (deg h < n)")
+    if spec1.field != spec2.field:
+        raise AlgebraError("rings over different fields")
 
 
 def _coefficient(h: Poly, i: int) -> Scalar:
@@ -51,10 +54,7 @@ def classify(spec1: RingSpec, spec2: RingSpec, scan_bound: int = DEFAULT_SCAN_BO
     Deterministic: among all admissible mu, the smallest under the canonical
     scalar order (numeric over Q, residue over F_p) is returned.
     """
-    _require_classifiable(spec1)
-    _require_classifiable(spec2)
-    if spec1.field != spec2.field:
-        raise AlgebraError("rings over different fields")
+    _require_classifiable(spec1, spec2)
     if spec1.n != spec2.n:
         return IsoVerdict(False, None, None, "n_mismatch")
     h1, h2 = spec1.h, spec2.h
@@ -113,10 +113,7 @@ def witness(spec1: RingSpec, spec2: RingSpec, verdict: IsoVerdict) -> dict:
 
 def enumerate_oracle(spec1: RingSpec, spec2: RingSpec) -> IsoVerdict:
     """Brute-force cross-check over F_p, p <= 101: try every (eta, mu)."""
-    _require_classifiable(spec1)
-    _require_classifiable(spec2)
-    if spec1.field != spec2.field:
-        raise AlgebraError("rings over different fields")
+    _require_classifiable(spec1, spec2)
     p = spec1.field.characteristic
     if p == 0 or p > 101:
         raise AlgebraError("oracle needs a prime field with p <= 101")

@@ -190,14 +190,12 @@ class Poly:
     def __pow__(self, k: int) -> "Poly":
         if not isinstance(k, int) or k < 0:
             raise AlgebraError("polynomial powers must be natural numbers")
-        result = Poly.const(self.field, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        return power({1: self}, k) if k else Poly.const(self.field, 1)
+
+    def dense_over_q(self) -> bool:
+        """Whether power() steps up: over Q, three terms in two variables (the
+        e-th power of a binomial has e + 1 terms, like a univariate one's)."""
+        return not self.field.characteristic and len(self.terms) > 2 and len(self.variables()) > 1
 
     def scale(self, c) -> "Poly":
         c = self.field.scalar(c)
@@ -261,30 +259,7 @@ class Poly:
             elif val.field != self.field:
                 raise FieldMismatch("substitution value over a different field")
             images[var] = val
-        powers = {var: [Poly.const(self.field, 1), img] for var, img in images.items()}
-
-        def power(var, e):
-            lst = powers[var]
-            while len(lst) <= e:
-                lst.append(lst[-1] * lst[1])
-            return lst[e]
-
-        total = Poly.zero(self.field)
-        for m, c in self.terms.items():
-            piece = Poly.const(self.field, c)
-            plain = [0] * 6
-            for i, e in enumerate(m):
-                if not e:
-                    continue
-                var = VARS[i]
-                if var in images:
-                    piece = piece * power(var, e)
-                else:
-                    plain[i] = e
-            if any(plain):
-                piece = piece * Poly(self.field, {tuple(plain): self.field.one})
-            total = total + piece
-        return total
+        return substitute_terms(self, images, lambda q: q)
 
     def weighted_degree(self, w: WeightVector):
         """max over terms of the weighted exponent sum; -inf on the zero polynomial."""
@@ -323,6 +298,47 @@ class Poly:
 
     def __str__(self):
         return format_poly(self)
+
+
+def power(memo: dict, e: int):
+    """base^e (e >= 1) for memo = {1: base, ...}; every power formed is memoised.
+
+    Powers of a base that is dense_over_q() are dense, and a product by the
+    small base costs less than a square (Fateman, Stud. Appl. Math. 53,
+    1974), so it steps up from its largest memoised power.  Any other base
+    steps from e - 1 when that power is memoised and squares otherwise.
+    """
+    if e not in memo:
+        base = memo[1]
+        if base.dense_over_q():
+            for k in range(max(memo), e):
+                memo[k + 1] = memo[k] * base
+        elif e - 1 in memo:
+            memo[e] = memo[e - 1] * base
+        elif e % 2:
+            memo[e] = power(memo, e - 1) * base
+        else:
+            half = power(memo, e // 2)
+            memo[e] = half * half
+    return memo[e]
+
+
+def substitute_terms(p: Poly, images: dict, lift):
+    """Substitute the Poly or RElem `images` into p: each term c*m becomes
+    lift(c * m_free) times the memoised powers of the bound images, where
+    m_free keeps the unbound variables and lift maps a Poly into the target."""
+    bound = sorted((VAR_INDEX[var], {1: img}) for var, img in images.items())
+    total = lift(Poly.zero(p.field))
+    for m, c in p.terms.items():
+        free = list(m)
+        for i, _ in bound:
+            free[i] = 0
+        piece = lift(Poly(p.field, {tuple(free): c}))
+        for i, memo in bound:
+            if m[i]:
+                piece = piece * power(memo, m[i])
+        total = total + piece
+    return total
 
 
 def format_poly(p: Poly) -> str:

@@ -12,10 +12,20 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import AlgebraError, FieldMismatch
+from .errors import AlgebraError, FieldMismatch, ParseError
 
 MAX_PRIME = 2**31
 DEFAULT_SCAN_BOUND = 10**4
+
+
+def require_ascii(text: str, offset: int = 0) -> str:
+    """Return text unchanged if it is ASCII.  int() and Fraction() read every
+    Unicode digit; the grammar takes only 0-9, so any other character is a
+    ParseError at its offset (counted from `offset`)."""
+    for i, ch in enumerate(text):
+        if not ch.isascii():
+            raise ParseError(f"unexpected character {ch!r}", offset + i)
+    return text
 
 
 def is_prime(n: int) -> bool:
@@ -59,7 +69,7 @@ class FieldSpec:
         if text == "Q":
             return cls(0)
         if text.startswith("F") and text[1:].isdigit():
-            return cls(int(text[1:]))
+            return cls(int(require_ascii(text)[1:]))
         raise AlgebraError(f"bad field spec {text!r}: expected 'Q' or 'F<p>'")
 
     def scalar(self, value) -> "Scalar":

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import AlgebraError, FieldMismatch, NotDivisible, UnreducedSpec
-from .polyring import NEG_INF, VARS, Poly, WeightVector, format_poly
+from .polyring import NEG_INF, Poly, WeightVector, format_poly, power, substitute_terms
 from .scalars import FieldSpec, Scalar
 
 PARAMS = ("T", "U", "S")
@@ -169,10 +169,11 @@ class RElem:
     def __pow__(self, k: int) -> "RElem":
         if not isinstance(k, int) or k < 0:
             raise AlgebraError("element powers must be natural numbers")
-        result = RElem.one(self.spec)
-        for _ in range(k):
-            result = result * self
-        return result
+        return power({1: self}, k) if k else RElem.one(self.spec)
+
+    def dense_over_q(self) -> bool:
+        """As for Poly; over Q a nonzero z-part is dense, as z^2 = x^n*y - h*z."""
+        return not self.spec.field.characteristic and (bool(self.f2) or self.f1.dense_over_q())
 
     def scale(self, c) -> "RElem":
         c = self.spec.field.scalar(c)
@@ -191,6 +192,10 @@ class RElem:
 
     def to_poly(self) -> Poly:
         return self.f1 + Poly.variable(self.spec.field, "z") * self.f2
+
+    def coeff_of(self, var: str, i: int) -> "RElem":
+        """The coefficient of var^i for a parameter var (T, U, or S)."""
+        return RElem(self.spec, self.f1.coeff_of(var, i), self.f2.coeff_of(var, i))
 
     def degree_in(self, var: str):
         """Degree in a parameter (T, U, or S) across both components."""
@@ -251,15 +256,13 @@ def normal_form(spec: RingSpec, p: Poly) -> RElem:
         return RElem.zero(spec)
     if spec.free and zdeg >= 2:
         raise AlgebraError("free spec admits no z^2 reduction")
-    result = RElem.zero(spec)
-    zpow = RElem.one(spec)
-    z_elem = RElem.var(spec, "z")
-    for k in range(int(zdeg) + 1):
+    zero = Poly.zero(spec.field)
+    result = RElem(spec, p.coeff_of("z", 0), zero)
+    z_powers = {1: RElem.var(spec, "z")}
+    for k in range(1, int(zdeg) + 1):
         c = p.coeff_of("z", k)
         if c:
-            result = result + RElem(spec, c, Poly.zero(spec.field)) * zpow
-        if k < zdeg:
-            zpow = zpow * z_elem
+            result = result + RElem(spec, c, zero) * power(z_powers, k)
     return result
 
 
@@ -305,28 +308,10 @@ def reduce_presentation(field: FieldSpec, n: int, h_raw: Poly):
 def substitute_poly(spec: RingSpec, p: Poly, images: dict) -> RElem:
     """Evaluate a polynomial on ring elements: the homomorphism sending each
     variable to its image (variables absent from `images` map to themselves)."""
-    cache = {}
-
-    def power(var: str, e: int):
-        lst = cache.get(var)
-        if lst is None:
-            base = images.get(var)
-            if base is None:
-                base = RElem.var(spec, var)
-            lst = [RElem.one(spec), base]
-            cache[var] = lst
-        while len(lst) <= e:
-            lst.append(lst[-1] * lst[1])
-        return lst[e]
-
-    total = RElem.zero(spec)
-    for m, c in p.terms.items():
-        piece = RElem.const(spec, c)
-        for i, e in enumerate(m):
-            if e:
-                piece = piece * power(VARS[i], e)
-        total = total + piece
-    return total
+    zero = Poly.zero(spec.field)
+    # z stays bound, so every lifted monomial is a z-free first component.
+    bound = {"z": RElem.var(spec, "z"), **images}
+    return substitute_terms(p, bound, lambda q: RElem(spec, q, zero))
 
 
 def apply_images(spec: RingSpec, images: dict, a: RElem) -> RElem:

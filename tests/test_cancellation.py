@@ -118,6 +118,24 @@ def test_expand_slice_itself():
     assert parts == [(RElem.one(w.spec2), 1)]
 
 
+def test_expand_in_slice_applies_once_per_step(monkeypatch):
+    # one application for the slice check, then one per recursion step
+    w = build_witness(Q, 2, 3)
+    spec = w.spec2
+    calls = []
+    original = ExponentialMap.apply
+
+    def counting(phi, a):
+        calls.append(a)
+        return original(phi, a)
+
+    monkeypatch.setattr(ExponentialMap, "apply", counting)
+    for a in (RElem.var(spec, "T") ** 2, RElem.var(spec, "y") * RElem.var(spec, "z"), w.s):
+        calls.clear()
+        parts = expand_in_slice(w.phi, w.s, a)
+        assert len(calls) == 1 + len(parts)
+
+
 def test_expand_step_limit_guard():
     from dansurf import StepLimit
 

@@ -85,6 +85,18 @@ def test_usage_errors_exit_2():
         ["exp-build", "--ring", "R(n=2,h=1,field=Q)", "--coeff", "a:1"]
     )
     assert (code, out) == (2, "input error: bad exponent 'a' in coefficient 'a:1' (offset 0)")
+    # int() and Fraction() read every Unicode digit; the grammar reads 0-9
+    mapping = "x->x; z->z+x^2*U; y->y+(2*z+1)*U+x^2*U^2"
+    for argv, offset in (
+        (["exp-build", "--ring", "R(n=2,h=1,field=Q)", "--coeff", "\u0661:1"], 0),
+        (["normal-form", "--ring", "R(n=\u0662,h=1,field=Q)", "--expr", "z"], 4),
+        (["normal-form", "--ring", "R(n=2,h=1,field=F\u0665)", "--expr", "z"], 17),
+        (["homogenize", "--ring", "R(n=2,h=1,field=Q)", "--map", mapping,
+          "--weights", "w{x:0, y:2, z:\u0661}"], 14),
+    ):
+        code, out = dispatch(argv)
+        assert (code, out[:30]) == (2, "input error: unexpected charac")
+        assert out.endswith(f"(offset {offset})")
 
 
 def test_exp_build_and_degree_and_derive():

@@ -58,6 +58,30 @@ def test_parse_errors_carry_offsets():
     with pytest.raises(ParseError) as exc:
         parse_poly("x^\u0663", Q)
     assert exc.value.offset == 2
+    # offsets count from the start of the whole ring spec, map or weight text
+    with pytest.raises(ParseError) as exc:
+        parse_ring_spec("R(n=2,h=1+*x,field=Q)")
+    assert exc.value.offset == 10
+    with pytest.raises(ParseError) as exc:
+        parse_ring_spec(" R(n=\u0662,h=1,field=Q)")
+    assert exc.value.offset == 5
+    with pytest.raises(ParseError) as exc:
+        parse_ring_spec("R(n=2,h=1,field=F\u0665)")
+    assert exc.value.offset == 17
+    with pytest.raises(ParseError) as exc:
+        parse_weights("w{x:0, y:2, z:\u0661}")
+    assert exc.value.offset == 14
+    spec = standard_spec(Q)
+    with pytest.raises(ParseError) as exc:
+        parse_generator_map("x->x; z->z+*x; y->y", spec)
+    assert exc.value.offset == 11
+    # a repeated key or generator is an error that names it, not last-wins
+    with pytest.raises(ParseError, match="repeated ring-spec key 'field'") as exc:
+        parse_ring_spec("R(n=2,h=1,field=Q,field=F2)")
+    assert exc.value.offset == 18
+    with pytest.raises(ParseError, match="repeated image for x") as exc:
+        parse_generator_map("x->x; x->2*x", spec)
+    assert exc.value.offset == 6
 
 
 def test_exponent_overflow():

@@ -1,0 +1,86 @@
+"""Differential tests against sympy, an independent implementation.
+
+The package never imports sympy; these tests are skipped when it is absent.
+"""
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+
+from dansurf import Poly, normal_form, substitute_poly  # noqa: E402
+from dansurf.polyring import VARS  # noqa: E402
+from conftest import F2, F3, F5, Q, random_poly, random_relem, rng, standard_spec  # noqa: E402
+
+# The generators in the package's variable order z > y > x > T > U > S, so
+# sympy's lex order with these generators puts z first.
+GENS = sympy.symbols(" ".join(VARS))
+SYM = dict(zip(VARS, GENS))
+FIELDS = [Q, F2, F3, F5]
+SPECS = [(2, "1"), (3, "1 + x^2"), (2, "1 + x")]
+
+
+def to_sympy(p: Poly):
+    total = sympy.Integer(0)
+    for m, c in p.terms.items():
+        term = sympy.Rational(c.value.numerator, c.value.denominator)
+        for gen, e in zip(GENS, m):
+            term *= gen**e
+        total += term
+    return total
+
+
+def domain(field):
+    p = field.characteristic
+    return {"domain": sympy.QQ} if p == 0 else {"modulus": p}
+
+
+def agree(ours, theirs, field) -> bool:
+    return sympy.Poly(ours - theirs, *GENS, **domain(field)).is_zero
+
+
+def reduce_mod_relation(expr, spec):
+    x, y, z = SYM["x"], SYM["y"], SYM["z"]
+    relation = x**spec.n * y - z**2 - to_sympy(spec.h) * z
+    _, remainder = sympy.reduced(sympy.expand(expr), [relation], *GENS, order="lex",
+                                 **domain(spec.field))
+    return remainder
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.label)
+@pytest.mark.parametrize("n, h", SPECS)
+def test_normal_form_matches_sympy_reduced(field, n, h):
+    spec = standard_spec(field, n, h)
+    r = rng(n)
+    for _ in range(8):
+        p = random_poly(r, field, ("x", "y", "z", "U"), max_terms=4, max_exp=4)
+        ours = normal_form(spec, p).to_poly()
+        assert agree(to_sympy(ours), reduce_mod_relation(to_sympy(p), spec), field), p
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.label)
+def test_poly_substitute_matches_sympy(field):
+    r = rng(7)
+    for k in range(10):
+        p = random_poly(r, field, ("x", "y", "z", "U"), max_terms=4, max_exp=4)
+        bound = ("x", "U", "z", "y")[: 1 + k % 4]
+        bindings = {v: random_poly(r, field, ("x", "y", "T"), max_terms=3, max_exp=2)
+                    for v in bound}
+        theirs = to_sympy(p).subs({SYM[v]: to_sympy(b) for v, b in bindings.items()},
+                                  simultaneous=True)
+        assert agree(to_sympy(p.substitute(bindings)), theirs, field), (p, bindings)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.label)
+@pytest.mark.parametrize("n, h", SPECS)
+def test_substitute_poly_matches_sympy_expand_then_reduce(field, n, h):
+    spec = standard_spec(field, n, h)
+    r = rng(11 * n)
+    for k in range(6):
+        p = random_poly(r, field, ("x", "y", "z", "T"), max_terms=3, max_exp=3)
+        # images for a growing subset of x, y, z, T; the rest map to themselves
+        bound = ("z", "y", "x", "T")[: 1 + k % 4]
+        images = {v: random_relem(r, spec, ("x", "y", "U")) for v in bound}
+        ours = substitute_poly(spec, p, images).to_poly()
+        theirs = to_sympy(p).subs({SYM[v]: to_sympy(img.to_poly()) for v, img in images.items()},
+                                  simultaneous=True)
+        assert agree(to_sympy(ours), reduce_mod_relation(theirs, spec), field), (p, images)

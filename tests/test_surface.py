@@ -167,3 +167,38 @@ def test_parameters_commute_through_normal_form():
     spec = SPEC21
     a = NF(spec, "T*z^2 + U*z")
     assert a == NF(spec, "T*(x^2*y - z) + U*z")
+
+
+# Bases for the shared power routine: a monomial, a univariate base, a
+# binomial, a dense multivariate base and a base with a z-part, for Poly and
+# for RElem.
+POWER_BASES = ("-x^2*U", "1 - x", "x - 2*y*T", "1 + x + y", "x - z + 1")
+
+
+@pytest.mark.parametrize("field", [Q, F2, F3, F5], ids=lambda f: f.label)
+@pytest.mark.parametrize("text", POWER_BASES)
+def test_power_memo_matches_repeated_multiplication(field, text):
+    from dansurf.polyring import power
+
+    spec = standard_spec(field, 2, "1 + x")
+    poly = parse_poly(text, field)
+    bases = [normal_form(spec, poly)]
+    if "z" not in text:
+        bases.append(poly)
+    for base in bases:
+        dense = base.dense_over_q()
+        assert dense == (field == Q and text in POWER_BASES[3:])
+        expected = [base**0]
+        for _ in range(40):
+            expected.append(expected[-1] * base)
+        order = list(range(1, 41))
+        rng(len(text)).shuffle(order)
+        memo = {1: base}
+        for e in order:
+            assert power(memo, e) == expected[e]
+        assert base**0 == expected[0]
+        # a dense base over Q steps, so its memo holds every power; the
+        # squaring chain reaches 40 through a handful of powers
+        fresh = {1: base}
+        power(fresh, 40)
+        assert sorted(fresh) == (list(range(1, 41)) if dense else [1, 2, 4, 5, 10, 20, 40])
