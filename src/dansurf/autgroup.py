@@ -30,7 +30,7 @@ from .errors import (
     NotCanonicalShape,
     ParseError,
 )
-from .ioformats import parse_poly, parse_scalar
+from .ioformats import _offset, _strip, parse_poly, parse_scalar
 from .polyring import Poly, format_poly
 from .scalars import DEFAULT_SCAN_BOUND, Scalar, nth_roots
 from .surface import RElem, RingSpec, apply_images, r_x_divide, substitute_poly
@@ -240,40 +240,44 @@ def recompose(spec: RingSpec, mu, eps: int, g) -> Automorphism:
 
 
 def _split_word(text: str):
+    """The stripped factors of a word split at top-level '*', each with its
+    offset in text."""
     parts = []
     depth = 0
-    current = []
-    for ch in text:
+    start = 0
+    for i, ch in enumerate(text):
         if ch == "(":
             depth += 1
         elif ch == ")":
             depth -= 1
-        if ch == "*" and depth == 0:
-            parts.append("".join(current).strip())
-            current = []
-        else:
-            current.append(ch)
-    parts.append("".join(current).strip())
+        elif ch == "*" and depth == 0:
+            parts.append(_strip(text[start:i], start))
+            start = i + 1
+    parts.append(_strip(text[start:], start))
     return parts
 
 
 def parse_aut_word(text: str, spec: RingSpec) -> Automorphism:
-    """Parse "L(2) * T * E(x+1)"; the rightmost factor acts first."""
+    """Parse "L(2) * T * E(x+1)"; the rightmost factor acts first.  Error
+    offsets count from the start of text."""
     atoms = []
-    for part in _split_word(text):
+    for part, at in _split_word(text):
         if not part:
-            raise ParseError("empty factor in automorphism word", 0)
+            raise ParseError("empty factor in automorphism word", at)
         if part == "T":
             atoms.append(involution(spec))
         elif part.startswith("L(") and part.endswith(")"):
-            atoms.append(scaling(spec, parse_scalar(part[2:-1], spec.field)))
+            with _offset(at + 2):
+                mu = parse_scalar(part[2:-1], spec.field)
+            atoms.append(scaling(spec, mu))
         elif part.startswith("E(") and part.endswith(")"):
-            f = parse_poly(part[2:-1], spec.field)
+            with _offset(at + 2):
+                f = parse_poly(part[2:-1], spec.field)
             if not f.variables() <= {"x"}:
-                raise ParseError("shear argument must be a polynomial in x", 0)
+                raise ParseError("shear argument must be a polynomial in x", at)
             atoms.append(shear(spec, f))
         else:
-            raise ParseError(f"unknown automorphism factor {part!r}", 0)
+            raise ParseError(f"unknown automorphism factor {part!r}", at)
     word = atoms[0]
     for atom in atoms[1:]:
         word = compose(word, atom)

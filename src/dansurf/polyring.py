@@ -32,10 +32,6 @@ def mono(**exps) -> tuple:
     return tuple(m)
 
 
-def _mono_mul(a: tuple, b: tuple) -> tuple:
-    return tuple(i + j for i, j in zip(a, b))
-
-
 def _term_key(m: tuple):
     return (sum(m), m)
 
@@ -128,7 +124,7 @@ class Poly:
 
     def _coerce(self, other):
         if isinstance(other, Poly):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise FieldMismatch("polynomials over different fields")
             return other
         if isinstance(other, (int, Scalar)):
@@ -139,6 +135,8 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if not o.terms:
+            return self
         terms = dict(self.terms)
         for m, c in o.terms.items():
             s = terms.get(m)
@@ -173,16 +171,20 @@ class Poly:
         if o is None:
             return NotImplemented
         terms = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in o.terms.items():
-                m = _mono_mul(m1, m2)
-                c = c1 * c2
-                s = terms.get(m)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    terms.pop(m, None)
+        get = terms.get
+        right = list(o.terms.items())
+        for (a0, a1, a2, a3, a4, a5), c1 in self.terms.items():
+            for (b0, b1, b2, b3, b4, b5), c2 in right:
+                m = (a0 + b0, a1 + b1, a2 + b2, a3 + b3, a4 + b4, a5 + b5)
+                s = get(m)
+                if s is None:
+                    terms[m] = c1 * c2  # a product of nonzero field elements
                 else:
-                    terms[m] = s
+                    s = s + c1 * c2
+                    if s:
+                        terms[m] = s
+                    else:
+                        del terms[m]
         return Poly(self.field, terms)
 
     __rmul__ = __mul__
@@ -324,19 +326,28 @@ def power(memo: dict, e: int):
 
 
 def substitute_terms(p: Poly, images: dict, lift):
-    """Substitute the Poly or RElem `images` into p: each term c*m becomes
-    lift(c * m_free) times the memoised powers of the bound images, where
-    m_free keeps the unbound variables and lift maps a Poly into the target."""
-    bound = sorted((VAR_INDEX[var], {1: img}) for var, img in images.items())
-    total = lift(Poly.zero(p.field))
+    """Substitute the Poly or RElem `images` into p, where lift maps a Poly
+    into the target.  The terms of p are grouped by their exponents in the
+    bound variables; each group's free part is lifted once and multiplied by
+    the memoised powers of the bound images.  A variable whose image is the
+    variable itself stays free, except z: a lifted free part is z-free."""
+    field = p.field
+    bound = sorted(
+        (VAR_INDEX[var], {1: img}) for var, img in images.items()
+        if var == "z" or img != lift(Poly.variable(field, var))
+    )
+    groups = {}
     for m, c in p.terms.items():
         free = list(m)
         for i, _ in bound:
             free[i] = 0
-        piece = lift(Poly(p.field, {tuple(free): c}))
-        for i, memo in bound:
-            if m[i]:
-                piece = piece * power(memo, m[i])
+        groups.setdefault(tuple(m[i] for i, _ in bound), {})[tuple(free)] = c
+    total = lift(Poly.zero(field))
+    for exps, terms in groups.items():
+        piece = lift(Poly(field, terms))
+        for (_, memo), e in zip(bound, exps):
+            if e:
+                piece = piece * power(memo, e)
         total = total + piece
     return total
 
@@ -345,10 +356,10 @@ def format_poly(p: Poly) -> str:
     """Canonical text form; parse(format(p)) reproduces p exactly."""
     if p.is_zero():
         return "0"
+    signed = not p.field.characteristic  # residues in [0, p) print unsigned
     pieces = []
     for m, c in p.sorted_terms():
-        v = c.value
-        negative = isinstance(v, Fraction) and v < 0
+        negative = signed and c.value < 0
         mag = -c if negative else c
         ms = format_mono(m)
         if not ms:

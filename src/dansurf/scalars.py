@@ -1,6 +1,7 @@
 """Exact scalar arithmetic over Q and prime fields F_p.
 
-Characteristic 0 values are arbitrary-precision rationals; characteristic p
+Characteristic 0 values are arbitrary-precision rationals, stored as an int
+when integral and as a normalised Fraction otherwise; characteristic p
 values are residues in [0, p).  Everything is immutable and exact, so the
 algebraic identities checked elsewhere in this package are true equalities,
 never approximations.
@@ -26,6 +27,11 @@ def require_ascii(text: str, offset: int = 0) -> str:
         if not ch.isascii():
             raise ParseError(f"unexpected character {ch!r}", offset + i)
     return text
+
+
+def rational(v):
+    """A rational value in canonical form: an int when integral, else v."""
+    return v.numerator if v.denominator == 1 else v
 
 
 def is_prime(n: int) -> bool:
@@ -65,22 +71,27 @@ class FieldSpec:
 
     @classmethod
     def parse(cls, text: str) -> "FieldSpec":
-        """Parse the field spec format: "Q" or "F<p>" (case-sensitive)."""
+        """Parse the field spec format: "Q" or "F<p>" (case-sensitive), p a
+        prime below 2^31.  Any other text is a ParseError at offset 0."""
         if text == "Q":
             return cls(0)
         if text.startswith("F") and text[1:].isdigit():
-            return cls(int(require_ascii(text)[1:]))
-        raise AlgebraError(f"bad field spec {text!r}: expected 'Q' or 'F<p>'")
+            p = int(require_ascii(text)[1:])
+            try:
+                return cls(p)
+            except AlgebraError as exc:
+                raise ParseError(f"bad field spec {text!r}: {exc}", 0) from None
+        raise ParseError(f"bad field spec {text!r}: expected 'Q' or 'F<p>'", 0)
 
     def scalar(self, value) -> "Scalar":
         """Coerce an int, Fraction, or Scalar into this field."""
         if isinstance(value, Scalar):
-            if value.field != self:
+            if value.field is not self and value.field != self:
                 raise FieldMismatch(f"scalar of {value.field.label} used in {self.label}")
             return value
         p = self.characteristic
         if p == 0:
-            return Scalar(self, Fraction(value))
+            return Scalar(self, value if type(value) is int else rational(Fraction(value)))
         if isinstance(value, Fraction):
             den = value.denominator % p
             if den == 0:
@@ -106,9 +117,9 @@ class FieldSpec:
 class Scalar:
     """An exact element of Q or F_p.
 
-    Representations are canonical: rationals are stored normalized by
-    fractions.Fraction, residues lie in [0, p).  Equal scalars therefore
-    compare and hash identically.
+    Representations are canonical: a rational is an int when integral and a
+    normalised fractions.Fraction otherwise, a residue lies in [0, p).  Equal
+    scalars therefore compare and hash identically.
     """
 
     __slots__ = ("field", "value")
@@ -123,7 +134,7 @@ class Scalar:
 
     def _coerce(self, other):
         if isinstance(other, Scalar):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise FieldMismatch(
                     f"cannot mix {self.field.label} and {other.field.label}"
                 )
@@ -138,7 +149,7 @@ class Scalar:
             return NotImplemented
         p = self.field.characteristic
         v = self.value + o.value
-        return Scalar(self.field, v % p if p else v)
+        return Scalar(self.field, v % p if p else rational(v))
 
     __radd__ = __add__
 
@@ -148,7 +159,7 @@ class Scalar:
             return NotImplemented
         p = self.field.characteristic
         v = self.value - o.value
-        return Scalar(self.field, v % p if p else v)
+        return Scalar(self.field, v % p if p else rational(v))
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -162,7 +173,7 @@ class Scalar:
             return NotImplemented
         p = self.field.characteristic
         v = self.value * o.value
-        return Scalar(self.field, v % p if p else v)
+        return Scalar(self.field, v % p if p else rational(v))
 
     __rmul__ = __mul__
 
@@ -181,7 +192,7 @@ class Scalar:
             raise ZeroDivisionError("inverse of zero")
         p = self.field.characteristic
         if p == 0:
-            return Scalar(self.field, 1 / self.value)
+            return Scalar(self.field, rational(Fraction(1) / self.value))
         return Scalar(self.field, pow(self.value, p - 2, p))
 
     def __pow__(self, k: int) -> "Scalar":
@@ -192,7 +203,7 @@ class Scalar:
         p = self.field.characteristic
         if p:
             return Scalar(self.field, pow(self.value, k, p))
-        return Scalar(self.field, self.value**k)
+        return Scalar(self.field, rational(self.value**k))
 
     def is_zero(self) -> bool:
         return self.value == 0
@@ -202,7 +213,8 @@ class Scalar:
 
     def __eq__(self, other):
         if isinstance(other, Scalar):
-            return self.field == other.field and self.value == other.value
+            same = self.field is other.field or self.field == other.field
+            return same and self.value == other.value
         if isinstance(other, (int, Fraction)):
             return self == self.field.scalar(other)
         return NotImplemented

@@ -93,6 +93,16 @@ class RElem:
         self.f2 = f2
 
     @classmethod
+    def _trusted(cls, spec: RingSpec, f1: Poly, f2: Poly) -> "RElem":
+        """Skip the checks: f1 and f2 must be z-free and over spec.field, as
+        the results of operations on such components are."""
+        a = object.__new__(cls)
+        a.spec = spec
+        a.f1 = f1
+        a.f2 = f2
+        return a
+
+    @classmethod
     def zero(cls, spec: RingSpec) -> "RElem":
         return cls(spec, Poly.zero(spec.field), Poly.zero(spec.field))
 
@@ -116,7 +126,7 @@ class RElem:
 
     def _coerce(self, other):
         if isinstance(other, RElem):
-            if other.spec != self.spec:
+            if other.spec is not self.spec and other.spec != self.spec:
                 raise AlgebraError("elements of different rings")
             return other
         if isinstance(other, (int, Scalar)):
@@ -127,7 +137,7 @@ class RElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RElem(self.spec, self.f1 + o.f1, self.f2 + o.f2)
+        return RElem._trusted(self.spec, self.f1 + o.f1, self.f2 + o.f2)
 
     __radd__ = __add__
 
@@ -135,7 +145,7 @@ class RElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RElem(self.spec, self.f1 - o.f1, self.f2 - o.f2)
+        return RElem._trusted(self.spec, self.f1 - o.f1, self.f2 - o.f2)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -144,7 +154,7 @@ class RElem:
         return o - self
 
     def __neg__(self):
-        return RElem(self.spec, -self.f1, -self.f2)
+        return RElem._trusted(self.spec, -self.f1, -self.f2)
 
     def __mul__(self, other):
         if isinstance(other, Scalar):
@@ -162,7 +172,7 @@ class RElem:
             # z^2 = x^n*y - h*z
             f1 = f1 + spec._xny() * zz
             cross = cross - spec.h * zz
-        return RElem(spec, f1, cross)
+        return RElem._trusted(spec, f1, cross)
 
     __rmul__ = __mul__
 
@@ -177,7 +187,7 @@ class RElem:
 
     def scale(self, c) -> "RElem":
         c = self.spec.field.scalar(c)
-        return RElem(self.spec, self.f1.scale(c), self.f2.scale(c))
+        return RElem._trusted(self.spec, self.f1.scale(c), self.f2.scale(c))
 
     def __bool__(self):
         return bool(self.f1) or bool(self.f2)
@@ -188,14 +198,15 @@ class RElem:
     def __eq__(self, other):
         if not isinstance(other, RElem):
             return NotImplemented
-        return self.spec == other.spec and self.f1 == other.f1 and self.f2 == other.f2
+        same = self.spec is other.spec or self.spec == other.spec
+        return same and self.f1 == other.f1 and self.f2 == other.f2
 
     def to_poly(self) -> Poly:
         return self.f1 + Poly.variable(self.spec.field, "z") * self.f2
 
     def coeff_of(self, var: str, i: int) -> "RElem":
         """The coefficient of var^i for a parameter var (T, U, or S)."""
-        return RElem(self.spec, self.f1.coeff_of(var, i), self.f2.coeff_of(var, i))
+        return RElem._trusted(self.spec, self.f1.coeff_of(var, i), self.f2.coeff_of(var, i))
 
     def degree_in(self, var: str):
         """Degree in a parameter (T, U, or S) across both components."""

@@ -97,6 +97,16 @@ def test_usage_errors_exit_2():
         code, out = dispatch(argv)
         assert (code, out[:30]) == (2, "input error: unexpected charac")
         assert out.endswith(f"(offset {offset})")
+    # a field spec that is not Q or F<p>, p prime below 2^31, is an input error
+    for field, reason in (
+        ("GF5", "expected 'Q' or 'F<p>'"),
+        ("F4", "characteristic 4 is not 0 or a prime"),
+        ("F2147483659", "characteristic 2147483659 exceeds the 2^31 bound"),
+    ):
+        code, out = dispatch(
+            ["normal-form", "--ring", f"R(n=2,h=1,field={field})", "--expr", "z"]
+        )
+        assert (code, out) == (2, f"input error: bad field spec {field!r}: {reason} (offset 16)")
 
 
 def test_exp_build_and_degree_and_derive():

@@ -285,3 +285,22 @@ def test_expand_in_slice_requires_a_slice():
 def test_expand_in_slice_errors_are_guarded():
     with pytest.raises(AlgebraError):
         derivation(PHI, -1, RElem.var(SPEC21, "z"))
+
+
+def test_apply_multiplies_once_per_group(monkeypatch):
+    # phi(x) = x, so x stays free: the 30 terms of a fall into six groups by
+    # their (y, z)-exponents, and each group is lifted once and multiplied by
+    # its y- and z-power: 4 groups with y, 3 with z, and 1 product for y^2
+    a = NF(SPEC21, "(1 + x + x^2 + x^3 + x^4)*(1 + y + y^2)*(1 + z)")
+    assert len(a.f1.terms) + len(a.f2.terms) == 30
+    expected = PHI.apply(a)
+    calls = []
+    original = RElem.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return original(self, other)
+
+    monkeypatch.setattr(RElem, "__mul__", counting)
+    assert PHI.apply(a) == expected
+    assert len(calls) <= 8

@@ -82,6 +82,15 @@ def test_parse_errors_carry_offsets():
     with pytest.raises(ParseError, match="repeated image for x") as exc:
         parse_generator_map("x->x; x->2*x", spec)
     assert exc.value.offset == 6
+    # automorphism-word offsets count from the start of the whole word
+    for word, message, offset in (
+        ("L(2) * Q(3)", "unknown automorphism factor 'Q(3)'", 7),
+        ("L(2) * E(x+y)", "shear argument must be a polynomial in x", 7),
+        ("L(2) * E(x+*1)", "unexpected '*'", 11),
+    ):
+        with pytest.raises(ParseError) as exc:
+            parse_aut_word(word, spec)
+        assert (exc.value.message, exc.value.offset) == (message, offset)
 
 
 def test_exponent_overflow():

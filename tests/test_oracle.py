@@ -7,8 +7,10 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
+from fractions import Fraction  # noqa: E402
+
 from dansurf import Poly, normal_form, substitute_poly  # noqa: E402
-from dansurf.polyring import VARS  # noqa: E402
+from dansurf.polyring import VARS, mono  # noqa: E402
 from conftest import F2, F3, F5, Q, random_poly, random_relem, rng, standard_spec  # noqa: E402
 
 # The generators in the package's variable order z > y > x > T > U > S, so
@@ -55,6 +57,37 @@ def test_normal_form_matches_sympy_reduced(field, n, h):
         p = random_poly(r, field, ("x", "y", "z", "U"), max_terms=4, max_exp=4)
         ours = normal_form(spec, p).to_poly()
         assert agree(to_sympy(ours), reduce_mod_relation(to_sympy(p), spec), field), p
+
+
+def coefficient_poly(r, field, kind, max_terms=8):
+    """A random poly in x, y, z, U whose coefficients are written as all
+    integers, all non-integral fractions (denominators 2, 3, 5, 7, those
+    invertible in the field), or a mix of both."""
+    p = field.characteristic
+    denominators = [d for d in (2, 3, 5, 7) if not p or d % p]
+    items = []
+    for _ in range(r.randint(1, max_terms)):
+        c = kind if kind != "mixed" else r.choice(("integral", "fractional"))
+        num = r.choice((-1, 1)) * r.randint(1, 40)
+        d = r.choice(denominators)
+        value = num if c == "integral" else Fraction(num * d + r.randint(1, d - 1), d)
+        items.append((mono(**{v: r.randint(0, 3) for v in ("x", "y", "z", "U")}), value))
+    return Poly.from_items(field, items)
+
+
+@pytest.mark.parametrize("field, kind", [(Q, "integral"), (Q, "fractional"), (Q, "mixed"),
+                                         (F2, "mixed"), (F3, "mixed"), (F5, "mixed")],
+                         ids=lambda v: getattr(v, "label", v))
+def test_poly_product_matches_sympy(field, kind):
+    r = rng(len(kind) + field.characteristic)
+    for _ in range(12):
+        a = coefficient_poly(r, field, kind)
+        b = coefficient_poly(r, field, kind)
+        theirs = sympy.Poly(to_sympy(a), *GENS, **domain(field)) * sympy.Poly(
+            to_sympy(b), *GENS, **domain(field))
+        ours = a * b
+        assert sympy.Poly(to_sympy(ours), *GENS, **domain(field)) == theirs, (a, b)
+        assert ours == b * a
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.label)

@@ -10,6 +10,7 @@ from dansurf import (
     WeightVector,
     parse_poly,
 )
+from dansurf.polyring import format_poly
 from conftest import F2, F3, F5, F101, Q, random_poly, rng
 
 W1 = WeightVector({"x": 0, "y": 2, "z": 1})
@@ -173,3 +174,14 @@ def test_power():
     assert P("x + 1") ** 3 == P("x^3 + 3*x^2 + 3*x + 1")
     with pytest.raises(AlgebraError):
         P("x") ** -1
+
+
+def test_format_signs_by_field():
+    # over Q a negative coefficient prints with a minus sign, integral or not
+    assert format_poly(P("-x^2 - 2*x + 3")) == "-x^2 - 2*x + 3"
+    assert format_poly(P("-1")) == "-1"
+    assert format_poly(P("3 - 7*y")) == "-7*y + 3"
+    assert format_poly(P("-1/2*x - 3")) == "-1/2*x - 3"
+    assert format_poly(P("2*x") - P("4*x")) == "-2*x"
+    # over F_p residues lie in [0, p) and print unsigned
+    assert format_poly(P("-x - 1", F5)) == "4*x + 4"

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from dansurf import AlgebraError, FieldSpec, binom, nth_roots
+from dansurf import AlgebraError, FieldSpec, Scalar, binom, nth_roots
 from conftest import F2, F3, F5, F7, F101, Q, random_scalar, rng
 
 FIELDS = [Q, F2, F3, F5, F7, F101]
@@ -37,6 +37,53 @@ def test_scalar_normalization_is_canonical():
     assert a == b and hash(a) == hash(b)
     c = F5.scalar(7)
     assert c == F5.scalar(2) and c.value == 2
+
+
+def canonical_q(s) -> bool:
+    """An int exactly when integral, otherwise a Fraction."""
+    v = s.value
+    return type(v) is int if Fraction(v).denominator == 1 else type(v) is Fraction
+
+
+def test_q_values_are_ints_when_integral():
+    half = Q.scalar(Fraction(1, 2))
+    cases = [
+        (Q.scalar(3), 3),
+        (Q.scalar(Fraction(4, 2)), 2),
+        (half + half, 1),
+        (Q.scalar(Fraction(3, 2)) - half, 1),
+        (half * Q.scalar(4), 2),
+        (Q.scalar(1).inv(), 1),
+        (Q.scalar(-1).inv(), -1),
+        (Q.scalar(-2) ** 3, -8),
+        (half**-2, 4),
+        (half**0, 1),
+    ]
+    for s, value in cases:
+        assert type(s.value) is int and s.value == value, s
+    for s in (half, half * Q.scalar(3), Q.scalar(2).inv(), half**3, -half):
+        assert type(s.value) is Fraction, s
+    assert Q.scalar(2).inv().value == Fraction(1, 2)
+    # equal values compare and hash equal whatever their Python type
+    assert Scalar(Q, 2) == Scalar(Q, Fraction(2)) == Q.scalar(Fraction(6, 3))
+    assert hash(Scalar(Q, 2)) == hash(Scalar(Q, Fraction(2))) == hash(Q.scalar(Fraction(6, 3)))
+    assert Q.scalar(2) == 2 and Q.scalar(2) == Fraction(2)
+
+
+@given(
+    st.fractions(max_denominator=6).filter(lambda v: abs(v) < 50),
+    st.fractions(max_denominator=6).filter(lambda v: abs(v) < 50),
+    st.integers(-3, 3),
+)
+def test_q_arithmetic_stays_canonical(a, b, k):
+    x, y = Q.scalar(a), Q.scalar(b)
+    results = [x, y, x + y, x - y, y - x, x * y, -x]
+    if b:
+        results += [y.inv(), x / y]
+    if a or k >= 0:
+        results.append(x**k)
+    assert all(canonical_q(s) for s in results)
+    assert (x + y).value == a + b and (x * y).value == a * b
 
 
 def test_scalar_arithmetic_exact():

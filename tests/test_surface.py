@@ -2,6 +2,7 @@ import pytest
 
 from dansurf import (
     AlgebraError,
+    FieldMismatch,
     NotDivisible,
     Poly,
     RElem,
@@ -11,7 +12,9 @@ from dansurf import (
     parse_poly,
     r_x_divide,
     reduce_presentation,
+    substitute_poly,
 )
+from dansurf.polyring import VARS
 from conftest import F2, F3, F5, Q, random_poly, random_relem, rng, standard_spec
 
 SPEC21 = standard_spec(Q, 2, "1")
@@ -202,3 +205,56 @@ def test_power_memo_matches_repeated_multiplication(field, text):
         fresh = {1: base}
         power(fresh, 40)
         assert sorted(fresh) == (list(range(1, 41)) if dense else [1, 2, 4, 5, 10, 20, 40])
+
+
+def test_public_constructor_checks_components():
+    # results of RElem arithmetic skip the checks; the public constructor keeps them
+    spec = SPEC21
+    x, with_z = parse_poly("x", Q), parse_poly("x*z + 1", Q)
+    zero = Poly.zero(Q)
+    for f1, f2 in ((with_z, zero), (zero, with_z), (x, parse_poly("z", Q))):
+        with pytest.raises(AlgebraError, match="must not contain z"):
+            RElem(spec, f1, f2)
+    for f1, f2 in ((parse_poly("x", F2), zero), (x, parse_poly("1", F3))):
+        with pytest.raises(FieldMismatch):
+            RElem(spec, f1, f2)
+
+
+def term_by_term(p, images, one, var):
+    """The reference substitution: every term on its own, each variable
+    raised to its exponent by repeated multiplication."""
+    total = one * 0
+    for m, c in p.terms.items():
+        piece = one * c
+        for name, e in zip(VARS, m):
+            for _ in range(e):
+                piece = piece * images.get(name, var(name))
+        total = total + piece
+    return total
+
+
+# Images for the reference checks: identity images, images binding only some
+# variables, and images of the parameters T and U.
+SUBSTITUTIONS = (
+    {"x": "x", "y": "y", "z": "z"},
+    {"x": "x", "y": "y + x^2*U", "z": "z + x^2*U"},
+    {"y": "x*y - 1"},
+    {"z": "z", "T": "T + U"},
+    {"x": "x*T", "U": "U^2 - x"},
+    {"T": "1", "U": "0"},
+)
+
+
+@pytest.mark.parametrize("field", [Q, F2, F3], ids=lambda f: f.label)
+def test_substitutions_match_term_by_term_reference(field):
+    spec = standard_spec(field, 2, "1 + x")
+    r = rng(field.characteristic + 13)
+    for _ in range(4):
+        p = random_poly(r, field, ("x", "y", "z", "T", "U"), max_terms=12, max_exp=3)
+        for images in SUBSTITUTIONS:
+            polys = {v: parse_poly(text, field) for v, text in images.items()}
+            assert p.substitute(polys) == term_by_term(
+                p, polys, Poly.const(field, 1), lambda v: Poly.variable(field, v)), images
+            elems = {v: normal_form(spec, q) for v, q in polys.items()}
+            assert substitute_poly(spec, p, elems) == term_by_term(
+                p, elems, RElem.one(spec), lambda v: RElem.var(spec, v)), images
