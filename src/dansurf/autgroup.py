@@ -32,7 +32,7 @@ from .errors import (
 )
 from .ioformats import _offset, _strip, parse_poly, parse_scalar
 from .polyring import Poly, format_poly
-from .scalars import DEFAULT_SCAN_BOUND, Scalar, nth_roots
+from .scalars import Scalar, nth_roots
 from .surface import RElem, RingSpec, apply_images, r_x_divide, substitute_poly
 
 
@@ -296,7 +296,7 @@ class GroupStructure:
     n_description: str
 
 
-def group_structure(spec: RingSpec, scan_bound: int = DEFAULT_SCAN_BOUND) -> GroupStructure:
+def group_structure(spec: RingSpec) -> GroupStructure:
     """Compute m = gcd of the nonconstant x-exponents of h and the resulting
     scaling subgroup L = {mu : mu^m = 1}, reported with its exact order."""
     if not spec.standard:
@@ -314,7 +314,7 @@ def group_structure(spec: RingSpec, scan_bound: int = DEFAULT_SCAN_BOUND) -> Gro
         return GroupStructure(0, l_order, None, l_desc, "C2 x k*", n_desc)
     if m == 1:
         return GroupStructure(1, 1, (field.one,), "trivial", "C2", n_desc)
-    roots = nth_roots(field.one, m, scan_bound)
+    roots = nth_roots(field.one, m)
     k = len(roots)
     if k == 1:
         return GroupStructure(m, 1, tuple(roots), "trivial", "C2", n_desc)

@@ -69,8 +69,6 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="dansurf", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit the JSON envelope")
-    common.add_argument("--scan-bound", type=int, default=10**4,
-                        help="bound for F_p root scans")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (_, arguments) in _HANDLERS.items():
         p = sub.add_parser(command, parents=[common])
@@ -189,7 +187,7 @@ def _cmd_aut_decompose(args):
 
 def _cmd_aut_structure(args):
     spec = parse_ring_spec(args.ring)
-    gs = group_structure(spec, args.scan_bound)
+    gs = group_structure(spec)
     lines = [
         f"m = {gs.m}",
         f"L = {gs.l_description}"
@@ -206,7 +204,7 @@ def _cmd_aut_structure(args):
 def _cmd_iso_check(args):
     left = parse_ring_spec(args.left)
     right = parse_ring_spec(args.right)
-    verdict = classify(left, right, args.scan_bound)
+    verdict = classify(left, right)
     payload = {
         "isomorphic": verdict.isomorphic,
         "eta": str(verdict.eta) if verdict.eta is not None else None,
@@ -248,11 +246,13 @@ _HANDLERS = {
 }
 
 
+_PARSER = _build_parser()
+
+
 def dispatch(argv) -> tuple:
     """Run one CLI invocation; returns (exit_code, output_text)."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except UsageError as exc:
         return 2, f"usage error: {exc}"
     try:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import AlgebraError, UnreducedSpec
 from .polyring import Poly
-from .scalars import DEFAULT_SCAN_BOUND, Scalar, nth_roots
+from .scalars import Scalar, nth_roots
 from .surface import RElem, RingSpec, substitute_poly
 
 
@@ -48,7 +48,7 @@ def _ext_gcd(a: int, b: int):
     return g, v, u - (a // b) * v
 
 
-def classify(spec1: RingSpec, spec2: RingSpec, scan_bound: int = DEFAULT_SCAN_BOUND) -> IsoVerdict:
+def classify(spec1: RingSpec, spec2: RingSpec) -> IsoVerdict:
     """Decide R_1 ~ R_2 and return (eta, mu) when they exist.
 
     Deterministic: among all admissible mu, the smallest under the canonical
@@ -77,7 +77,7 @@ def classify(spec1: RingSpec, spec2: RingSpec, scan_bound: int = DEFAULT_SCAN_BO
     c = spec1.field.one
     for i, t in bezout.items():
         c = c * ratios[i] ** t
-    candidates = nth_roots(c, d, scan_bound)
+    candidates = nth_roots(c, d)
     good = [
         mu
         for mu in candidates

@@ -138,16 +138,18 @@ class Poly:
         if not o.terms:
             return self
         terms = dict(self.terms)
-        for m, c in o.terms.items():
-            s = terms.get(m)
-            s = c if s is None else s + c
-            if s.is_zero():
-                terms.pop(m, None)
-            else:
-                terms[m] = s
+        add_into(terms, o.terms)
         return Poly(self.field, terms)
 
     __radd__ = __add__
+
+    def plus_all(self, others) -> "Poly":
+        """self + sum(others), over one term dict: a chain of + would copy
+        the growing sum once per summand.  others are Polys over self.field."""
+        terms = dict(self.terms)
+        for o in others:
+            add_into(terms, o.terms)
+        return Poly(self.field, terms)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -302,6 +304,18 @@ class Poly:
         return format_poly(self)
 
 
+def add_into(terms: dict, other: dict) -> None:
+    """Add the terms `other` to the term dict `terms` in place, dropping the
+    monomials whose coefficients cancel."""
+    for m, c in other.items():
+        s = terms.get(m)
+        s = c if s is None else s + c
+        if s.is_zero():
+            terms.pop(m, None)
+        else:
+            terms[m] = s
+
+
 def power(memo: dict, e: int):
     """base^e (e >= 1) for memo = {1: base, ...}; every power formed is memoised.
 
@@ -342,14 +356,16 @@ def substitute_terms(p: Poly, images: dict, lift):
         for i, _ in bound:
             free[i] = 0
         groups.setdefault(tuple(m[i] for i, _ in bound), {})[tuple(free)] = c
-    total = lift(Poly.zero(field))
-    for exps, terms in groups.items():
-        piece = lift(Poly(field, terms))
-        for (_, memo), e in zip(bound, exps):
-            if e:
-                piece = piece * power(memo, e)
-        total = total + piece
-    return total
+
+    def pieces():
+        for exps, terms in groups.items():
+            piece = lift(Poly(field, terms))
+            for (_, memo), e in zip(bound, exps):
+                if e:
+                    piece = piece * power(memo, e)
+            yield piece
+
+    return lift(Poly.zero(field)).plus_all(pieces())
 
 
 def format_poly(p: Poly) -> str:

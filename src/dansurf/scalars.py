@@ -16,7 +16,6 @@ from fractions import Fraction
 from .errors import AlgebraError, FieldMismatch, ParseError
 
 MAX_PRIME = 2**31
-DEFAULT_SCAN_BOUND = 10**4
 
 
 def require_ascii(text: str, offset: int = 0) -> str:
@@ -126,8 +125,8 @@ class Scalar:
 
     def __init__(self, field: FieldSpec, value):
         # Trusted constructor; go through FieldSpec.scalar for coercion.
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "value", value)
+        _set_field(self, field)
+        _set_value(self, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
@@ -236,6 +235,12 @@ class Scalar:
         return str(int(v))
 
 
+# The slot setters, which bypass the raising __setattr__ (cheaper than
+# object.__setattr__, which looks the descriptor up on every call).
+_set_field = Scalar.field.__set__
+_set_value = Scalar.value.__set__
+
+
 def _comb_mod_prime(a: int, b: int, p: int) -> int:
     """C(a, b) mod p for 0 <= b <= a < p, without forming the big integer."""
     if b > a - b:
@@ -291,12 +296,88 @@ def _exact_int_root(m: int, d: int):
     return None
 
 
-def nth_roots(c: Scalar, d: int, scan_bound: int = DEFAULT_SCAN_BOUND) -> list:
+def _prime_factors(n: int) -> list:
+    """The distinct prime factors of n >= 1, ascending, by trial division."""
+    primes = []
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            primes.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1 if f == 2 else 2
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
+def _fp_roots(c: int, d: int, p: int) -> list:
+    """The residues mu with mu^d = c in F_p* (c != 0), ascending.
+
+    F_p* is cyclic of order q = p - 1, so with g = gcd(d, q) the equation
+    has g roots when c^(q/g) = 1 and none otherwise.  As d/g is invertible
+    modulo q/g, mu^d = c is equivalent to mu^g = b with b = c^a,
+    a*(d/g) = 1 mod q/g.  One root of that is assembled from the part of
+    the group of order prime to g (one inverse exponent) and from each
+    Sylow l-subgroup, l | g, through a digit-by-digit discrete logarithm
+    (Adleman, Manders & Miller, FOCS 1977); the others are its products with
+    the powers of an element of order g.
+    """
+    q = p - 1
+    g = math.gcd(d, q)
+    if pow(c, q // g, p) != 1:
+        return []
+    b = pow(c, pow(d // g, -1, q // g), p)
+    root, zeta, rest = 1, 1, q
+    for ell in _prime_factors(g):
+        v = 0
+        while rest % ell == 0:
+            rest //= ell
+            v += 1
+        order = ell**v  # of the Sylow l-subgroup
+        cofactor = q // order
+        n = 2
+        while pow(n, q // ell, p) == 1:
+            n += 1
+        gamma = pow(n, cofactor, p)  # generates the Sylow l-subgroup
+        # b's component there, through the CRT idempotent of q = order * cofactor
+        target = pow(b, cofactor * pow(cofactor, -1, order), p)
+        omega = pow(gamma, order // ell, p)  # of order l
+        k = 0
+        for j in range(v):
+            step = pow(target * pow(gamma, -k, p) % p, order // ell ** (j + 1), p)
+            w = 1
+            for digit in range(ell):  # step = omega^digit
+                if w == step:
+                    break
+                w = w * omega % p
+            else:
+                raise AlgebraError(f"internal error: no discrete log in F{p}")
+            k += digit * ell**j
+        t = 0
+        while g % ell ** (t + 1) == 0:
+            t += 1
+        # gamma^x solves r^g = gamma^k; l^t divides k because b is a g-th power
+        low = order // ell**t
+        x = (k // ell**t) * pow(g // ell**t, -1, low) % low
+        root = root * pow(gamma, x, p) % p
+        zeta = zeta * pow(gamma, low, p) % p
+    # rest is the part of q prime to g, where r -> r^g is invertible
+    component = pow(b, (q // rest) * pow(q // rest, -1, rest), p)
+    root = root * pow(component, pow(g, -1, rest), p) % p
+    roots = [root]
+    for _ in range(g - 1):
+        roots.append(roots[-1] * zeta % p)
+    roots.sort()
+    return roots
+
+
+def nth_roots(c: Scalar, d: int) -> list:
     """All field elements mu with mu^d = c, sorted by the canonical order.
 
-    Over F_p this is an exhaustive scan of F_p* (p must not exceed
-    scan_bound); over Q it is integer root extraction on numerator and
-    denominator, so the result has 0, 1, or 2 elements.
+    Over F_p the roots are computed in the cyclic group F_p* (_fp_roots);
+    over Q it is integer root extraction on numerator and denominator, so
+    the result has 0, 1, or 2 elements.
     """
     if d < 1:
         raise AlgebraError("root order must be a positive integer")
@@ -305,11 +386,7 @@ def nth_roots(c: Scalar, d: int, scan_bound: int = DEFAULT_SCAN_BOUND) -> list:
     field = c.field
     p = field.characteristic
     if p:
-        if p > scan_bound:
-            raise AlgebraError(
-                f"p = {p} exceeds the root-scan bound {scan_bound}"
-            )
-        return [m for m in field.nonzero_elements() if m**d == c]
+        return [Scalar(field, m) for m in _fp_roots(c.value, d, p)]
     v = c.value
     num, den = abs(v.numerator), v.denominator
     rn = _exact_int_root(num, d)

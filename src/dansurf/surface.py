@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import AlgebraError, FieldMismatch, NotDivisible, UnreducedSpec
-from .polyring import NEG_INF, Poly, WeightVector, format_poly, power, substitute_terms
+from .polyring import NEG_INF, Poly, WeightVector, add_into, format_poly, power, substitute_terms
 from .scalars import FieldSpec, Scalar
 
 PARAMS = ("T", "U", "S")
@@ -140,6 +140,16 @@ class RElem:
         return RElem._trusted(self.spec, self.f1 + o.f1, self.f2 + o.f2)
 
     __radd__ = __add__
+
+    def plus_all(self, others) -> "RElem":
+        """self + sum(others), over one term dict per component, as
+        Poly.plus_all.  others are elements of self.spec."""
+        f1, f2 = dict(self.f1.terms), dict(self.f2.terms)
+        for o in others:
+            add_into(f1, o.f1.terms)
+            add_into(f2, o.f2.terms)
+        field = self.spec.field
+        return RElem._trusted(self.spec, Poly(field, f1), Poly(field, f2))
 
     def __sub__(self, other):
         o = self._coerce(other)

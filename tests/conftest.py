@@ -49,6 +49,18 @@ def random_relem(r, spec, variables=("x", "y"), max_terms=2, max_exp=2, nonzero=
             return a
 
 
+def scan_roots(c, d):
+    """Every mu with mu^d = c, ascending, by trying each candidate with plain
+    int powers: all of F_p*, or over Q (for c = 1 only) the rational roots
+    of unity -1 and 1.  An oracle independent of nth_roots."""
+    field = c.field
+    p = field.characteristic
+    if p:
+        return [field.scalar(v) for v in range(1, p) if pow(v, d, p) == c.value]
+    assert c == 1, "the Q scan covers roots of unity only"
+    return [field.scalar(v) for v in (-1, 1) if v**d == 1]
+
+
 def standard_spec(field, n=2, h_text="1"):
     from dansurf import parse_poly
 

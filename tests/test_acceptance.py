@@ -37,7 +37,6 @@ from dansurf import (
     is_invariant,
     make_exponential,
     normal_form,
-    nth_roots,
     parse_poly,
     print_poly,
     recompose,
@@ -50,7 +49,7 @@ from dansurf import (
     witness,
 )
 from dansurf.cli import dispatch
-from conftest import random_poly, random_relem, rng
+from conftest import random_poly, random_relem, rng, scan_roots
 
 Q = FieldSpec(0)
 CHARS = (0, 2, 3, 5)
@@ -263,7 +262,7 @@ def _valid_scalings(spec):
         p = spec.field.characteristic
         values = (1, 2, 3) if p == 0 else tuple(range(1, min(p, 5)))
         return [spec.field.scalar(v) for v in values]
-    return nth_roots(spec.field.one, m)
+    return scan_roots(spec.field.one, m)
 
 
 @criterion(5, "automorphism group")

@@ -15,14 +15,13 @@ from dansurf import (
     inverse,
     involution,
     normal_form,
-    nth_roots,
     parse_poly,
     recompose,
     scaling,
     shear,
     substitute_poly,
 )
-from conftest import F2, F3, F5, F7, Q, random_poly, rng, standard_spec
+from conftest import F2, F3, F5, F7, Q, random_poly, rng, scan_roots, standard_spec
 
 SPEC21 = standard_spec(Q, 2, "1")
 
@@ -110,7 +109,7 @@ def _random_word(r, spec, length):
         for mo in spec.h.terms:
             if mo[2]:
                 m = gcd(m, mo[2])
-        valid_mu = nth_roots(spec.field.one, m) if m else valid_mu
+        valid_mu = scan_roots(spec.field.one, m) if m else valid_mu
     for _ in range(length):
         kind = r.choice(("shear", "flip", "scale"))
         if kind == "shear":

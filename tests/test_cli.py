@@ -1,4 +1,5 @@
 import json
+import random
 import sys
 
 import pytest
@@ -317,3 +318,48 @@ GOLDEN = [
 def test_golden_output(argv, code, text, json_text):
     assert dispatch(argv) == (code, text)
     assert dispatch(argv + ["--json"]) == (code, json_text)
+
+
+def test_roots_over_large_primes():
+    # p > 10^4 was refused while roots were found by scanning F_p*
+    for ring, m, order in (("R(n=3,h=1+x^2,field=F10007)", 2, 2),
+                           ("R(n=7,h=1+x^6,field=F2147483647)", 6, 6)):
+        code, out = dispatch(["aut-structure", "--ring", ring])
+        assert (code, out.splitlines()[:2]) == (
+            0, [f"m = {m}", f"L = cyclic of order {order} (order {order})"])
+    code, out = dispatch(["iso-check", "--left", "R(n=3,h=1+x^2,field=F10007)",
+                          "--right", "R(n=3,h=2+x^2,field=F10007)"])
+    verdict = json.loads(out)
+    assert (code, verdict["isomorphic"], verdict["eta"]) == (0, True, "2")
+    mu = int(verdict["mu"])
+    assert 2 * mu * mu % 10007 == 1 and mu < 10007 - mu  # the smaller root of 2*mu^2 = 1
+
+
+_F2_COEFFS = ["exp-build", "--ring", "R(n=2,h=1,field=F2)", "--coeff", "1:1", "--coeff", "2:x"]
+_F2_COEFFS_MAP = "x -> x; y -> x^4*U^4 + x^2*U^2 + x*U^2 + y + U; z -> x^3*U^2 + x^2*U + z"
+# Cases beside GOLDEN that exercise the parser's state: an append action and
+# usage errors raised part-way through parsing.
+_PARSER_CASES = [
+    (_F2_COEFFS, 0, _F2_COEFFS_MAP),
+    (_F2_COEFFS + ["--json"], 0,
+     '{"command": "exp-build", "inputs": {"ring": "R(n=2, h=1, field=F2)", '
+     f'"coeff": ["1:1", "2:x"]}}, "result": "{_F2_COEFFS_MAP}", "checks": []}}'),
+    (["exp-build", "--ring", _Q2], 2,
+     "usage error: the following arguments are required: --coeff"),
+    (["derive", "--ring", _Q2, "--map", _MAP, "--expr", "y", "--order", "two"], 2,
+     "usage error: argument --order: invalid int value: 'two'"),
+    (["aut-structure", "--ring", _Q2, "--scan-bound", "5"], 2,
+     "usage error: unrecognized arguments: --scan-bound 5"),
+]
+
+
+def test_shared_parser_leaves_no_state():
+    # dispatch parses with one parser per process: run every case twice, in
+    # shuffled order, and each output must match its single-run expectation
+    cases = [(argv, code, text) for argv, code, text, _ in GOLDEN]
+    cases += [(argv + ["--json"], code, json_text) for argv, code, _, json_text in GOLDEN]
+    cases += _PARSER_CASES
+    order = cases * 2
+    random.Random(7).shuffle(order)
+    for argv, code, text in order:
+        assert dispatch(argv) == (code, text), argv

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dansurf import AlgebraError, FieldSpec, Scalar, binom, nth_roots
-from conftest import F2, F3, F5, F7, F101, Q, random_scalar, rng
+from conftest import F2, F3, F5, F7, F101, Q, random_scalar, rng, scan_roots
 
 FIELDS = [Q, F2, F3, F5, F7, F101]
 
@@ -148,6 +148,14 @@ def test_binom_prime_power_pattern():
         assert binom(p**j * q, p**j, field) == field.scalar(q % p)
 
 
+def test_scalar_is_immutable():
+    s = F5.scalar(3)
+    for name, value in (("value", 4), ("field", F7), ("other", 1)):
+        with pytest.raises(AttributeError):
+            setattr(s, name, value)
+    assert (s.field, s.value) == (F5, 3)
+
+
 # --- root extraction --------------------------------------------------------
 
 def test_nth_roots_examples():
@@ -173,20 +181,43 @@ def test_nth_roots_rational_cases():
     ]
 
 
-def test_nth_roots_scan_bound():
-    with pytest.raises(AlgebraError):
-        nth_roots(FieldSpec(10007).one, 2, scan_bound=10**4)
+def test_nth_roots_past_the_old_scan_bound():
+    # p = 10007 was refused while roots were found by scanning F_p*
+    field = FieldSpec(10007)
+    assert [s.value for s in nth_roots(field.one, 2)] == [1, 10006]
+    assert nth_roots(field.scalar(5), 2) == scan_roots(field.scalar(5), 2)
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 101])
+def _primes_below(n):
+    return [p for p in range(2, n) if all(p % f for f in range(2, math.isqrt(p) + 1))]
+
+
+@pytest.mark.parametrize("p", _primes_below(400))
 def test_nth_roots_match_brute_force(p):
+    # d = 1..24 and every c: one table of d-th powers per d is the scan for
+    # all c at once
     field = FieldSpec(p)
-    r = rng(20)
-    for _ in range(20):
-        c = random_scalar(r, field, nonzero=True)
-        d = r.randint(1, 6)
-        expected = [m for m in field.nonzero_elements() if m**d == c]
-        assert nth_roots(c, d) == expected
+    for d in range(1, 25):
+        table = {c: [] for c in range(1, p)}
+        for mu in range(1, p):
+            table[pow(mu, d, p)].append(mu)
+        for c, expected in table.items():
+            assert [s.value for s in nth_roots(field.scalar(c), d)] == expected, (d, c)
+
+
+@pytest.mark.parametrize("p", [10007, 65537, 2**31 - 1])
+def test_nth_roots_large_primes(p):
+    # roots of mu^d = c are checked directly: p is too large to scan
+    field = FieldSpec(p)
+    r = rng(p)
+    for d in (1, 2, 3, 5, 6, 16, 17, 30, 256, 462):
+        g = math.gcd(d, p - 1)
+        for c in (1, p - 1, r.randrange(1, p), pow(r.randrange(1, p), d, p)):
+            roots = [s.value for s in nth_roots(field.scalar(c), d)]
+            solvable = pow(c, (p - 1) // g, p) == 1
+            assert len(roots) == (g if solvable else 0), (p, d, c)
+            assert roots == sorted(set(roots))
+            assert all(0 < mu < p and pow(mu, d, p) == c for mu in roots)
 
 
 def test_nth_roots_exactness_over_q():
