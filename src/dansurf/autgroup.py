@@ -20,6 +20,7 @@ characteristic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 from .errors import (
@@ -32,7 +33,7 @@ from .errors import (
 )
 from .ioformats import _offset, _strip, parse_poly, parse_scalar
 from .polyring import Poly, format_poly
-from .scalars import Scalar, nth_roots
+from .scalars import FieldSpec, Scalar, nth_roots
 from .surface import RElem, RingSpec, apply_images, r_x_divide, substitute_poly
 
 
@@ -290,15 +291,22 @@ class GroupStructure:
 
     m: int
     l_order: object  # int, or None for the full multiplicative group of Q
-    l_elements: object  # tuple of Scalar when finite and enumerated, else None
     l_description: str
     h_description: str
     n_description: str
+    field: FieldSpec
+
+    @cached_property
+    def l_elements(self):
+        """The elements of L = {mu : mu^m = 1}, ascending, found on first use;
+        None for m = 0, where L is all of k*."""
+        return tuple(nth_roots(self.field.one, self.m)) if self.m else None
 
 
 def group_structure(spec: RingSpec) -> GroupStructure:
-    """Compute m = gcd of the nonconstant x-exponents of h and the resulting
-    scaling subgroup L = {mu : mu^m = 1}, reported with its exact order."""
+    """Compute m = gcd of the nonconstant x-exponents of h and the order of
+    the scaling subgroup L = {mu : mu^m = 1} without listing L: gcd(m, p - 1)
+    in the cyclic group F_p*, and over Q 2 or 1 (mu = -1 or not)."""
     if not spec.standard:
         raise AlgebraError("group structure is defined for standard specs")
     m = 0
@@ -311,13 +319,8 @@ def group_structure(spec: RingSpec) -> GroupStructure:
     if m == 0:
         l_order = None if p == 0 else p - 1
         l_desc = "full multiplicative group k*"
-        return GroupStructure(0, l_order, None, l_desc, "C2 x k*", n_desc)
-    if m == 1:
-        return GroupStructure(1, 1, (field.one,), "trivial", "C2", n_desc)
-    roots = nth_roots(field.one, m)
-    k = len(roots)
+        return GroupStructure(0, l_order, l_desc, "C2 x k*", n_desc, field)
+    k = gcd(m, p - 1) if p else 2 - m % 2
     if k == 1:
-        return GroupStructure(m, 1, tuple(roots), "trivial", "C2", n_desc)
-    return GroupStructure(
-        m, k, tuple(roots), f"cyclic of order {k}", f"C2 x C{k}", n_desc
-    )
+        return GroupStructure(m, 1, "trivial", "C2", n_desc, field)
+    return GroupStructure(m, k, f"cyclic of order {k}", f"C2 x C{k}", n_desc, field)

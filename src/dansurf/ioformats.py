@@ -23,6 +23,9 @@ from .scalars import FieldSpec, Scalar, require_ascii
 from .surface import RElem, RingSpec, normal_form
 
 MAX_EXPONENT = 10**6
+# The parser descends four Python frames per parenthesis, so deeper nesting
+# would exhaust the interpreter's stack; it is an input error instead.
+MAX_NESTING = 200
 ALIASES = {"X": "x", "Y": "y", "Z": "z"}
 KNOWN_VARS = {"x", "y", "z", "T", "U", "S"}
 
@@ -72,6 +75,7 @@ class _PolyParser:
     def __init__(self, text: str, field: FieldSpec):
         self.toks = _Tokens(text)
         self.field = field
+        self.depth = 0
 
     def parse(self) -> Poly:
         p = self.expr()
@@ -119,6 +123,10 @@ class _PolyParser:
             e = int(text)
             if e > MAX_EXPONENT:
                 raise ParseError(f"exponent {e} exceeds {MAX_EXPONENT}", pos)
+            top = max((max(m) for m in p.terms), default=0)
+            if top * e > MAX_EXPONENT:
+                raise ParseError(f"power has exponent {top} * {e}, which exceeds {MAX_EXPONENT}",
+                                 pos)
             p = p**e
         return p
 
@@ -145,7 +153,11 @@ class _PolyParser:
                 raise ParseError(f"unknown variable {text!r}", pos)
             return Poly.variable(self.field, name)
         if kind == "OP" and text == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
+            self.depth += 1
             p = self.expr()
+            self.depth -= 1
             kind, text, pos = self.toks.next()
             if not (kind == "OP" and text == ")"):
                 raise ParseError("expected ')'", pos)

@@ -201,6 +201,13 @@ class Poly:
         e-th power of a binomial has e + 1 terms, like a univariate one's)."""
         return not self.field.characteristic and len(self.terms) > 2 and len(self.variables()) > 1
 
+    def frobenius(self) -> "Poly":
+        """self^p over F_p: every exponent times p, the coefficients kept, as
+        (sum c*m)^p = sum c^p*m^p and c^p = c."""
+        p = self.field.characteristic
+        return Poly(self.field, {(a0 * p, a1 * p, a2 * p, a3 * p, a4 * p, a5 * p): c
+                                 for (a0, a1, a2, a3, a4, a5), c in self.terms.items()})
+
     def scale(self, c) -> "Poly":
         c = self.field.scalar(c)
         if c.is_zero():
@@ -319,6 +326,11 @@ def add_into(terms: dict, other: dict) -> None:
 def power(memo: dict, e: int):
     """base^e (e >= 1) for memo = {1: base, ...}; every power formed is memoised.
 
+    In characteristic p, from e = 2p on, base^e = frobenius(base^(e // p)) *
+    base^(e % p): the p-th power of a sum is the sum of the p-th powers, so
+    (S + U)^(p^k) = S^(p^k) + U^(p^k) costs no product at all.  Below 2p the
+    other chains run, so RingSpec.z_to_p, which RElem.frobenius() needs,
+    forms z^p without recursing into frobenius().
     Powers of a base that is dense_over_q() are dense, and a product by the
     small base costs less than a square (Fateman, Stud. Appl. Math. 53,
     1974), so it steps up from its largest memoised power.  Any other base
@@ -326,7 +338,12 @@ def power(memo: dict, e: int):
     """
     if e not in memo:
         base = memo[1]
-        if base.dense_over_q():
+        p = base.field.characteristic
+        if p and e >= 2 * p:
+            q, r = divmod(e, p)
+            frob = power(memo, q).frobenius()
+            memo[e] = frob * power(memo, r) if r else frob
+        elif base.dense_over_q():
             for k in range(max(memo), e):
                 memo[k + 1] = memo[k] * base
         elif e - 1 in memo:

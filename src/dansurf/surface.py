@@ -14,6 +14,7 @@ relation entirely (a plain polynomial ring, used with generators x, y).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import AlgebraError, FieldMismatch, NotDivisible, UnreducedSpec
 from .polyring import NEG_INF, Poly, WeightVector, add_into, format_poly, power, substitute_terms
@@ -72,6 +73,12 @@ class RingSpec:
 
     def _xny(self) -> Poly:
         return Poly.variable(self.field, "x", self.n) * Poly.variable(self.field, "y")
+
+    @cached_property
+    def z_to_p(self) -> "RElem":
+        """z^p in characteristic p, formed once per spec by the chains that
+        power() takes below 2p, so RElem.frobenius() does not recurse."""
+        return power({1: RElem.var(self, "z")}, self.field.characteristic)
 
     def __str__(self):
         flags = ", graded" if self.graded else (", free" if self.free else "")
@@ -195,6 +202,15 @@ class RElem:
         """As for Poly; over Q a nonzero z-part is dense, as z^2 = x^n*y - h*z."""
         return not self.spec.field.characteristic and (bool(self.f2) or self.f1.dense_over_q())
 
+    def frobenius(self) -> "RElem":
+        """self^p over F_p: frobenius(f1) + frobenius(f2)*z^p.  The spec's z^p
+        is formed only for a nonzero z-part; a free spec cannot form z^2."""
+        f1, f2 = self.f1.frobenius(), self.f2.frobenius()
+        if not f2:
+            return RElem._trusted(self.spec, f1, f2)
+        zp = self.spec.z_to_p
+        return RElem._trusted(self.spec, f1 + f2 * zp.f1, f2 * zp.f2)
+
     def scale(self, c) -> "RElem":
         c = self.spec.field.scalar(c)
         return RElem._trusted(self.spec, self.f1.scale(c), self.f2.scale(c))
@@ -204,6 +220,10 @@ class RElem:
 
     def is_zero(self) -> bool:
         return not self
+
+    @property
+    def field(self) -> FieldSpec:
+        return self.spec.field
 
     def __eq__(self, other):
         if not isinstance(other, RElem):

@@ -21,7 +21,7 @@ from dansurf import (
     shear,
     substitute_poly,
 )
-from conftest import F2, F3, F5, F7, Q, random_poly, rng, scan_roots, standard_spec
+from conftest import F2, F3, F5, F7, F101, Q, random_poly, rng, scan_roots, standard_spec
 
 SPEC21 = standard_spec(Q, 2, "1")
 
@@ -243,6 +243,19 @@ def test_group_structure_more_cases():
     # gcd of several exponents
     gs = group_structure(standard_spec(F7, 7, "1 + x^2 + x^4"))
     assert gs.m == 2 and gs.l_order == 2
+
+
+def test_l_order_counts_the_listed_elements():
+    # the order is computed from m and p; the elements are listed on demand
+    for field, m in ((Q, 1), (Q, 2), (Q, 3), (Q, 6), (F5, 2), (F7, 3), (F7, 4), (F101, 10),
+                     (F101, 7), (F2, 2), (F3, 4)):
+        spec = standard_spec(field, m + 1, f"1 + x^{m}")
+        gs = group_structure(spec)
+        assert gs.m == m
+        assert len(gs.l_elements) == gs.l_order
+        assert list(gs.l_elements) == scan_roots(field.one, m)
+        assert gs.l_elements is gs.l_elements
+    assert group_structure(standard_spec(F5, 2, "1")).l_elements is None
 
 
 def test_scaling_orbit_respects_structure():

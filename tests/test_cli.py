@@ -98,6 +98,14 @@ def test_usage_errors_exit_2():
         code, out = dispatch(argv)
         assert (code, out[:30]) == (2, "input error: unexpected charac")
         assert out.endswith(f"(offset {offset})")
+    # nesting past 200 parentheses and powers past the exponent bound
+    deep = "(" * 300 + "x" + ")" * 300
+    code, out = dispatch(["normal-form", "--ring", "R(n=2,h=1,field=Q)", "--expr", deep])
+    assert (code, out) == (2, "input error: parentheses nested deeper than 200 (offset 200)")
+    code, out = dispatch(["normal-form", "--ring", "R(n=2,h=1,field=F3)",
+                          "--expr", "(x^1000000)^1000000"])
+    assert (code, out) == (2, "input error: power has exponent 1000000 * 1000000, "
+                              "which exceeds 1000000 (offset 12)")
     # a field spec that is not Q or F<p>, p prime below 2^31, is an input error
     for field, reason in (
         ("GF5", "expected 'Q' or 'F<p>'"),
@@ -183,6 +191,28 @@ def test_cancel_verify_verifies_once(monkeypatch):
     code, _ = dispatch(["cancel-verify", "--n1", "2", "--n2", "3", "--field", "F2"])
     assert code == 0
     assert len(calls) == 1
+
+
+def test_aut_structure_does_not_list_l(monkeypatch):
+    import dansurf.scalars
+
+    calls = []
+    original = dansurf.scalars.nth_roots
+
+    def counting(c, d):
+        calls.append(d)
+        return original(c, d)
+
+    # rebind every dansurf name for the function, so no caller escapes the count
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "dansurf" and vars(module).get("nth_roots") is original:
+            monkeypatch.setattr(module, "nth_roots", counting)
+    for ring, order in (("R(n=5,h=1+x^3,field=F7)", "order 3"),
+                        ("R(n=3,h=1+x^2,field=Q)", "order 2"),
+                        ("R(n=1000001,h=1+x^1000000,field=F22000001)", "order 1000000")):
+        code, out = dispatch(["aut-structure", "--ring", ring])
+        assert code == 0 and f"L = cyclic of {order}" in out, out
+    assert calls == []
 
 
 def test_json_envelopes():

@@ -15,10 +15,10 @@ from dansurf import (
     scaling,
     shear,
 )
-from dansurf.ioformats import format_generator_map, format_ring_spec
+from dansurf.ioformats import MAX_NESTING, format_generator_map, format_ring_spec
 from fractions import Fraction
 
-from conftest import F5, Q, random_poly, rng, standard_spec
+from conftest import F2, F3, F5, F7, Q, random_poly, rng, standard_spec
 
 
 def test_parse_relation_example():
@@ -82,6 +82,12 @@ def test_parse_errors_carry_offsets():
     with pytest.raises(ParseError, match="repeated image for x") as exc:
         parse_generator_map("x->x; x->2*x", spec)
     assert exc.value.offset == 6
+    # nesting beyond MAX_NESTING parentheses is an error at the first '(' too deep
+    assert parse_poly("(" * MAX_NESTING + "x" + ")" * MAX_NESTING, Q) == parse_poly("x", Q)
+    for depth in (MAX_NESTING + 1, 300, 5000):
+        with pytest.raises(ParseError, match="nested deeper than 200") as exc:
+            parse_poly("x + " + "(" * depth + "x" + ")" * depth, Q)
+        assert exc.value.offset == 4 + MAX_NESTING
     # automorphism-word offsets count from the start of the whole word
     for word, message, offset in (
         ("L(2) * Q(3)", "unknown automorphism factor 'Q(3)'", 7),
@@ -97,6 +103,15 @@ def test_exponent_overflow():
     with pytest.raises(ParseError):
         parse_poly("x^1000001", Q)
     parse_poly("x^3", Q)
+    # the bound holds for the exponents of a power, checked before it is formed
+    for text, field, offset in (("(x^1000000)^1000000", Q, 12), ("(x^1000)^1001", F2, 9),
+                                ("(1 + x*y^2)^500001", F3, 12), ("((S + U)^2)^500001", F5, 12)):
+        with pytest.raises(ParseError, match="exceeds 1000000") as exc:
+            parse_poly(text, field)
+        assert exc.value.offset == offset, text
+    assert parse_poly("(x^1000)^1000", F2) == parse_poly("x^1000000", F2)
+    assert parse_poly("(1 + y^2)^390625", F5) == parse_poly("1 + y^781250", F5)
+    assert parse_poly("2^1000 * x", F7) == parse_poly("2^4 * x", F7)
 
 
 def test_fraction_literals():

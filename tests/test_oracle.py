@@ -59,6 +59,18 @@ def test_normal_form_matches_sympy_reduced(field, n, h):
         assert agree(to_sympy(ours), reduce_mod_relation(to_sympy(p), spec), field), p
 
 
+@pytest.mark.parametrize("field", FIELDS[1:], ids=lambda f: f.label)
+@pytest.mark.parametrize("n, h", SPECS)
+def test_z_powers_past_2p_match_sympy_reduced(field, n, h):
+    # from 2p on, power() forms z^k as frobenius(z^(k // p)) * z^(k % p)
+    spec = standard_spec(field, n, h)
+    p = field.characteristic
+    for k in (2 * p, 2 * p + 1, p * p + p - 1):
+        ours = normal_form(spec, Poly.from_items(field, [(mono(z=k), 1), (mono(z=k - 1, U=1), 1)]))
+        theirs = reduce_mod_relation(SYM["z"] ** k + SYM["U"] * SYM["z"] ** (k - 1), spec)
+        assert agree(to_sympy(ours.to_poly()), theirs, field), k
+
+
 def coefficient_poly(r, field, kind, max_terms=8):
     """A random poly in x, y, z, U whose coefficients are written as all
     integers, all non-integral fractions (denominators 2, 3, 5, 7, those

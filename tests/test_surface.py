@@ -15,7 +15,7 @@ from dansurf import (
     substitute_poly,
 )
 from dansurf.polyring import VARS
-from conftest import F2, F3, F5, Q, random_poly, random_relem, rng, standard_spec
+from conftest import F2, F3, F5, F7, Q, random_poly, random_relem, rng, standard_spec
 
 SPEC21 = standard_spec(Q, 2, "1")
 
@@ -201,10 +201,83 @@ def test_power_memo_matches_repeated_multiplication(field, text):
             assert power(memo, e) == expected[e]
         assert base**0 == expected[0]
         # a dense base over Q steps, so its memo holds every power; the
-        # squaring chain reaches 40 through a handful of powers
+        # squaring chain reaches 40 through a handful of powers; over F_p,
+        # base^e = frobenius(base^(e // p)) * base^(e % p) from e = 2p on
         fresh = {1: base}
         power(fresh, 40)
-        assert sorted(fresh) == (list(range(1, 41)) if dense else [1, 2, 4, 5, 10, 20, 40])
+        keys = FRESH_40_KEYS[field.characteristic]
+        assert sorted(fresh) == (list(range(1, 41)) if dense else keys)
+
+
+# The memo keys of a fresh e = 40 chain: squaring over Q; over F2 40 is
+# frobenius of 20, of 10, of 5 = frobenius(2) * 1, and 2 is below 2p = 4;
+# over F3 40 = frobenius(13) * 1 and 13 = frobenius(4) * 1; over F5 40 =
+# frobenius(8), and 8 is below 2p = 10.
+FRESH_40_KEYS = {0: [1, 2, 4, 5, 10, 20, 40], 2: [1, 2, 5, 10, 20, 40],
+                 3: [1, 2, 4, 13, 40], 5: [1, 2, 4, 8, 40]}
+
+
+# Bases over F_p with the parameters T, U and S: as Poly and as RElem on
+# standard (h = 1 and h = 1 + x), graded (h = 0) and free specs, and with a
+# z-part on the specs that can square z.  Their powers up to 3p^2 + 1 stay
+# small enough for the repeated-multiplication reference.
+FROBENIUS_BASES = (("S + U", ("h = 1", "graded", "free")),
+                   ("x*T + 1", ("h = 1", "graded", "free")),
+                   ("z + 1", ("h = 1", "graded")), ("z*U", ("h = 1", "h = 1 + x", "graded")))
+
+
+@pytest.mark.parametrize("field", [F2, F3, F5, F7], ids=lambda f: f.label)
+def test_frobenius_power_matches_repeated_multiplication(field):
+    from dansurf.polyring import power
+
+    p = field.characteristic
+    specs = {"h = 1": standard_spec(field, 2, "1"), "h = 1 + x": standard_spec(field, 2, "1 + x"),
+             "graded": RingSpec(field, 2, Poly.zero(field), graded=True),
+             "free": RingSpec(field, 2, Poly.zero(field), free=True)}
+    top = 3 * p * p + 1
+    r = rng(p)
+    for text, kinds in FROBENIUS_BASES:
+        poly = parse_poly(text, field)
+        bases = [normal_form(specs[kind], poly) for kind in kinds]
+        if "z" not in text:
+            bases.append(poly)
+        for base in bases:
+            expected = [base**0, base]
+            for _ in range(top - 1):
+                expected.append(expected[-1] * base)
+            order = list(range(1, top + 1))
+            r.shuffle(order)
+            memo = {1: base}
+            for e in order:
+                assert power(memo, e) == expected[e], (text, e)
+            for e in (p, 2 * p - 1, 2 * p, p * p, top - 1, top):
+                assert power({1: base}, e) == expected[e], (text, e)
+            assert base**top == expected[top]
+
+
+def test_free_spec_frobenius_needs_no_z():
+    # x and y have no z-part, so their p-th powers never form z^p, which a
+    # free spec cannot reduce; a z-part still cannot be squared there
+    free = RingSpec(F2, 2, Poly.zero(F2), free=True)
+    a = normal_form(free, parse_poly("x + y", F2))
+    assert a**4 == normal_form(free, parse_poly("x^4 + y^4", F2))
+    assert a**64 == normal_form(free, parse_poly("x^64 + y^64", F2))
+    with pytest.raises(AlgebraError, match="z\\^2"):
+        normal_form(free, parse_poly("x + z", F2)) ** 4
+
+
+def test_z_to_p_is_formed_once_per_spec():
+    spec = standard_spec(F3, 2, "1 + x")
+    z = RElem.var(spec, "z")
+    assert "z_to_p" not in vars(spec)
+    assert (z**27).f1 and spec.z_to_p == NF(spec, "z^2") * z
+    first = spec.z_to_p
+    z**81
+    assert spec.z_to_p is first
+    # an element without a z-part leaves it unformed
+    other = standard_spec(F3, 2, "1 + x")
+    RElem.var(other, "x") ** 81
+    assert "z_to_p" not in vars(other)
 
 
 def test_public_constructor_checks_components():
