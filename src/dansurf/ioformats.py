@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .errors import AlgebraError, ParseError
 from .polyring import Poly, WeightVector, format_poly
-from .scalars import FieldSpec, Scalar, require_ascii
+from .scalars import FieldSpec, Scalar, digits_to_int, require_ascii
 from .surface import RElem, RingSpec, normal_form
 
 MAX_EXPONENT = 10**6
@@ -103,55 +103,74 @@ class _PolyParser:
                 return p
 
     def term(self) -> Poly:
-        p = self.factor()
+        p, top = self.factor()
         while True:
             kind, text, _ = self.toks.peek()
             if kind == "OP" and text == "*":
                 self.toks.next()
-                p = p * self.factor()
+                pos = self.toks.peek()[2]
+                q, q_top = self.factor()
+                if top + q_top > MAX_EXPONENT:
+                    # a product's top exponent in a variable is the sum of its
+                    # factors' tops there: their leading terms multiply to a nonzero term
+                    for a, b in zip(_tops(p), _tops(q)):
+                        if a + b > MAX_EXPONENT:
+                            raise ParseError(f"product has exponent {a} + {b}, which exceeds "
+                                             f"{MAX_EXPONENT}", pos)
+                    p = p * q
+                    top = _top(p)
+                else:
+                    p = p * q
+                    top += q_top
             else:
                 return p
 
-    def factor(self) -> Poly:
-        p = self.base()
+    def factor(self):
+        """The next factor and a bound on its exponents."""
+        p, top = self.base()
         kind, text, _ = self.toks.peek()
         if kind == "OP" and text == "^":
             self.toks.next()
             kind, text, pos = self.toks.next()
             if kind != "INT":
                 raise ParseError("expected a natural-number exponent", pos)
+            digits = text.lstrip("0")
+            if len(digits) > len(str(MAX_EXPONENT)):
+                raise ParseError(f"exponent of {len(digits)} digits exceeds {MAX_EXPONENT}", pos)
             e = int(text)
             if e > MAX_EXPONENT:
                 raise ParseError(f"exponent {e} exceeds {MAX_EXPONENT}", pos)
-            top = max((max(m) for m in p.terms), default=0)
             if top * e > MAX_EXPONENT:
                 raise ParseError(f"power has exponent {top} * {e}, which exceeds {MAX_EXPONENT}",
                                  pos)
             p = p**e
-        return p
+            top *= e
+        return p, top
 
-    def base(self) -> Poly:
+    def base(self):
+        """The next base and its largest exponent."""
         kind, text, pos = self.toks.next()
         if kind == "INT":
-            value = int(text)
+            value = digits_to_int(text)
             k2, t2, _ = self.toks.peek()
             if k2 == "OP" and t2 == "/":
                 self.toks.next()
                 k3, t3, p3 = self.toks.next()
                 if k3 != "INT":
                     raise ParseError("expected an integer denominator", p3)
-                if int(t3) == 0:
+                den = digits_to_int(t3)
+                if den == 0:
                     raise ParseError("zero denominator", p3)
                 try:
-                    return Poly.const(self.field, Fraction(value, int(t3)))
+                    return Poly.const(self.field, Fraction(value, den)), 0
                 except AlgebraError as exc:
                     raise ParseError(str(exc), pos) from None
-            return Poly.const(self.field, value)
+            return Poly.const(self.field, value), 0
         if kind == "NAME":
             name = ALIASES.get(text, text)
             if name not in KNOWN_VARS:
                 raise ParseError(f"unknown variable {text!r}", pos)
-            return Poly.variable(self.field, name)
+            return Poly.variable(self.field, name), 1
         if kind == "OP" and text == "(":
             if self.depth == MAX_NESTING:
                 raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
@@ -161,8 +180,18 @@ class _PolyParser:
             kind, text, pos = self.toks.next()
             if not (kind == "OP" and text == ")"):
                 raise ParseError("expected ')'", pos)
-            return p
+            return p, _top(p)
         raise ParseError(f"unexpected {text!r}" if text else "unexpected end of input", pos)
+
+
+def _top(p: Poly) -> int:
+    """The largest exponent in p (0 for the zero polynomial)."""
+    return max(map(max, p.terms), default=0)
+
+
+def _tops(p: Poly) -> list:
+    """The largest exponent of each variable in p (0 for the zero polynomial)."""
+    return list(map(max, zip(*p.terms))) if p.terms else [0] * 6
 
 
 def parse_poly(text: str, field: FieldSpec) -> Poly:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import AlgebraError, FieldMismatch, NotDivisible
-from .scalars import FieldSpec, Scalar
+from .scalars import FieldSpec, Scalar, rational
 
 VARS = ("z", "y", "x", "T", "U", "S")
 VAR_INDEX = {v: i for i, v in enumerate(VARS)}
@@ -143,14 +143,6 @@ class Poly:
 
     __radd__ = __add__
 
-    def plus_all(self, others) -> "Poly":
-        """self + sum(others), over one term dict: a chain of + would copy
-        the growing sum once per summand.  others are Polys over self.field."""
-        terms = dict(self.terms)
-        for o in others:
-            add_into(terms, o.terms)
-        return Poly(self.field, terms)
-
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -172,21 +164,22 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        many, one = self.terms, o.terms
+        if len(one) != 1:
+            if len(many) == 1:
+                many, one = one, many
+            elif not (many and one):
+                return Poly(self.field, {})
+            else:
+                acc = {}
+                fold_product(acc, many, one)
+                return Poly(self.field, reduce_raw(self.field, acc))
+        # a monomial factor: shift the exponents and scale, as scale() does;
+        # a product of nonzero field elements needs no zero test
+        ((b0, b1, b2, b3, b4, b5), c), = one.items()
         terms = {}
-        get = terms.get
-        right = list(o.terms.items())
-        for (a0, a1, a2, a3, a4, a5), c1 in self.terms.items():
-            for (b0, b1, b2, b3, b4, b5), c2 in right:
-                m = (a0 + b0, a1 + b1, a2 + b2, a3 + b3, a4 + b4, a5 + b5)
-                s = get(m)
-                if s is None:
-                    terms[m] = c1 * c2  # a product of nonzero field elements
-                else:
-                    s = s + c1 * c2
-                    if s:
-                        terms[m] = s
-                    else:
-                        del terms[m]
+        for (a0, a1, a2, a3, a4, a5), v in many.items():
+            terms[a0 + b0, a1 + b1, a2 + b2, a3 + b3, a4 + b4, a5 + b5] = v * c
         return Poly(self.field, terms)
 
     __rmul__ = __mul__
@@ -270,7 +263,7 @@ class Poly:
             elif val.field != self.field:
                 raise FieldMismatch("substitution value over a different field")
             images[var] = val
-        return substitute_terms(self, images, lambda q: q)
+        return substitute_terms(self, images, lambda q: (q,))[0]
 
     def weighted_degree(self, w: WeightVector):
         """max over terms of the weighted exponent sum; -inf on the zero polynomial."""
@@ -323,6 +316,41 @@ def add_into(terms: dict, other: dict) -> None:
             terms[m] = s
 
 
+def fold_product(acc: dict, left: dict, right: dict) -> None:
+    """Add the product of the term dicts left and right to acc, a dict from
+    monomials to raw coefficient values: ints or Fractions over Q, unreduced
+    ints over F_p.  No Scalar is formed per term pair; reduce_raw() turns the
+    sum of any number of products into terms."""
+    if not (left and right):
+        return
+    get = acc.get
+    right = [(m, c.value) for m, c in right.items()]
+    for (a0, a1, a2, a3, a4, a5), c in left.items():
+        v = c.value
+        for (b0, b1, b2, b3, b4, b5), w in right:
+            m = (a0 + b0, a1 + b1, a2 + b2, a3 + b3, a4 + b4, a5 + b5)
+            s = get(m)
+            acc[m] = v * w if s is None else s + v * w
+
+
+def reduce_raw(field: FieldSpec, acc: dict) -> dict:
+    """The canonical term dict of the raw sums acc: each value reduced once
+    (mod p, or to an int when integral over Q), zeros dropped, and one
+    Scalar formed per remaining term."""
+    p = field.characteristic
+    terms = {}
+    if p:
+        for m, v in acc.items():
+            v %= p
+            if v:
+                terms[m] = Scalar(field, v)
+    else:
+        for m, v in acc.items():
+            if v:
+                terms[m] = Scalar(field, v if type(v) is int else rational(v))
+    return terms
+
+
 def power(memo: dict, e: int):
     """base^e (e >= 1) for memo = {1: base, ...}; every power formed is memoised.
 
@@ -356,33 +384,42 @@ def power(memo: dict, e: int):
     return memo[e]
 
 
-def substitute_terms(p: Poly, images: dict, lift):
-    """Substitute the Poly or RElem `images` into p, where lift maps a Poly
-    into the target.  The terms of p are grouped by their exponents in the
-    bound variables; each group's free part is lifted once and multiplied by
-    the memoised powers of the bound images.  A variable whose image is the
-    variable itself stays free, except z: a lifted free part is z-free."""
+def substitute_terms(p: Poly, images: dict, parts) -> list:
+    """Substitute the Poly or RElem `images` into p.  parts maps an image to
+    its components (the Poly itself, or f1 and f2 of f1 + z*f2); the result
+    is the list of the components of the substituted value.  The terms of p
+    are grouped by their exponents in the bound variables; each group's
+    memoised bound powers are multiplied together, and its free part times
+    each component of that product is folded into one raw accumulator per
+    component.  A variable whose image is the variable itself stays free,
+    except z, so that a free part is a z-free first component."""
     field = p.field
-    bound = sorted(
-        (VAR_INDEX[var], {1: img}) for var, img in images.items()
-        if var == "z" or img != lift(Poly.variable(field, var))
-    )
+    width, bound = 1, []
+    for var, img in images.items():
+        first, *rest = parts(img)
+        width = 1 + len(rest)
+        if var == "z" or any(rest) or first != Poly.variable(field, var):
+            bound.append((VAR_INDEX[var], {1: img}))
+    bound.sort()
     groups = {}
     for m, c in p.terms.items():
         free = list(m)
         for i, _ in bound:
             free[i] = 0
-        groups.setdefault(tuple(m[i] for i, _ in bound), {})[tuple(free)] = c
-
-    def pieces():
-        for exps, terms in groups.items():
-            piece = lift(Poly(field, terms))
-            for (_, memo), e in zip(bound, exps):
-                if e:
-                    piece = piece * power(memo, e)
-            yield piece
-
-    return lift(Poly.zero(field)).plus_all(pieces())
+        groups.setdefault(tuple([m[i] for i, _ in bound]), {})[tuple(free)] = c
+    accs = [{} for _ in range(width)]
+    for exps, free in groups.items():
+        product = None
+        for (_, memo), e in zip(bound, exps):
+            if e:
+                pe = power(memo, e)
+                product = pe if product is None else product * pe
+        if product is None:  # the group of terms free of the bound variables
+            fold_product(accs[0], free, {ZERO_MONO: field.one})
+        else:
+            for acc, part in zip(accs, parts(product)):
+                fold_product(acc, free, part.terms)
+    return [Poly(field, reduce_raw(field, acc)) for acc in accs]
 
 
 def format_poly(p: Poly) -> str:

@@ -28,6 +28,39 @@ def require_ascii(text: str, offset: int = 0) -> str:
     return text
 
 
+# Decimal digits per chunk of int <-> str conversion: below 640, the lowest
+# digit limit the interpreter's int-to-str check accepts (sys.int_info), so a
+# chunk converts whatever sys.set_int_max_str_digits says.
+_CHUNK = 600
+_CHUNK_BASE = 10**_CHUNK
+
+
+def int_to_str(v: int) -> str:
+    """str(v), exact for any size: a chunk at a time past the interpreter's
+    digit limit for int-to-str conversion."""
+    if -_CHUNK_BASE < v < _CHUNK_BASE:
+        return str(v)
+    sign, v = ("-", -v) if v < 0 else ("", v)
+    chunks = []
+    while v >= _CHUNK_BASE:
+        v, low = divmod(v, _CHUNK_BASE)
+        chunks.append(f"{low:0{_CHUNK}d}")
+    chunks.append(str(v))
+    return sign + "".join(reversed(chunks))
+
+
+def digits_to_int(text: str) -> int:
+    """int(text) for a string of ASCII digits of any length, a chunk at a
+    time past the interpreter's digit limit for str-to-int conversion."""
+    if len(text) <= _CHUNK:
+        return int(text)
+    v = 0
+    for i in range(0, len(text), _CHUNK):
+        chunk = text[i : i + _CHUNK]
+        v = v * 10 ** len(chunk) + int(chunk)
+    return v
+
+
 def rational(v):
     """A rational value in canonical form: an int when integral, else v."""
     return v.numerator if v.denominator == 1 else v
@@ -75,7 +108,11 @@ class FieldSpec:
         if text == "Q":
             return cls(0)
         if text.startswith("F") and text[1:].isdigit():
-            p = int(require_ascii(text)[1:])
+            digits = require_ascii(text)[1:].lstrip("0")
+            if len(digits) > len(str(MAX_PRIME)):
+                raise ParseError(f"characteristic of {len(digits)} digits exceeds the 2^31 bound",
+                                 1)
+            p = int(digits or "0")
             try:
                 return cls(p)
             except AlgebraError as exc:
@@ -231,8 +268,8 @@ class Scalar:
     def __str__(self):
         v = self.value
         if isinstance(v, Fraction) and v.denominator != 1:
-            return f"{v.numerator}/{v.denominator}"
-        return str(int(v))
+            return f"{int_to_str(v.numerator)}/{int_to_str(v.denominator)}"
+        return int_to_str(int(v))
 
 
 # The slot setters, which bypass the raising __setattr__ (cheaper than

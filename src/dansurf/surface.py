@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import AlgebraError, FieldMismatch, NotDivisible, UnreducedSpec
-from .polyring import NEG_INF, Poly, WeightVector, add_into, format_poly, power, substitute_terms
+from .polyring import (NEG_INF, Poly, WeightVector, fold_product, format_poly, mono,
+                       power, reduce_raw, substitute_terms)
 from .scalars import FieldSpec, Scalar
 
 PARAMS = ("T", "U", "S")
@@ -71,8 +72,12 @@ class RingSpec:
         rel = rel - self.h * Poly.variable(f, "z")
         return rel
 
-    def _xny(self) -> Poly:
-        return Poly.variable(self.field, "x", self.n) * Poly.variable(self.field, "y")
+    @cached_property
+    def z_squared(self) -> "RElem":
+        """z^2 = x^n*y - h*z in normal form, formed once per spec; a free
+        spec has no relation, so RElem products never read it there."""
+        return RElem._trusted(self, Poly(self.field, {mono(x=self.n, y=1): self.field.one}),
+                              -self.h)
 
     @cached_property
     def z_to_p(self) -> "RElem":
@@ -148,16 +153,6 @@ class RElem:
 
     __radd__ = __add__
 
-    def plus_all(self, others) -> "RElem":
-        """self + sum(others), over one term dict per component, as
-        Poly.plus_all.  others are elements of self.spec."""
-        f1, f2 = dict(self.f1.terms), dict(self.f2.terms)
-        for o in others:
-            add_into(f1, o.f1.terms)
-            add_into(f2, o.f2.terms)
-        field = self.spec.field
-        return RElem._trusted(self.spec, Poly(field, f1), Poly(field, f2))
-
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -179,17 +174,22 @@ class RElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        spec = self.spec
-        f1 = self.f1 * o.f1
-        cross = self.f1 * o.f2 + self.f2 * o.f1
-        zz = self.f2 * o.f2
-        if zz:
+        spec, field = self.spec, self.spec.field
+        a1, a2, b1, b2 = self.f1.terms, self.f2.terms, o.f1.terms, o.f2.terms
+        acc1, acc2 = {}, {}
+        if a2 and b2:  # then f2*g2 != 0: a polynomial ring has no zero divisors
             if spec.free:
                 raise AlgebraError("product needs z^2, which a free spec cannot reduce")
-            # z^2 = x^n*y - h*z
-            f1 = f1 + spec._xny() * zz
-            cross = cross - spec.h * zz
-        return RElem._trusted(spec, f1, cross)
+            zz = {}
+            fold_product(zz, a2, b2)
+            zz = reduce_raw(field, zz)
+            fold_product(acc1, spec.z_squared.f1.terms, zz)
+            fold_product(acc2, spec.z_squared.f2.terms, zz)
+        fold_product(acc1, a1, b1)
+        fold_product(acc2, a1, b2)
+        fold_product(acc2, a2, b1)
+        return RElem._trusted(spec, Poly(field, reduce_raw(field, acc1)),
+                              Poly(field, reduce_raw(field, acc2)))
 
     __rmul__ = __mul__
 
@@ -349,10 +349,15 @@ def reduce_presentation(field: FieldSpec, n: int, h_raw: Poly):
 def substitute_poly(spec: RingSpec, p: Poly, images: dict) -> RElem:
     """Evaluate a polynomial on ring elements: the homomorphism sending each
     variable to its image (variables absent from `images` map to themselves)."""
-    zero = Poly.zero(spec.field)
-    # z stays bound, so every lifted monomial is a z-free first component.
+    if p.field is not spec.field and p.field != spec.field:
+        raise FieldMismatch("polynomial over a different field")
+    for img in images.values():
+        if img.spec is not spec and img.spec != spec:
+            raise AlgebraError("elements of different rings")
+    # z stays bound, so every free part is a z-free first component.
     bound = {"z": RElem.var(spec, "z"), **images}
-    return substitute_terms(p, bound, lambda q: RElem(spec, q, zero))
+    f1, f2 = substitute_terms(p, bound, lambda a: (a.f1, a.f2))
+    return RElem._trusted(spec, f1, f2)
 
 
 def apply_images(spec: RingSpec, images: dict, a: RElem) -> RElem:

@@ -18,7 +18,7 @@ WORKER = os.path.join(ROOT, "bench", "worker.py")
 
 
 @pytest.mark.skipif(not os.path.exists(WORKER), reason="bench/worker.py is absent")
-@pytest.mark.parametrize("workload", ["charp-powers", "cli-mix"])
+@pytest.mark.parametrize("workload", ["charp-powers", "cli-mix", "cylinder"])
 def test_traced_run_has_no_problems(workload):
     proc = subprocess.run(
         [sys.executable, WORKER, "--workload", workload, "--seed", "1", "--trace"],

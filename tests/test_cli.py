@@ -1,3 +1,4 @@
+import decimal
 import json
 import random
 import sys
@@ -106,6 +107,20 @@ def test_usage_errors_exit_2():
                           "--expr", "(x^1000000)^1000000"])
     assert (code, out) == (2, "input error: power has exponent 1000000 * 1000000, "
                               "which exceeds 1000000 (offset 12)")
+    # so are the exponents a product produces, checked at the offending factor
+    for expr, offset, tops in (("x^1000000*x^1000000", 10, "1000000 + 1000000"),
+                               ("x^999999*(x+1)*x", 15, "1000000 + 1")):
+        code, out = dispatch(["normal-form", "--ring", "R(n=2,h=1,field=F2)", "--expr", expr])
+        assert (code, out) == (2, f"input error: product has exponent {tops}, "
+                                  f"which exceeds 1000000 (offset {offset})")
+    # an exponent or characteristic too long for int() is rejected by its length
+    code, out = dispatch(["normal-form", "--ring", "R(n=2,h=1,field=Q)",
+                          "--expr", "x^" + "9" * 5000])
+    assert (code, out) == (2, "input error: exponent of 5000 digits exceeds 1000000 (offset 2)")
+    code, out = dispatch(["normal-form", "--ring", "R(n=2,h=1,field=F" + "9" * 5000 + ")",
+                          "--expr", "z"])
+    assert (code, out) == (2, "input error: characteristic of 5000 digits exceeds the 2^31 "
+                              "bound (offset 17)")
     # a field spec that is not Q or F<p>, p prime below 2^31, is an input error
     for field, reason in (
         ("GF5", "expected 'Q' or 'F<p>'"),
@@ -116,6 +131,25 @@ def test_usage_errors_exit_2():
             ["normal-form", "--ring", f"R(n=2,h=1,field={field})", "--expr", "z"]
         )
         assert (code, out) == (2, f"input error: bad field spec {field!r}: {reason} (offset 16)")
+
+
+def test_integers_past_the_str_digit_limit():
+    # Python refuses int <-> str conversions past sys.get_int_max_str_digits()
+    # (4300 by default); the kernel prints and parses such integers exactly
+    # without touching that interpreter-wide limit
+    limit = sys.get_int_max_str_digits()
+    ring = "R(n=2,h=1,field=Q)"
+    code, out = dispatch(["normal-form", "--ring", ring, "--expr", "2^15000"])
+    assert (code, out) == (0, str(decimal.Decimal(2**15000)))
+    assert len(out) == 4516
+    code, out = dispatch(["normal-form", "--ring", ring, "--expr=-3^9000*(1/2)^15000*x"])
+    assert (code, out) == (0, f"-{decimal.Decimal(3**9000)}/{decimal.Decimal(2**15000)}*x")
+    literal = "1" + "0" * 4999 + "7"
+    code, out = dispatch(["normal-form", "--ring", ring, "--expr", literal + "*y - 10"])
+    assert (code, out) == (0, f"{literal}*y - 10")
+    code, out = dispatch(["normal-form", "--ring", "R(n=2,h=1,field=F7)", "--expr", literal])
+    assert (code, out) == (0, str((10**5000 + 7) % 7))
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_exp_build_and_degree_and_derive():

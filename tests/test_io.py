@@ -88,6 +88,20 @@ def test_parse_errors_carry_offsets():
         with pytest.raises(ParseError, match="nested deeper than 200") as exc:
             parse_poly("x + " + "(" * depth + "x" + ")" * depth, Q)
         assert exc.value.offset == 4 + MAX_NESTING
+    # a product past the exponent bound is an error at the offending factor
+    for text, offset in (("x^1000000*x^1000000", 10), ("x^999999 * (x + 1) * x", 21),
+                         ("y*(x^1000 + 1)^1000*x^1", 20)):
+        with pytest.raises(ParseError, match="product has exponent") as exc:
+            parse_poly(text, F2)
+        assert exc.value.offset == offset, text
+    assert not parse_poly("x^1000000*y^1000000", F2).is_zero()
+    # an exponent or characteristic too long for int() is rejected by its length
+    with pytest.raises(ParseError, match="exponent of 5000 digits") as exc:
+        parse_poly("x^" + "9" * 5000, Q)
+    assert exc.value.offset == 2
+    with pytest.raises(ParseError, match="characteristic of 5000 digits") as exc:
+        parse_ring_spec("R(n=2,h=1,field=F" + "9" * 5000 + ")")
+    assert exc.value.offset == 17
     # automorphism-word offsets count from the start of the whole word
     for word, message, offset in (
         ("L(2) * Q(3)", "unknown automorphism factor 'Q(3)'", 7),

@@ -10,7 +10,8 @@ from dansurf import (
     WeightVector,
     parse_poly,
 )
-from dansurf.polyring import format_poly
+from dansurf.polyring import fold_product, format_poly, mono, reduce_raw
+from dansurf.scalars import FieldSpec, Scalar
 from conftest import F2, F3, F5, F101, Q, random_poly, rng
 
 W1 = WeightVector({"x": 0, "y": 2, "z": 1})
@@ -185,3 +186,96 @@ def test_format_signs_by_field():
     assert format_poly(P("2*x") - P("4*x")) == "-2*x"
     # over F_p residues lie in [0, p) and print unsigned
     assert format_poly(P("-x - 1", F5)) == "4*x + 4"
+
+
+# Coefficient sources for the product-kernel tests: over Q integral,
+# fractional and mixed values, over F_p any residue.  Near 2^31 the raw sums
+# of the kernel run far past p before their one reduction.
+F_BIG = FieldSpec(2147483647)
+KERNEL_FIELDS = (
+    ("Q integral", Q, lambda r: r.randint(-10**12, 10**12)),
+    ("Q fractional", Q, lambda r: Fraction(r.randint(-9, 9) or 1, r.randint(2, 12))),
+    ("Q mixed", Q, lambda r: r.choice((r.randint(-20, 20), Fraction(r.randint(-9, 9), 7)))),
+    ("F2", F2, lambda r: r.randrange(2)),
+    ("F3", F3, lambda r: r.randrange(3)),
+    ("F5", F5, lambda r: r.randrange(5)),
+    ("F2147483647", F_BIG, lambda r: r.randrange(F_BIG.characteristic - 999,
+                                                  F_BIG.characteristic)),
+)
+
+
+def per_pair_product(a, b):
+    """The reference product: every term pair's coefficient is formed and
+    summed with Scalar arithmetic, zeros dropped at the end."""
+    terms = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            m = tuple(i + j for i, j in zip(m1, m2))
+            terms[m] = terms.get(m, a.field.zero) + c1 * c2
+    return Poly(a.field, {m: c for m, c in terms.items() if c})
+
+
+def kernel_poly(r, field, coeff, n_terms, max_exp=3):
+    items = [(mono(x=r.randint(0, max_exp), y=r.randint(0, max_exp), U=r.randint(0, 1)),
+              coeff(r)) for _ in range(n_terms)]
+    return Poly.from_items(field, items)
+
+
+def assert_canonical(p):
+    for c in p.terms.values():
+        assert c, p
+        if p.field.characteristic:
+            assert type(c.value) is int and 0 < c.value < p.field.characteristic
+        else:
+            assert type(c.value) is int or c.value.denominator != 1
+
+
+@pytest.mark.parametrize("label, field, coeff", KERNEL_FIELDS, ids=[k[0] for k in KERNEL_FIELDS])
+def test_product_kernel_matches_per_pair_reference(label, field, coeff):
+    r = rng(len(label))
+    zero, one = Poly.zero(field), Poly.const(field, 1)
+    for _ in range(60):
+        a = kernel_poly(r, field, coeff, r.randint(0, 9))
+        b = kernel_poly(r, field, coeff, r.randint(0, 9))
+        for left, right in ((a, b), (b, a), (a, zero), (zero, b), (a, one),
+                            (kernel_poly(r, field, coeff, 1), b)):
+            product = left * right
+            assert product == per_pair_product(left, right), (left, right)
+            assert_canonical(product)
+        # a sum of products that cancels to zero term by term
+        acc = {}
+        fold_product(acc, a.terms, b.terms)
+        fold_product(acc, (-a).terms, b.terms)
+        assert reduce_raw(field, acc) == {}
+    # (x - y)(x + y): the mixed terms cancel inside one product
+    x, y = Poly.variable(field, "x"), Poly.variable(field, "y")
+    assert (x - y) * (x + y) == x * x - y * y
+    # many pairs meet on one monomial: (sum c*x^i*y^(8-i))^2 at x^8*y^8
+    dense = Poly.from_items(field, [(mono(x=i, y=8 - i), coeff(r)) for i in range(9)])
+    assert dense * dense == per_pair_product(dense, dense)
+    assert_canonical(dense * dense)
+
+
+def test_multi_term_products_form_no_scalar_per_pair(monkeypatch):
+    # the kernel multiplies raw values and wraps one Scalar per output term;
+    # only a monomial factor scales term by term through Scalar.__mul__
+    calls = []
+    scalar_mul = Scalar.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return scalar_mul(self, other)
+
+    monkeypatch.setattr(Scalar, "__mul__", counting)
+    monkeypatch.setattr(Scalar, "__rmul__", counting)
+    for field in (Q, F3, F_BIG):
+        a = P("x + 2*y + 3/2*U", field) if field is Q else P("x + 2*y + 3*U", field)
+        b = P("x^2 - y + 5", field)
+        expected = per_pair_product(a, b)
+        calls.clear()
+        assert a * b == expected
+        assert not calls
+    a, b, expected = P("x + y"), P("3*x"), P("3*x^2 + 3*x*y")
+    calls.clear()
+    assert a * b == expected
+    assert len(calls) == 2

@@ -3,6 +3,7 @@ import pytest
 from dansurf import (
     AlgebraError,
     FieldMismatch,
+    FieldSpec,
     NotDivisible,
     Poly,
     RElem,
@@ -73,6 +74,35 @@ def test_normal_form_is_multiplicative(n, field):
         q = random_poly(r, field, ("x", "y", "z"), max_terms=3, max_exp=2)
         assert normal_form(spec, p * q) == normal_form(spec, p) * normal_form(spec, q)
         assert normal_form(spec, p + q) == normal_form(spec, p) + normal_form(spec, q)
+
+
+@pytest.mark.parametrize("field", [Q, F2, F3, F5, FieldSpec(2147483647)],
+                         ids=lambda f: f.label)
+def test_relem_products_match_normal_form_of_poly_products(field):
+    # RElem.__mul__ folds f1*g1 + x^n*y*f2*g2 and f1*g2 + f2*g1 - h*f2*g2 in
+    # raw accumulators; the reference multiplies the polynomials f1 + z*f2
+    # and rewrites z^2 by normal_form
+    specs = (standard_spec(field, 2, "1"), standard_spec(field, 3, "1 + x^2"),
+             RingSpec(field, 2, Poly.zero(field), graded=True),
+             RingSpec(field, 3, Poly.zero(field), free=True))
+    r = rng(field.characteristic % 1000 + 7)
+    for spec in specs:
+        zero = RElem.zero(spec)
+        for _ in range(40):
+            a = random_relem(r, spec, ("x", "y", "U"), max_terms=4, max_exp=3)
+            b = random_relem(r, spec, ("x", "y", "U"), max_terms=4, max_exp=3)
+            if spec.free:
+                b = RElem(spec, b.f1, Poly.zero(field))  # no z^2 to form
+            for left, right in ((a, b), (b, a), (a, zero), (a, RElem.one(spec))):
+                assert left * right == normal_form(spec, left.to_poly() * right.to_poly())
+        z = RElem.var(spec, "z")
+        if spec.free:
+            with pytest.raises(AlgebraError, match="z\\^2"):
+                (z + 1) * z
+        else:
+            # (z + h)*z = x^n*y: h*1 and -h*1 cancel in the z-part's accumulator
+            product = (z + RElem(spec, spec.h, Poly.zero(field))) * z
+            assert product == NF(spec, f"x^{spec.n}*y") and not product.f2
 
 
 def test_domain_at_desk_scale():
@@ -291,6 +321,16 @@ def test_public_constructor_checks_components():
     for f1, f2 in ((parse_poly("x", F2), zero), (x, parse_poly("1", F3))):
         with pytest.raises(FieldMismatch):
             RElem(spec, f1, f2)
+
+
+def test_substitute_poly_checks_its_inputs():
+    # the kernel folds raw coefficients, so the field and ring are checked first
+    images = {"x": RElem.var(SPEC21, "x")}
+    with pytest.raises(FieldMismatch):
+        substitute_poly(SPEC21, parse_poly("x + 1", F3), images)
+    other = standard_spec(Q, 3, "1")
+    with pytest.raises(AlgebraError, match="different rings"):
+        substitute_poly(SPEC21, parse_poly("y + 1", Q), {"x": RElem.var(other, "x")})
 
 
 def term_by_term(p, images, one, var):
