@@ -23,20 +23,11 @@ from .cancellation import (
 )
 from .errors import (
     AlgebraError,
-    FieldMismatch,
-    IllegalExponent,
-    IllegalParameters,
-    InhomogeneousTarget,
-    InvalidMu,
-    NotApplicable,
-    NotDivisible,
-    NotEndomorphism,
-    NotInvertible,
+    InputError,
     NotCanonicalShape,
+    NotDivisible,
     ParseError,
     StepLimit,
-    TrivialMap,
-    UnreducedSpec,
 )
 from .expmaps import (
     ExponentialMap,
@@ -55,12 +46,10 @@ from .grading import Homogenization, StageReport, homogenize, homogenize_stages,
 from .ioformats import (
     format_generator_map,
     format_relem,
-    format_ring_spec,
     parse_generator_map,
     parse_poly,
     parse_ring_spec,
     parse_weights,
-    print_poly,
 )
 from .isoclass import IsoVerdict, classify, enumerate_oracle, witness
 from .polyring import Poly, WeightVector

@@ -23,18 +23,16 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 
-from .errors import (
-    AlgebraError,
-    InvalidMu,
-    NotEndomorphism,
-    NotInvertible,
-    NotCanonicalShape,
-    ParseError,
-)
+from .errors import AlgebraError, InputError, NotCanonicalShape, ParseError
 from .ioformats import _offset, _strip, parse_poly, parse_scalar
 from .polyring import Poly, format_poly
 from .scalars import FieldSpec, Scalar, nth_roots
 from .surface import RElem, RingSpec, apply_images, r_x_divide, substitute_poly
+
+
+def _require_standard(spec: RingSpec):
+    if not spec.standard:
+        raise InputError("automorphism triples are defined for standard specs")
 
 
 def _low_part(p: Poly, n: int) -> Poly:
@@ -54,25 +52,24 @@ class Automorphism:
 
     def __post_init__(self):
         spec = self.spec
-        if not spec.standard:
-            raise AlgebraError("automorphism triples are defined for standard specs")
+        _require_standard(spec)
         if self.mu.field != spec.field or self.f.field != spec.field:
-            raise AlgebraError("triple data over a different field")
+            raise InputError("triple data over a different field")
         if self.mu.is_zero():
-            raise InvalidMu("mu must be a unit")
+            raise InputError("mu must be a unit")
         if self.sigma not in (1, -1):
-            raise AlgebraError("sigma must be +1 or -1")
+            raise InputError("sigma must be +1 or -1")
         if not self.f.variables() <= {"x"}:
-            raise AlgebraError("f must be a polynomial in x alone")
+            raise InputError("f must be a polynomial in x alone")
         h = spec.h
         if h.substitute({"x": _mu_x(spec, self.mu)}) != h:
-            raise InvalidMu(f"h({self.mu}*x) != h(x)")
+            raise InputError(f"h({self.mu}*x) != h(x)")
         if self.sigma == 1:
             if _low_part(self.f, spec.n):
-                raise AlgebraError("sigma = +1 requires f = 0 mod x^n")
+                raise InputError("sigma = +1 requires f = 0 mod x^n")
         else:
             if _low_part(self.f + h, spec.n):
-                raise AlgebraError("sigma = -1 requires f = -h mod x^n")
+                raise InputError("sigma = -1 requires f = -h mod x^n")
 
     def image_x(self) -> RElem:
         return RElem.var(self.spec, "x").scale(self.mu)
@@ -95,7 +92,7 @@ class Automorphism:
 
     def apply(self, a: RElem) -> RElem:
         if a.spec != self.spec:
-            raise AlgebraError("element of a different ring")
+            raise InputError("element of a different ring")
         return apply_images(self.spec, self.images(), a)
 
     def is_identity(self) -> bool:
@@ -118,7 +115,7 @@ def shear(spec: RingSpec, f) -> Automorphism:
     if not isinstance(f, Poly):
         f = Poly.const(spec.field, f)
     if not f.variables() <= {"x"}:
-        raise AlgebraError("shear coefficient must be a polynomial in x")
+        raise InputError("shear coefficient must be a polynomial in x")
     return Automorphism(spec, spec.field.one, 1, Poly.variable(spec.field, "x", spec.n) * f)
 
 
@@ -136,7 +133,7 @@ def scaling(spec: RingSpec, mu) -> Automorphism:
 def compose(a: Automorphism, b: Automorphism) -> Automorphism:
     """a after b: (a . b)(r) = a(b(r)).  Closure is re-checked by construction."""
     if a.spec != b.spec:
-        raise AlgebraError("automorphisms of different rings")
+        raise InputError("automorphisms of different rings")
     spec = a.spec
     mu = a.mu * b.mu
     sigma = a.sigma * b.sigma
@@ -164,9 +161,9 @@ def from_images(spec: RingSpec, images: dict) -> Automorphism:
     """
     for var in ("x", "y", "z"):
         if var not in images:
-            raise AlgebraError(f"missing image of {var}")
+            raise InputError(f"missing image of {var}")
         if images[var].spec != spec:
-            raise AlgebraError(f"image of {var} lies in a different ring")
+            raise InputError(f"image of {var} lies in a different ring")
 
     ix = images["x"]
     x_mono = (0, 0, 1, 0, 0, 0)
@@ -212,13 +209,13 @@ def from_images(spec: RingSpec, images: dict) -> Automorphism:
 
     rel = spec.relation()
     if not substitute_poly(spec, rel, images).is_zero():
-        raise NotEndomorphism("images do not preserve the defining relation")
+        raise AlgebraError("images do not preserve the defining relation")
     if images["y"] != candidate.image_y():
-        raise NotEndomorphism("y-image disagrees with the relation-derived image")
+        raise AlgebraError("y-image disagrees with the relation-derived image")
 
     inv = inverse(candidate)
     if not compose(candidate, inv).is_identity() or not compose(inv, candidate).is_identity():
-        raise NotInvertible("candidate has no two-sided inverse")
+        raise AlgebraError("candidate has no two-sided inverse")
     return candidate
 
 
@@ -261,6 +258,7 @@ def _split_word(text: str):
 def parse_aut_word(text: str, spec: RingSpec) -> Automorphism:
     """Parse "L(2) * T * E(x+1)"; the rightmost factor acts first.  Error
     offsets count from the start of text."""
+    _require_standard(spec)  # before any factor, so the error carries no offset
     atoms = []
     for part, at in _split_word(text):
         if not part:
@@ -270,7 +268,8 @@ def parse_aut_word(text: str, spec: RingSpec) -> Automorphism:
         elif part.startswith("L(") and part.endswith(")"):
             with _offset(at + 2):
                 mu = parse_scalar(part[2:-1], spec.field)
-            atoms.append(scaling(spec, mu))
+            with _offset(at):
+                atoms.append(scaling(spec, mu))
         elif part.startswith("E(") and part.endswith(")"):
             with _offset(at + 2):
                 f = parse_poly(part[2:-1], spec.field)
@@ -308,7 +307,7 @@ def group_structure(spec: RingSpec) -> GroupStructure:
     the scaling subgroup L = {mu : mu^m = 1} without listing L: gcd(m, p - 1)
     in the cyclic group F_p*, and over Q 2 or 1 (mu = -1 or not)."""
     if not spec.standard:
-        raise AlgebraError("group structure is defined for standard specs")
+        raise InputError("group structure is defined for standard specs")
     m = 0
     for mo in spec.h.terms:
         if mo[2] > 0:

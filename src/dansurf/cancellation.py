@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import AlgebraError, IllegalParameters
+from .errors import AlgebraError, InputError
 from .expmaps import (
     CheckResult,
     ExponentialMap,
@@ -60,7 +60,7 @@ def build_witness(field: FieldSpec, n1: int, n2: int) -> CancellationWitness:
     The passing report is kept as the witness's `report`.
     """
     if not (2 <= n1 < n2 <= 2 * n1):
-        raise IllegalParameters(
+        raise InputError(
             f"need 2 <= n1 < n2 <= 2*n1; got n1={n1}, n2={n2}"
         )
     spec2 = RingSpec(field, n2, Poly.const(field, 1))
@@ -166,7 +166,7 @@ def restrict_to_surface(w: CancellationWitness) -> ExponentialMap:
     images = {v: w.phi.image(v) for v in ("x", "y", "z")}
     for var, img in images.items():
         if img.degree_in("T") >= 1:
-            raise AlgebraError(f"restricted image of {var} still involves T")
+            raise InputError(f"restricted image of {var} still involves T")
     reference = build_exponential(w.spec2, [(1, 1)])
     if images != reference.images:
         raise AlgebraError("internal error: restriction differs from the F = U map")

@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 on success (all requested checks passed), 1 when a
-verification fails, 2 on usage or input-syntax errors.  Every command
-accepts --json, which wraps the output in the envelope
+verification fails (or on an internal error), 2 on usage errors and on
+input outside the documented domain.  Every command accepts --json, which
+wraps the output in the envelope
 
     {"command": ..., "inputs": ..., "result": ..., "checks": [...]}
 
@@ -18,7 +19,7 @@ from typing import NamedTuple
 
 from .autgroup import decompose, group_structure, parse_aut_word
 from .cancellation import build_witness
-from .errors import AlgebraError, ParseError
+from .errors import AlgebraError, InputError, ParseError
 from .expmaps import (
     CheckResult,
     VerificationReport,
@@ -257,7 +258,7 @@ def dispatch(argv) -> tuple:
         return 2, f"usage error: {exc}"
     try:
         out = _HANDLERS[args.command][0](args)
-    except ParseError as exc:
+    except InputError as exc:
         return 2, f"input error: {exc}"
     except AlgebraError as exc:
         return 1, f"error: {exc}"

@@ -15,12 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    AlgebraError,
-    IllegalExponent,
-    NotApplicable,
-    StepLimit,
-)
+from .errors import AlgebraError, InputError, StepLimit
 from .polyring import Poly, power
 from .surface import RElem, RingSpec, apply_images, r_x_divide, substitute_poly
 
@@ -72,12 +67,12 @@ class ExponentialMap:
             full["T"] = images["T"]
         for var, img in images.items():
             if var not in full:
-                raise AlgebraError(f"cannot assign an image to {var!r}")
+                raise InputError(f"cannot assign an image to {var!r}")
         for var, img in full.items():
             if not isinstance(img, RElem) or img.spec != spec:
-                raise AlgebraError(f"image of {var} is not an element of the ring")
+                raise InputError(f"image of {var} is not an element of the ring")
             if img.degree_in("S") > 0:
-                raise AlgebraError("images must not involve the reserved parameter S")
+                raise InputError("images must not involve the reserved parameter S")
         self.spec = spec
         self.images = full
         self.verified = verified
@@ -92,9 +87,9 @@ class ExponentialMap:
     def apply(self, a: RElem) -> RElem:
         """phi(a) for a in the source ring (a must not already involve U)."""
         if a.spec != self.spec:
-            raise AlgebraError("element of a different ring")
+            raise InputError("element of a different ring")
         if a.degree_in("U") > 0:
-            raise AlgebraError("apply expects a U-free element")
+            raise InputError("apply expects a U-free element")
         return apply_images(self.spec, self.images, a)
 
     def is_trivial(self) -> bool:
@@ -133,7 +128,7 @@ def solve_generator_images(spec: RingSpec, image_z: RElem) -> dict:
     breaks the relation.
     """
     if not spec.standard and not spec.graded:
-        raise AlgebraError("relation solving needs a spec with a relation")
+        raise InputError("relation solving needs a spec with a relation")
     h_elem = RElem(spec, spec.h, Poly.zero(spec.field))
     rhs = image_z * image_z + h_elem * image_z
     image_y = r_x_divide(rhs, spec.n)
@@ -159,9 +154,9 @@ def build_exponential(spec: RingSpec, coeffs) -> ExponentialMap:
         if not isinstance(f_e, Poly):
             f_e = Poly.const(field, f_e)
         if not f_e.variables() <= {"x"}:
-            raise AlgebraError("coefficient polynomials must involve x alone")
+            raise InputError("coefficient polynomials must involve x alone")
         if not _legal_exponent(e, p):
-            raise IllegalExponent(
+            raise InputError(
                 f"U-exponent {e} is not allowed in characteristic {p}"
             )
         F = F + f_e * Poly.variable(field, "U", e)
@@ -243,7 +238,7 @@ def verify_exponential(spec: RingSpec, images: dict) -> VerificationReport:
 def derivation(phi: ExponentialMap, i: int, a: RElem) -> RElem:
     """D^i(a): the U^i-coefficient of phi(a).  D^0 is the identity."""
     if i < 0:
-        raise AlgebraError("derivation index must be a natural number")
+        raise InputError("derivation index must be a natural number")
     return phi.apply(a).coeff_of("U", i)
 
 
@@ -286,7 +281,7 @@ def expand_in_slice(phi: ExponentialMap, s: RElem, a: RElem, max_steps: int = 64
     pairs in ascending power order, nonzero coefficients only.
     """
     if phi.apply(s) != s + RElem.var(phi.spec, "U"):
-        raise NotApplicable(f"phi({s}) != {s} + U; the element is not a slice")
+        raise AlgebraError(f"phi({s}) != {s} + U; the element is not a slice")
     s_powers = {1: s}
     coeffs = []
     current = a

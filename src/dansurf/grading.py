@@ -17,16 +17,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import AlgebraError, InhomogeneousTarget, TrivialMap
+from .errors import AlgebraError, InputError
 from .expmaps import ExponentialMap, is_invariant, verify_exponential
 from .polyring import NEG_INF, Poly, WeightVector
 from .surface import RElem, RingSpec
 
 
 def parameter_weight(phi: ExponentialMap, w: WeightVector) -> Fraction:
-    """The induced weight of U; raises TrivialMap when no D^i(g) is nonzero."""
+    """The induced weight of U; an InputError when no D^i(g) is nonzero."""
     if not phi.verified:
-        raise AlgebraError("homogenization requires a verified map")
+        raise InputError("homogenization requires a verified map")
     candidates = []
     for g in phi.carriers():
         img = phi.image(g)
@@ -40,7 +40,7 @@ def parameter_weight(phi: ExponentialMap, w: WeightVector) -> Fraction:
                 continue
             candidates.append(Fraction(g_weight - di.weighted_degree(w), i))
     if not candidates:
-        raise TrivialMap("the map is trivial; no derivation coefficient is nonzero")
+        raise InputError("the map is trivial; no derivation coefficient is nonzero")
     return min(candidates)
 
 
@@ -76,12 +76,12 @@ def homogenize(phi: ExponentialMap, w: WeightVector, target: RingSpec) -> Homoge
     """
     spec = phi.spec
     if target.field != spec.field:
-        raise AlgebraError("target over a different field")
+        raise InputError("target over a different field")
     rel = target.relation()
     if rel is not None:
         degrees = {w.mono_weight(m) for m in rel.terms}
         if len(degrees) != 1:
-            raise InhomogeneousTarget(
+            raise InputError(
                 f"target relation {rel} is not homogeneous under {w}"
             )
     g_u = parameter_weight(phi, w)

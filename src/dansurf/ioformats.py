@@ -17,7 +17,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from fractions import Fraction
 
-from .errors import AlgebraError, ParseError
+from .errors import InputError, ParseError
 from .polyring import Poly, WeightVector, format_poly
 from .scalars import FieldSpec, Scalar, digits_to_int, require_ascii
 from .surface import RElem, RingSpec, normal_form
@@ -163,7 +163,7 @@ class _PolyParser:
                     raise ParseError("zero denominator", p3)
                 try:
                     return Poly.const(self.field, Fraction(value, den)), 0
-                except AlgebraError as exc:
+                except InputError as exc:
                     raise ParseError(str(exc), pos) from None
             return Poly.const(self.field, value), 0
         if kind == "NAME":
@@ -205,9 +205,6 @@ def parse_scalar(text: str, field: FieldSpec) -> Scalar:
     return p.constant_value()
 
 
-print_poly = format_poly
-
-
 def format_relem(a: RElem) -> str:
     return format_poly(a.to_poly())
 
@@ -226,11 +223,14 @@ def _items(text: str, sep: str, at: int):
 
 @contextmanager
 def _offset(at: int):
-    """Report parse errors of a substring at offsets in the enclosing text."""
+    """Report parse errors of a substring at offsets in the enclosing text,
+    and any other input error at `at`."""
     try:
         yield
     except ParseError as exc:
         raise ParseError(exc.message, exc.offset + at) from None
+    except InputError as exc:
+        raise ParseError(str(exc), at) from None
 
 
 def parse_ring_spec(text: str) -> RingSpec:
@@ -259,19 +259,17 @@ def parse_ring_spec(text: str) -> RingSpec:
     field_text, at = fields["field"]
     with _offset(at):
         field = FieldSpec.parse(field_text)
-    n_text, at = fields["n"]
+    n_text, n_at = fields["n"]
     try:
-        n = int(require_ascii(n_text, at))
+        n = int(require_ascii(n_text, n_at))
     except ValueError:
-        raise ParseError(f"bad n value {n_text!r}", at) from None
-    h_text, at = fields.get("h", ("0", 0))
-    with _offset(at):
+        raise ParseError(f"bad n value {n_text!r}", n_at) from None
+    h_text, h_at = fields.get("h", ("0", 0))
+    with _offset(h_at):
         h = parse_poly(h_text, field)
-    return RingSpec(field, n, h, graded="graded" in flags, free="free" in flags)
-
-
-def format_ring_spec(spec: RingSpec) -> str:
-    return str(spec)
+    # every other condition on a spec is one on h (and the flags)
+    with _offset(n_at if n < 2 else h_at):
+        return RingSpec(field, n, h, graded="graded" in flags, free="free" in flags)
 
 
 def parse_weights(text: str) -> WeightVector:

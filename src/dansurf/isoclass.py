@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import AlgebraError, UnreducedSpec
+from .errors import AlgebraError, InputError
 from .polyring import Poly
 from .scalars import Scalar, nth_roots
 from .surface import RElem, RingSpec, substitute_poly
@@ -29,11 +29,9 @@ class IsoVerdict:
 def _require_classifiable(spec1: RingSpec, spec2: RingSpec):
     for spec in (spec1, spec2):
         if not spec.standard:
-            raise AlgebraError("classification applies to standard specs only")
-        if spec.h.degree_in("x") >= spec.n:
-            raise UnreducedSpec("spec must be reduced (deg h < n)")
+            raise InputError("classification applies to standard specs only")
     if spec1.field != spec2.field:
-        raise AlgebraError("rings over different fields")
+        raise InputError("rings over different fields")
 
 
 def _coefficient(h: Poly, i: int) -> Scalar:
@@ -97,7 +95,7 @@ def witness(spec1: RingSpec, spec2: RingSpec, verdict: IsoVerdict) -> dict:
     of the generators of R_1 inside R_2.  The relation of R_1 is checked to
     map to zero before returning."""
     if not verdict.isomorphic:
-        raise AlgebraError("witness requires a positive verdict")
+        raise InputError("witness requires a positive verdict")
     eta, mu = verdict.eta, verdict.mu
     n = spec1.n
     images = {
@@ -116,7 +114,7 @@ def enumerate_oracle(spec1: RingSpec, spec2: RingSpec) -> IsoVerdict:
     _require_classifiable(spec1, spec2)
     p = spec1.field.characteristic
     if p == 0 or p > 101:
-        raise AlgebraError("oracle needs a prime field with p <= 101")
+        raise InputError("oracle needs a prime field with p <= 101")
     if spec1.n != spec2.n:
         return IsoVerdict(False, None, None, "n_mismatch")
     h1, h2 = spec1.h, spec2.h

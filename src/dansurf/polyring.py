@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import AlgebraError, FieldMismatch, NotDivisible
+from .errors import InputError, NotDivisible
 from .scalars import FieldSpec, Scalar, rational
 
 VARS = ("z", "y", "x", "T", "U", "S")
@@ -27,7 +27,7 @@ def mono(**exps) -> tuple:
     m = [0] * 6
     for var, e in exps.items():
         if var not in VAR_INDEX:
-            raise AlgebraError(f"unknown variable {var!r}")
+            raise InputError(f"unknown variable {var!r}")
         m[VAR_INDEX[var]] = e
     return tuple(m)
 
@@ -56,13 +56,13 @@ class WeightVector:
         w = {}
         for var, val in weights.items():
             if var not in VAR_INDEX:
-                raise AlgebraError(f"unknown variable {var!r} in weight vector")
+                raise InputError(f"unknown variable {var!r} in weight vector")
             w[var] = Fraction(val)
         self.weights = w
 
     def weight(self, var: str) -> Fraction:
         if var not in self.weights:
-            raise AlgebraError(f"weight vector does not assign a weight to {var!r}")
+            raise InputError(f"weight vector does not assign a weight to {var!r}")
         return self.weights[var]
 
     def mono_weight(self, m: tuple) -> Fraction:
@@ -125,7 +125,7 @@ class Poly:
     def _coerce(self, other):
         if isinstance(other, Poly):
             if other.field is not self.field and other.field != self.field:
-                raise FieldMismatch("polynomials over different fields")
+                raise InputError("polynomials over different fields")
             return other
         if isinstance(other, (int, Scalar)):
             return Poly.const(self.field, other)
@@ -186,7 +186,7 @@ class Poly:
 
     def __pow__(self, k: int) -> "Poly":
         if not isinstance(k, int) or k < 0:
-            raise AlgebraError("polynomial powers must be natural numbers")
+            raise InputError("polynomial powers must be natural numbers")
         return power({1: self}, k) if k else Poly.const(self.field, 1)
 
     def dense_over_q(self) -> bool:
@@ -257,11 +257,11 @@ class Poly:
         images = {}
         for var, val in bindings.items():
             if var not in VAR_INDEX:
-                raise AlgebraError(f"unknown variable {var!r} in substitution")
+                raise InputError(f"unknown variable {var!r} in substitution")
             if not isinstance(val, Poly):
                 val = Poly.const(self.field, val)
             elif val.field != self.field:
-                raise FieldMismatch("substitution value over a different field")
+                raise InputError("substitution value over a different field")
             images[var] = val
         return substitute_terms(self, images, lambda q: (q,))[0]
 
@@ -274,7 +274,7 @@ class Poly:
     def top_part(self, w: WeightVector) -> "Poly":
         """The sum of the terms achieving the weighted degree."""
         if not self.terms:
-            raise AlgebraError("top part of the zero polynomial is undefined")
+            raise InputError("top part of the zero polynomial is undefined")
         best = self.weighted_degree(w)
         terms = {m: c for m, c in self.terms.items() if w.mono_weight(m) == best}
         return Poly(self.field, terms)

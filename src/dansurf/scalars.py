@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import AlgebraError, FieldMismatch, ParseError
+from .errors import AlgebraError, InputError, ParseError
 
 MAX_PRIME = 2**31
 
@@ -93,9 +93,9 @@ class FieldSpec:
         if c == 0:
             return
         if c >= MAX_PRIME:
-            raise AlgebraError(f"characteristic {c} exceeds the 2^31 bound")
+            raise InputError(f"characteristic {c} exceeds the 2^31 bound")
         if not is_prime(c):
-            raise AlgebraError(f"characteristic {c} is not 0 or a prime")
+            raise InputError(f"characteristic {c} is not 0 or a prime")
 
     @property
     def label(self) -> str:
@@ -112,10 +112,11 @@ class FieldSpec:
             if len(digits) > len(str(MAX_PRIME)):
                 raise ParseError(f"characteristic of {len(digits)} digits exceeds the 2^31 bound",
                                  1)
-            p = int(digits or "0")
+            if not digits:
+                raise ParseError(f"bad field spec {text!r}: characteristic 0 is written Q", 0)
             try:
-                return cls(p)
-            except AlgebraError as exc:
+                return cls(int(digits))
+            except InputError as exc:
                 raise ParseError(f"bad field spec {text!r}: {exc}", 0) from None
         raise ParseError(f"bad field spec {text!r}: expected 'Q' or 'F<p>'", 0)
 
@@ -123,7 +124,7 @@ class FieldSpec:
         """Coerce an int, Fraction, or Scalar into this field."""
         if isinstance(value, Scalar):
             if value.field is not self and value.field != self:
-                raise FieldMismatch(f"scalar of {value.field.label} used in {self.label}")
+                raise InputError(f"scalar of {value.field.label} used in {self.label}")
             return value
         p = self.characteristic
         if p == 0:
@@ -131,7 +132,7 @@ class FieldSpec:
         if isinstance(value, Fraction):
             den = value.denominator % p
             if den == 0:
-                raise AlgebraError(f"denominator {value.denominator} is 0 in F{p}")
+                raise InputError(f"denominator {value.denominator} is 0 in F{p}")
             return Scalar(self, value.numerator * pow(den, p - 2, p) % p)
         return Scalar(self, int(value) % p)
 
@@ -146,7 +147,7 @@ class FieldSpec:
     def nonzero_elements(self):
         """Iterate over F_p* in residue order; an error over Q."""
         if self.characteristic == 0:
-            raise AlgebraError("cannot enumerate the infinite field Q")
+            raise InputError("cannot enumerate the infinite field Q")
         return (self.scalar(v) for v in range(1, self.characteristic))
 
 
@@ -171,7 +172,7 @@ class Scalar:
     def _coerce(self, other):
         if isinstance(other, Scalar):
             if other.field is not self.field and other.field != self.field:
-                raise FieldMismatch(
+                raise InputError(
                     f"cannot mix {self.field.label} and {other.field.label}"
                 )
             return other
@@ -297,7 +298,7 @@ def binom(i: int, j: int, field: FieldSpec) -> Scalar:
     10^6 and beyond never touch a big integer.
     """
     if i < 0 or j < 0:
-        raise AlgebraError("binomial indices must be natural numbers")
+        raise InputError("binomial indices must be natural numbers")
     if j > i:
         return field.zero
     p = field.characteristic
@@ -417,9 +418,9 @@ def nth_roots(c: Scalar, d: int) -> list:
     the result has 0, 1, or 2 elements.
     """
     if d < 1:
-        raise AlgebraError("root order must be a positive integer")
+        raise InputError("root order must be a positive integer")
     if c.is_zero():
-        raise AlgebraError("nth_roots requires a nonzero argument")
+        raise InputError("nth_roots requires a nonzero argument")
     field = c.field
     p = field.characteristic
     if p:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import AlgebraError, FieldMismatch, NotDivisible, UnreducedSpec
+from .errors import InputError, NotDivisible
 from .polyring import (NEG_INF, Poly, WeightVector, fold_product, format_poly, mono,
                        power, reduce_raw, substitute_terms)
 from .scalars import FieldSpec, Scalar
@@ -36,22 +36,22 @@ class RingSpec:
 
     def __post_init__(self):
         if self.n < 2:
-            raise AlgebraError(f"n must be at least 2, got {self.n}")
+            raise InputError(f"n must be at least 2, got {self.n}")
         if self.h.field != self.field:
-            raise FieldMismatch("h is defined over a different field")
+            raise InputError("h is defined over a different field")
         if not self.h.variables() <= {"x"}:
-            raise AlgebraError("h must be a polynomial in x alone")
+            raise InputError("h must be a polynomial in x alone")
         if self.graded and self.free:
-            raise AlgebraError("a spec cannot be both graded and free")
+            raise InputError("a spec cannot be both graded and free")
         if self.graded or self.free:
             if not self.h.is_zero():
-                raise AlgebraError("graded and free specs require h = 0")
+                raise InputError("graded and free specs require h = 0")
             return
         if self.h.constant_value().is_zero():
-            raise AlgebraError("h(0) must be nonzero")
+            raise InputError("h(0) must be nonzero")
         deg = self.h.degree_in("x")
         if deg >= self.n:
-            raise UnreducedSpec(
+            raise InputError(
                 f"deg_x(h) = {deg} >= n = {self.n}; apply reduce_presentation"
             )
 
@@ -97,9 +97,9 @@ class RElem:
 
     def __init__(self, spec: RingSpec, f1: Poly, f2: Poly):
         if f1.field != spec.field or f2.field != spec.field:
-            raise FieldMismatch("component over a different field")
+            raise InputError("component over a different field")
         if "z" in f1.variables() or "z" in f2.variables():
-            raise AlgebraError("normal-form components must not contain z")
+            raise InputError("normal-form components must not contain z")
         self.spec = spec
         self.f1 = f1
         self.f2 = f2
@@ -132,14 +132,10 @@ class RElem:
             return cls(spec, Poly.zero(spec.field), Poly.const(spec.field, 1))
         return cls(spec, Poly.variable(spec.field, name), Poly.zero(spec.field))
 
-    @classmethod
-    def from_poly(cls, spec: RingSpec, p: Poly) -> "RElem":
-        return normal_form(spec, p)
-
     def _coerce(self, other):
         if isinstance(other, RElem):
             if other.spec is not self.spec and other.spec != self.spec:
-                raise AlgebraError("elements of different rings")
+                raise InputError("elements of different rings")
             return other
         if isinstance(other, (int, Scalar)):
             return RElem.const(self.spec, other)
@@ -179,7 +175,7 @@ class RElem:
         acc1, acc2 = {}, {}
         if a2 and b2:  # then f2*g2 != 0: a polynomial ring has no zero divisors
             if spec.free:
-                raise AlgebraError("product needs z^2, which a free spec cannot reduce")
+                raise InputError("product needs z^2, which a free spec cannot reduce")
             zz = {}
             fold_product(zz, a2, b2)
             zz = reduce_raw(field, zz)
@@ -195,7 +191,7 @@ class RElem:
 
     def __pow__(self, k: int) -> "RElem":
         if not isinstance(k, int) or k < 0:
-            raise AlgebraError("element powers must be natural numbers")
+            raise InputError("element powers must be natural numbers")
         return power({1: self}, k) if k else RElem.one(self.spec)
 
     def dense_over_q(self) -> bool:
@@ -246,7 +242,7 @@ class RElem:
         """Substitute polynomials for the free parameters T, U, S only."""
         for var in bindings:
             if var not in PARAMS:
-                raise AlgebraError(f"{var!r} is not a free parameter")
+                raise InputError(f"{var!r} is not a free parameter")
         return RElem(
             self.spec, self.f1.substitute(bindings), self.f2.substitute(bindings)
         )
@@ -261,7 +257,7 @@ class RElem:
     def top_part(self, w: WeightVector, target: RingSpec = None) -> "RElem":
         """The terms achieving the weighted degree, read in `target` (default: same spec)."""
         if self.is_zero():
-            raise AlgebraError("top part of zero is undefined")
+            raise InputError("top part of zero is undefined")
         target = target or self.spec
         best = self.weighted_degree(w)
         zero = Poly.zero(self.spec.field)
@@ -291,12 +287,12 @@ def normal_form(spec: RingSpec, p: Poly) -> RElem:
     and the result does not depend on the rewrite order.
     """
     if p.field != spec.field:
-        raise FieldMismatch("polynomial over a different field")
+        raise InputError("polynomial over a different field")
     zdeg = p.degree_in("z")
     if zdeg == NEG_INF:
         return RElem.zero(spec)
     if spec.free and zdeg >= 2:
-        raise AlgebraError("free spec admits no z^2 reduction")
+        raise InputError("free spec admits no z^2 reduction")
     zero = Poly.zero(spec.field)
     result = RElem(spec, p.coeff_of("z", 0), zero)
     z_powers = {1: RElem.var(spec, "z")}
@@ -329,13 +325,13 @@ def reduce_presentation(field: FieldSpec, n: int, h_raw: Poly):
     composite substitution y -> y + g(x)*z back to the original presentation.
     """
     if n < 2:
-        raise AlgebraError(f"n must be at least 2, got {n}")
+        raise InputError(f"n must be at least 2, got {n}")
     if h_raw.field != field:
-        raise FieldMismatch("h over a different field")
+        raise InputError("h over a different field")
     if not h_raw.variables() <= {"x"}:
-        raise AlgebraError("h must be a polynomial in x alone")
+        raise InputError("h must be a polynomial in x alone")
     if h_raw.constant_value().is_zero():
-        raise AlgebraError("h(0) must be nonzero")
+        raise InputError("h(0) must be nonzero")
     h = h_raw
     g = Poly.zero(field)
     while h.degree_in("x") >= n:
@@ -350,10 +346,10 @@ def substitute_poly(spec: RingSpec, p: Poly, images: dict) -> RElem:
     """Evaluate a polynomial on ring elements: the homomorphism sending each
     variable to its image (variables absent from `images` map to themselves)."""
     if p.field is not spec.field and p.field != spec.field:
-        raise FieldMismatch("polynomial over a different field")
+        raise InputError("polynomial over a different field")
     for img in images.values():
         if img.spec is not spec and img.spec != spec:
-            raise AlgebraError("elements of different rings")
+            raise InputError("elements of different rings")
     # z stays bound, so every free part is a z-free first component.
     bound = {"z": RElem.var(spec, "z"), **images}
     f1, f2 = substitute_terms(p, bound, lambda a: (a.f1, a.f2))

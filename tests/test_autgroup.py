@@ -1,8 +1,8 @@
 import pytest
 
 from dansurf import (
-    InvalidMu,
-    NotEndomorphism,
+    AlgebraError,
+    InputError,
     NotCanonicalShape,
     RElem,
     build_exponential,
@@ -54,7 +54,7 @@ def test_involution_images():
 
 def test_scaling_validation():
     spec = standard_spec(Q, 2, "1 + x")
-    with pytest.raises(InvalidMu):
+    with pytest.raises(InputError, match=r"h\(2\*x\) != h\(x\)"):
         scaling(spec, 2)
     scaling(spec, 1)
     assert scaling(SPEC21, 5).image_y() == NF(SPEC21, "1/25 * y")
@@ -179,8 +179,9 @@ def test_from_images_rejects_wrong_y():
     e1 = shear(SPEC21, 1)
     images = e1.images()
     images["y"] = images["y"] + RElem.one(SPEC21)
-    with pytest.raises(NotEndomorphism):
+    with pytest.raises(AlgebraError, match="images do not preserve the defining relation") as exc:
         from_images(SPEC21, images)
+    assert type(exc.value) is AlgebraError
 
 
 def test_from_images_char2_distinguishes_shear_from_involution():
@@ -263,5 +264,5 @@ def test_scaling_orbit_respects_structure():
     gs = group_structure(spec)
     for mu in gs.l_elements:
         scaling(spec, mu)  # must validate
-    with pytest.raises(InvalidMu):
+    with pytest.raises(InputError, match=r"h\(3\*x\) != h\(x\)"):
         scaling(spec, 3)  # 3^3 = 27 = 6 != 1 in F7

@@ -1,7 +1,7 @@
 import pytest
 
 from dansurf import (
-    IllegalParameters,
+    InputError,
     RElem,
     build_exponential,
     build_witness,
@@ -24,12 +24,9 @@ def NF(spec, text):
 
 
 def test_parameter_validation():
-    with pytest.raises(IllegalParameters):
-        build_witness(Q, 2, 5)  # n2 > 2 n1
-    with pytest.raises(IllegalParameters):
-        build_witness(Q, 2, 2)
-    with pytest.raises(IllegalParameters):
-        build_witness(Q, 1, 2)
+    for n1, n2 in ((2, 5), (2, 2), (1, 2)):  # n2 > 2 n1, n1 = n2, n1 < 2
+        with pytest.raises(InputError, match=rf"need 2 <= n1 < n2 <= 2\*n1; got n1={n1}, n2={n2}$"):
+            build_witness(Q, n1, n2)
 
 
 def test_all_checks_pass_23_over_q():

@@ -126,6 +126,7 @@ def test_usage_errors_exit_2():
         ("GF5", "expected 'Q' or 'F<p>'"),
         ("F4", "characteristic 4 is not 0 or a prime"),
         ("F2147483659", "characteristic 2147483659 exceeds the 2^31 bound"),
+        ("F0", "characteristic 0 is written Q"),
     ):
         code, out = dispatch(
             ["normal-form", "--ring", f"R(n=2,h=1,field={field})", "--expr", "z"]
@@ -289,7 +290,7 @@ _CANCEL_CHECKS = ("exponential", "embedded_relation", "recovered_relation", "inv
                   "slice_action", "linear_form", "slice_generates")
 
 # (argv, exit code, text output, --json output): every command, a failing
-# verification, an algebra error and an input error, byte for byte.
+# verification, an algebra error and two input errors, byte for byte.
 GOLDEN = [
     (["normal-form", "--ring", "R(n=2,h=1,field=F2)", "--expr", "z^2+z"], 0,
      "x^2*y",
@@ -368,9 +369,9 @@ GOLDEN = [
      '{"command": "cancel-verify", "inputs": {"n1": 2, "n2": 3, "field": "F2"}, '
      '"result": {"passed": true, "s": "x*T^2 + y"}, "checks": ['
      + ", ".join(_PASS_CHECK.format(n) for n in _CANCEL_CHECKS) + "]}"),
-    (["cancel-verify", "--n1", "2", "--n2", "5"], 1,
-     "error: need 2 <= n1 < n2 <= 2*n1; got n1=2, n2=5",
-     "error: need 2 <= n1 < n2 <= 2*n1; got n1=2, n2=5"),
+    (["cancel-verify", "--n1", "2", "--n2", "5"], 2,
+     "input error: need 2 <= n1 < n2 <= 2*n1; got n1=2, n2=5",
+     "input error: need 2 <= n1 < n2 <= 2*n1; got n1=2, n2=5"),
     (["normal-form", "--ring", _Q2, "--expr", "2x"], 2,
      "input error: unexpected 'x' (offset 1)",
      "input error: unexpected 'x' (offset 1)"),
@@ -382,6 +383,109 @@ GOLDEN = [
 def test_golden_output(argv, code, text, json_text):
     assert dispatch(argv) == (code, text)
     assert dispatch(argv + ["--json"]) == (code, json_text)
+
+
+_W = "w{x:0, y:2, z:1}"
+_FREE = "R(n=2,h=0,field=Q,free)"
+# Arguments outside the documented domain exit 2 with the kernel's message;
+# a ring-spec condition is reported at the n= or h= value and an
+# inadmissible L(mu) at its factor.  Failed verifications still exit 1.
+_INPUT_ERRORS = [
+    (["derive", "--ring", _Q2, "--map", _MAP, "--expr", "y", "--order", "-1"],
+     "derivation index must be a natural number"),
+    (["aut-compose", "--ring", _Q2, "--word", "L(0)"], "mu must be a unit (offset 0)"),
+    (["aut-compose", "--ring", "R(n=2,h=1+x,field=Q)", "--word", "T * L(-1)"],
+     "h(-1*x) != h(x) (offset 4)"),
+    (["homogenize", "--ring", _Q2, "--map", _MAP, "--weights", "w{x:0, y:2}"],
+     "weight vector does not assign a weight to 'z'"),
+    (["homogenize", "--ring", _Q2, "--map", _MAP, "--weights", "w{x:0, y:2, z:1, q:1}"],
+     "unknown variable 'q' in weight vector"),
+    (["homogenize", "--ring", _Q2, "--map", _MAP, "--weights", "w{x:1, y:2, z:1}"],
+     "target relation x^2*y - z^2 is not homogeneous under w{z:1, y:2, x:1}"),
+    (["homogenize", "--ring", _Q2, "--map", "x->x; y->y; z->z", "--weights", _W],
+     "the map is trivial; no derivation coefficient is nonzero"),
+    (["homogenize", "--ring", _Q2, "--map", _MAP, "--weights", _W,
+      "--target", "R(n=2,h=0,field=F2,graded)"], "target over a different field"),
+    (["iso-check", "--left", _Q2, "--right", "R(n=2,h=1,field=F3)"],
+     "rings over different fields"),
+    (["normal-form", "--ring", "R(n=0,h=1,field=Q)", "--expr", "z"],
+     "n must be at least 2, got 0 (offset 4)"),
+    (["normal-form", "--ring", "R(n=2,h=x,field=Q)", "--expr", "z"],
+     "h(0) must be nonzero (offset 8)"),
+    (["normal-form", "--ring", "R(n=2,h=1+x^2,field=Q)", "--expr", "z"],
+     "deg_x(h) = 2 >= n = 2; apply reduce_presentation (offset 8)"),
+    (["normal-form", "--ring", "R(n=2, h=y, field=Q)", "--expr", "z"],
+     "h must be a polynomial in x alone (offset 9)"),
+    (["normal-form", "--ring", "R(n=2,h=1,field=Q,graded)", "--expr", "z"],
+     "graded and free specs require h = 0 (offset 8)"),
+    (["normal-form", "--ring", "R(n=2,h=0,field=Q,graded,free)", "--expr", "z"],
+     "a spec cannot be both graded and free (offset 8)"),
+    (["normal-form", "--ring", _FREE, "--expr", "z^2"], "free spec admits no z^2 reduction"),
+    (["exp-build", "--ring", _Q2, "--coeff", "0:1"],
+     "U-exponent 0 is not allowed in characteristic 0"),
+    (["exp-build", "--ring", _Q2, "--coeff", "1:y"],
+     "coefficient polynomials must involve x alone"),
+    (["exp-build", "--ring", _FREE, "--coeff", "1:1"],
+     "relation solving needs a spec with a relation"),
+    (["exp-verify", "--ring", _Q2, "--map", "x->x; z->z+S; y->y"],
+     "images must not involve the reserved parameter S"),
+    (["derive", "--ring", _Q2, "--map", _MAP, "--expr", "U", "--order", "1"],
+     "apply expects a U-free element"),
+    (["exp-degree", "--ring", _Q2, "--map", _MAP, "--expr", "U"],
+     "apply expects a U-free element"),
+    (["aut-apply", "--ring", "R(n=2,h=0,field=Q,graded)", "--word", "L(2) * T", "--expr", "z"],
+     "automorphism triples are defined for standard specs"),
+    (["cancel-verify", "--n1", "2", "--n2", "9"], "need 2 <= n1 < n2 <= 2*n1; got n1=2, n2=9"),
+    (["cancel-verify", "--n1", "1", "--n2", "2"], "need 2 <= n1 < n2 <= 2*n1; got n1=1, n2=2"),
+    (["cancel-verify", "--n1", "2", "--n2", "3", "--field", "F0"],
+     "bad field spec 'F0': characteristic 0 is written Q (offset 0)"),
+]
+_VERIFICATION_FAILURES = [
+    (["exp-verify", "--ring", _Q2, "--map", _BAD_MAP],
+     f"relation: FAIL {_BAD_RELATION}\naxiom_i: PASS\naxiom_ii: PASS\nfailed"),
+    (["exp-degree", "--ring", _Q2, "--map", _BAD_MAP, "--expr", "y"],
+     f"error: candidate images are not an exponential map: relation: {_BAD_RELATION}"),
+    (["homogenize", "--ring", _Q2, "--map", _MAP, "--weights", _W,
+      "--target", "R(n=3,h=0,field=Q,graded)"],
+     "error: homogenized map failed verification: relation: image of the relation is "
+     "x^5*U^2 - x^4*U^2 + 2*x^3*z*U - 2*x^2*z*U, not 0"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, text",
+    [(argv, 2, "input error: " + message) for argv, message in _INPUT_ERRORS]
+    + [(argv, 1, text) for argv, text in _VERIFICATION_FAILURES],
+    ids=[f"{i}-{argv[0]}" for i, (argv, _) in enumerate(_INPUT_ERRORS + _VERIFICATION_FAILURES)])
+def test_exit_codes_sort_input_errors_from_failures(argv, code, text):
+    assert dispatch(argv) == (code, text)
+
+
+def test_error_taxonomy(monkeypatch):
+    import dansurf.cli
+    import dansurf.errors as errors
+
+    classes = {name: cls for name, cls in vars(errors).items() if isinstance(cls, type)}
+    assert {name: cls.__bases__ for name, cls in classes.items()} == {
+        "AlgebraError": (Exception,),
+        "InputError": (errors.AlgebraError,),
+        "ParseError": (errors.InputError,),
+        "NotDivisible": (errors.AlgebraError,),
+        "NotCanonicalShape": (errors.AlgebraError,),
+        "StepLimit": (errors.AlgebraError,),
+    }
+    for cls in classes.values():
+        exc = cls("boom", 3) if cls is errors.ParseError else cls("boom")
+
+        def fail(args, exc=exc):
+            raise exc
+
+        monkeypatch.setitem(dansurf.cli._HANDLERS, "aut-structure", (fail, "--ring"))
+        code, out = dispatch(["aut-structure", "--ring", _Q2])
+        if issubclass(cls, errors.InputError):
+            assert (code, out) == (2, f"input error: {exc}")
+        else:
+            assert (code, out) == (1, "error: boom")
 
 
 def test_roots_over_large_primes():

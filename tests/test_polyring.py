@@ -4,7 +4,7 @@ import pytest
 
 from dansurf import (
     AlgebraError,
-    FieldMismatch,
+    InputError,
     NotDivisible,
     Poly,
     WeightVector,
@@ -28,7 +28,7 @@ def test_arith_examples():
 
 
 def test_field_mismatch():
-    with pytest.raises(FieldMismatch):
+    with pytest.raises(InputError, match="polynomials over different fields"):
         P("x") + P("x", F2)
 
 
