@@ -42,7 +42,7 @@ from .expmaps import (
     solve_generator_images,
     verify_exponential,
 )
-from .grading import Homogenization, StageReport, homogenize, homogenize_stages, parameter_weight
+from .grading import Homogenization, homogenize, parameter_weight
 from .ioformats import (
     format_generator_map,
     format_relem,

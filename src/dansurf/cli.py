@@ -40,9 +40,8 @@ from .ioformats import (
     parse_weights,
 )
 from .isoclass import classify, witness
-from .polyring import Poly
-from .scalars import FieldSpec, require_ascii
-from .surface import RingSpec, normal_form
+from .scalars import FieldSpec, read_int
+from .surface import normal_form
 
 
 class UsageError(Exception):
@@ -54,14 +53,20 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _int(text: str) -> int:
+    try:
+        return read_int(text, 0, "int")
+    except ParseError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 # The arguments that are not required plain strings.
 _ARGUMENTS = {
     "--coeff": {"action": "append", "required": True, "metavar": "E:POLY",
                 "help": "one F-term, e.g. 1:1+x (repeatable)"},
-    "--order": {"type": int, "required": True},
-    "--target": {"default": None},
-    "--n1": {"type": int, "required": True},
-    "--n2": {"type": int, "required": True},
+    "--order": {"type": _int, "required": True},
+    "--n1": {"type": _int, "required": True},
+    "--n2": {"type": _int, "required": True},
     "--field": {"default": "Q"},
 }
 
@@ -106,10 +111,7 @@ def _cmd_exp_build(args):
         e_text, colon, poly_text = item.partition(":")
         if not colon:
             raise ParseError(f"coefficient {item!r} must look like E:POLY", 0)
-        try:
-            e = int(require_ascii(e_text))
-        except ValueError:
-            raise ParseError(f"bad exponent {e_text!r} in coefficient {item!r}", 0) from None
+        e = read_int(e_text, 0, f"exponent {e_text!r} in coefficient {item!r}")
         coeffs.append((e, parse_poly(poly_text, spec.field)))
     text = format_generator_map(build_exponential(spec, coeffs).images)
     return _Outcome({"ring": spec, "coeff": args.coeff}, text, text)
@@ -143,24 +145,17 @@ def _cmd_derive(args):
 def _cmd_homogenize(args):
     spec = parse_ring_spec(args.ring)
     phi = make_exponential(spec, parse_generator_map(args.map, spec))
-    w = parse_weights(args.weights)
-    if args.target is not None:
-        target = parse_ring_spec(args.target)
-    elif spec.free:
-        target = spec
-    else:
-        target = RingSpec(spec.field, spec.n, Poly.zero(spec.field), graded=True)
-    result = homogenize(phi, w, target)
+    result = homogenize(phi, parse_weights(args.weights))
     bar_map = format_generator_map(result.bar.images)
     lines = [
         f"grdeg(U) = {result.parameter_weight}",
-        f"target = {target}",
+        f"target = {result.target}",
         f"bar map: {bar_map}",
     ]
     for g in sorted(result.s_sets):
         lines.append(f"S({g}) = {{{', '.join(str(i) for i in result.s_sets[g])}}}")
     return _Outcome(
-        {"ring": spec, "map": args.map, "weights": args.weights, "target": target},
+        {"ring": spec, "map": args.map, "weights": args.weights, "target": result.target},
         {"parameter_weight": str(result.parameter_weight), "bar_map": bar_map,
          "s_sets": {g: list(v) for g, v in sorted(result.s_sets.items())}},
         "\n".join(lines))
@@ -237,7 +232,7 @@ _HANDLERS = {
     "exp-verify": (_cmd_exp_verify, "--ring --map"),
     "exp-degree": (_cmd_exp_degree, "--ring --map --expr"),
     "derive": (_cmd_derive, "--ring --map --expr --order"),
-    "homogenize": (_cmd_homogenize, "--ring --map --weights --target"),
+    "homogenize": (_cmd_homogenize, "--ring --map --weights"),
     "aut-apply": (_cmd_aut_apply, "--ring --word --expr"),
     "aut-compose": (_cmd_aut_compose, "--ring --word"),
     "aut-decompose": (_cmd_aut_decompose, "--ring --word"),

@@ -9,7 +9,8 @@ parameter is
 chosen so that w(D^i(a) U^i) <= w(a) holds throughout.  The homogenized map
 keeps, for each generator, exactly the U-coefficients achieving equality
 (the index set S(g)) with their top parts, and acts on the associated
-graded ring, where the relation loses its lower-weight h-term.
+graded ring gr_w(R), which R and w determine: its relation is the top part
+of R's, so the h-term drops out exactly when its weight is lower.
 """
 
 from __future__ import annotations
@@ -19,35 +20,58 @@ from fractions import Fraction
 
 from .errors import AlgebraError, InputError
 from .expmaps import ExponentialMap, is_invariant, verify_exponential
-from .polyring import NEG_INF, Poly, WeightVector
+from .polyring import Poly, WeightVector
 from .surface import RElem, RingSpec
+
+
+def _coefficients(phi: ExponentialMap, w: WeightVector):
+    """The induced weight of U, and for each carrier g its weight and the
+    (i, D^i(g), weight) of every nonzero U-coefficient D^i(g) of phi(g)."""
+    if not phi.verified:
+        raise InputError("homogenization requires a verified map")
+    table, candidates = {}, []
+    for g in phi.carriers():
+        img = phi.image(g)
+        g_weight = RElem.var(phi.spec, g).weighted_degree(w)
+        coeffs = []
+        for i in range(int(img.degree_in("U")) + 1):
+            di = img.coeff_of("U", i)
+            if di:
+                d_weight = di.weighted_degree(w)
+                coeffs.append((i, di, d_weight))
+                if i:
+                    candidates.append(Fraction(g_weight - d_weight, i))
+        table[g] = (g_weight, coeffs)
+    if not candidates:
+        raise InputError("the map is trivial; no derivation coefficient is nonzero")
+    return min(candidates), table
 
 
 def parameter_weight(phi: ExponentialMap, w: WeightVector) -> Fraction:
     """The induced weight of U; an InputError when no D^i(g) is nonzero."""
-    if not phi.verified:
-        raise InputError("homogenization requires a verified map")
-    candidates = []
-    for g in phi.carriers():
-        img = phi.image(g)
-        top = img.degree_in("U")
-        if top == NEG_INF or top < 1:
-            continue
-        g_weight = RElem.var(phi.spec, g).weighted_degree(w)
-        for i in range(1, int(top) + 1):
-            di = img.coeff_of("U", i)
-            if di.is_zero():
-                continue
-            candidates.append(Fraction(g_weight - di.weighted_degree(w), i))
-    if not candidates:
-        raise InputError("the map is trivial; no derivation coefficient is nonzero")
-    return min(candidates)
+    return _coefficients(phi, w)[0]
+
+
+def _graded_ring(spec: RingSpec, w: WeightVector) -> RingSpec:
+    """gr_w(R), whose relation is the top part of R's under w: R itself when
+    w makes the relation homogeneous (or R is free), the graded variant when
+    the top part is x^n*y - z^2, and otherwise an InputError."""
+    rel = spec.relation()
+    if rel is None:
+        return spec
+    top = rel.top_part(w)
+    if top == rel:
+        return spec
+    graded = RingSpec(spec.field, spec.n, Poly.zero(spec.field), graded=True)
+    if top != graded.relation():
+        raise InputError(f"the top part {top} of the relation under {w} is neither "
+                         f"the relation nor {graded.relation()}")
+    return graded
 
 
 @dataclass(frozen=True)
 class Homogenization:
     parameter_weight: Fraction
-    source: ExponentialMap
     target: RingSpec
     bar: ExponentialMap
     s_sets: dict
@@ -57,49 +81,28 @@ def _invariant_sample(spec: RingSpec):
     """Candidate invariants x^k h^m (k, m <= 3); h-powers only when h != 0."""
     x = RElem.var(spec, "x")
     h = RElem(spec, spec.h, Poly.zero(spec.field))
-    sample = []
-    for k in range(4):
-        for m in range(4):
-            if m and spec.h.is_zero():
-                continue
-            sample.append(x**k * h**m)
-    return sample
+    return [x**k * h**m for k in range(4) for m in range(4 if spec.h else 1)]
 
 
-def homogenize(phi: ExponentialMap, w: WeightVector, target: RingSpec) -> Homogenization:
-    """Build the top-part map of phi on the graded target ring.
+def homogenize(phi: ExponentialMap, w: WeightVector) -> Homogenization:
+    """Build the top-part map of phi on the graded ring gr_w(R).
 
-    The target must carry a homogeneous relation under w (checked); the bar
-    images are assembled from the index sets S(g) and verified to satisfy
-    all three exponential-map checks on the target.  Sampled invariants of
-    phi are checked to have bar-invariant top parts.
+    The bar images are assembled from the index sets S(g) and verified to
+    satisfy all three exponential-map checks on gr_w(R).  Sampled invariants
+    of phi are checked to have bar-invariant top parts.  Applying homogenize
+    again to the bar map, with a refining weight vector, is the next stage.
     """
     spec = phi.spec
-    if target.field != spec.field:
-        raise InputError("target over a different field")
-    rel = target.relation()
-    if rel is not None:
-        degrees = {w.mono_weight(m) for m in rel.terms}
-        if len(degrees) != 1:
-            raise InputError(
-                f"target relation {rel} is not homogeneous under {w}"
-            )
-    g_u = parameter_weight(phi, w)
+    target = _graded_ring(spec, w)
+    g_u, table = _coefficients(phi, w)
 
-    s_sets = {}
-    bar_images = {}
+    s_sets, bar_images = {}, {}
     u_target = RElem.var(target, "U")
-    for g in phi.carriers():
-        img = phi.image(g)
-        g_weight = RElem.var(spec, g).weighted_degree(w)
-        top = int(img.degree_in("U"))
+    for g, (g_weight, coeffs) in table.items():
         indices = []
         bar = RElem.zero(target)
-        for i in range(top + 1):
-            di = img.coeff_of("U", i)
-            if di.is_zero():
-                continue
-            if di.weighted_degree(w) + i * g_u == g_weight:
+        for i, di, d_weight in coeffs:
+            if d_weight + i * g_u == g_weight:
                 indices.append(i)
                 bar = bar + di.top_part(w, target) * u_target**i
         s_sets[g] = tuple(indices)
@@ -115,69 +118,6 @@ def homogenize(phi: ExponentialMap, w: WeightVector, target: RingSpec) -> Homoge
             continue
         top = a.top_part(w, target)
         if not is_invariant(bar_map, top):
-            raise AlgebraError(
-                f"top part {top} of the invariant {a} is not bar-invariant"
-            )
+            raise AlgebraError(f"top part {top} of the invariant {a} is not bar-invariant")
 
-    return Homogenization(g_u, phi, target, bar_map, s_sets)
-
-
-@dataclass(frozen=True)
-class StageReport:
-    stages: tuple
-    sample_tops: tuple
-    tops_are_monomial: bool
-
-    @property
-    def final(self) -> Homogenization:
-        return self.stages[-1]
-
-
-def _monomial_sample(spec: RingSpec):
-    x = RElem.var(spec, "x")
-    y = RElem.var(spec, "y")
-    gens = [x, y]
-    if not spec.free:
-        gens.append(RElem.var(spec, "z"))
-    sample = [x + y, 1 + x + y]
-    if not spec.free:
-        z = gens[2]
-        sample += [
-            z * (1 + x),
-            y + z * x,
-            y * (1 + x) + z,
-            y + z,
-            z + y * x**2,
-            y**2 + z * x,
-        ]
-    return sample
-
-
-def homogenize_stages(phi: ExponentialMap, stages) -> StageReport:
-    """Apply homogenize stagewise (e.g. first w1, then a refining w2).
-
-    With two genuinely refining weight vectors the composite top part of
-    every sampled ring element collapses to a single monomial; the report
-    records whether that happened (stages with repeated weights leave the
-    top parts untouched, so the flag is not an error condition).
-    """
-    results = []
-    current = phi
-    for w, target in stages:
-        res = homogenize(current, w, target)
-        results.append(res)
-        current = res.bar
-
-    tops = []
-    all_monomial = True
-    if len(results) >= 2:
-        for a in _monomial_sample(phi.spec):
-            t = a
-            for (w, target), res in zip(stages, results):
-                if t.is_zero():
-                    break
-                t = t.top_part(w, target)
-            tops.append(t)
-            if not t.is_monomial():
-                all_monomial = False
-    return StageReport(tuple(results), tuple(tops), all_monomial)
+    return Homogenization(g_u, target, bar_map, s_sets)

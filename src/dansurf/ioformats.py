@@ -10,6 +10,9 @@ digits 0-9):
     scalar := int | int '/' int
 
 Variables are x, y, z, T, U, S; the aliases X, Y, Z normalize to lowercase.
+Outside expressions, an integer (n, --coeff exponents, --order, --n1, --n2)
+is '-'? followed by digits, and a weight is such an integer, optionally
+followed by '/' and a positive denominator.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from fractions import Fraction
 
 from .errors import InputError, ParseError
 from .polyring import Poly, WeightVector, format_poly
-from .scalars import FieldSpec, Scalar, digits_to_int, require_ascii
+from .scalars import FieldSpec, Scalar, digits_to_int, read_int, read_rational
 from .surface import RElem, RingSpec, normal_form
 
 MAX_EXPONENT = 10**6
@@ -260,10 +263,7 @@ def parse_ring_spec(text: str) -> RingSpec:
     with _offset(at):
         field = FieldSpec.parse(field_text)
     n_text, n_at = fields["n"]
-    try:
-        n = int(require_ascii(n_text, n_at))
-    except ValueError:
-        raise ParseError(f"bad n value {n_text!r}", n_at) from None
+    n = read_int(n_text, n_at, f"n value {n_text!r}")
     h_text, h_at = fields.get("h", ("0", 0))
     with _offset(h_at):
         h = parse_poly(h_text, field)
@@ -273,7 +273,8 @@ def parse_ring_spec(text: str) -> RingSpec:
 
 
 def parse_weights(text: str) -> WeightVector:
-    """Parse "w{x:0, y:2, z:1}"; rational values like 1/5 are allowed."""
+    """Parse "w{x:0, y:2, z:1}"; rational values like -1/5 are allowed, and
+    each key is a variable named once."""
     stripped = text.strip()
     if not (stripped.startswith("w{") and stripped.endswith("}")):
         raise ParseError("weight vector must look like w{x:0, y:2, z:1}", 0)
@@ -285,11 +286,12 @@ def parse_weights(text: str) -> WeightVector:
             if not colon:
                 raise ParseError(f"bad weight entry {part!r}", at)
             name = ALIASES.get(key.strip(), key.strip())
+            if name not in KNOWN_VARS:
+                raise ParseError(f"unknown variable {key.strip()!r} in weight vector", at)
+            if name in weights:
+                raise ParseError(f"repeated weight for {name}", at)
             value, value_at = _strip(value, at + len(key) + 1)
-            try:
-                weights[name] = Fraction(require_ascii(value, value_at))
-            except (ValueError, ZeroDivisionError):
-                raise ParseError(f"bad weight value {value!r}", value_at) from None
+            weights[name] = read_rational(value, value_at, f"weight value {value!r}")
     return WeightVector(weights)
 
 

@@ -61,6 +61,29 @@ def digits_to_int(text: str) -> int:
     return v
 
 
+def read_int(text: str, at: int, what: str) -> int:
+    """The integer written as an optional '-' and the ASCII digits 0-9.  Any
+    other text is the ParseError "bad <what>" at offset `at`, or for a
+    non-ASCII character "unexpected character" at its own offset."""
+    negative = text[:1] == "-"
+    digits = require_ascii(text, at)[negative:]
+    if not digits.isdigit():  # on ASCII text: one or more of 0-9
+        raise ParseError(f"bad {what}", at)
+    value = digits_to_int(digits)
+    return -value if negative else value
+
+
+def read_rational(text: str, at: int, what: str) -> Fraction:
+    """The rational written as int or int '/' int, each int as read_int
+    reads it; the denominator must be positive."""
+    num, slash, den = text.partition("/")
+    value = Fraction(read_int(num, at, what))
+    d = read_int(den, at + len(num) + 1, what) if slash else 1
+    if d <= 0:
+        raise ParseError(f"bad {what}", at + len(num) + 1)
+    return value / d
+
+
 def rational(v):
     """A rational value in canonical form: an int when integral, else v."""
     return v.numerator if v.denominator == 1 else v

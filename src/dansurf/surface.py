@@ -24,6 +24,19 @@ from .scalars import FieldSpec, Scalar
 PARAMS = ("T", "U", "S")
 
 
+def _require_hypotheses(field: FieldSpec, n: int, h: Poly, standard: bool = True):
+    """The conditions on (n, h) that do not involve deg h: n >= 2, h over the
+    field and in x alone, and for a standard spec h(0) != 0."""
+    if n < 2:
+        raise InputError(f"n must be at least 2, got {n}")
+    if h.field != field:
+        raise InputError("h is defined over a different field")
+    if not h.variables() <= {"x"}:
+        raise InputError("h must be a polynomial in x alone")
+    if standard and h.constant_value().is_zero():
+        raise InputError("h(0) must be nonzero")
+
+
 @dataclass(frozen=True)
 class RingSpec:
     """Defining data (field, n, h) of a surface ring, plus variant flags."""
@@ -35,25 +48,16 @@ class RingSpec:
     free: bool = False
 
     def __post_init__(self):
-        if self.n < 2:
-            raise InputError(f"n must be at least 2, got {self.n}")
-        if self.h.field != self.field:
-            raise InputError("h is defined over a different field")
-        if not self.h.variables() <= {"x"}:
-            raise InputError("h must be a polynomial in x alone")
+        _require_hypotheses(self.field, self.n, self.h, self.standard)
         if self.graded and self.free:
             raise InputError("a spec cannot be both graded and free")
-        if self.graded or self.free:
+        if not self.standard:
             if not self.h.is_zero():
                 raise InputError("graded and free specs require h = 0")
             return
-        if self.h.constant_value().is_zero():
-            raise InputError("h(0) must be nonzero")
         deg = self.h.degree_in("x")
         if deg >= self.n:
-            raise InputError(
-                f"deg_x(h) = {deg} >= n = {self.n}; apply reduce_presentation"
-            )
+            raise InputError(f"deg_x(h) = {deg} >= n = {self.n}; apply reduce_presentation")
 
     @property
     def standard(self) -> bool:
@@ -247,31 +251,22 @@ class RElem:
             self.spec, self.f1.substitute(bindings), self.f2.substitute(bindings)
         )
 
+    def _weighted_degrees(self, w: WeightVector) -> tuple:
+        """The weighted degrees of f1 and of z*f2 (-inf for a zero part)."""
+        d2 = self.f2.weighted_degree(w) + w.weight("z") if self.f2 else NEG_INF
+        return self.f1.weighted_degree(w), d2
+
     def weighted_degree(self, w: WeightVector):
-        d1 = self.f1.weighted_degree(w)
-        d2 = self.f2.weighted_degree(w)
-        if d2 != NEG_INF:
-            d2 = d2 + w.weight("z")
-        return max(d1, d2)
+        return max(self._weighted_degrees(w))
 
     def top_part(self, w: WeightVector, target: RingSpec = None) -> "RElem":
         """The terms achieving the weighted degree, read in `target` (default: same spec)."""
         if self.is_zero():
             raise InputError("top part of zero is undefined")
-        target = target or self.spec
-        best = self.weighted_degree(w)
-        zero = Poly.zero(self.spec.field)
-        t1, t2 = zero, zero
-        if self.f1 and self.f1.weighted_degree(w) == best:
-            t1 = self.f1.top_part(w)
-        if self.f2 and self.f2.weighted_degree(w) + w.weight("z") == best:
-            t2 = self.f2.top_part(w)
-        return RElem(target, t1, t2)
-
-    def is_monomial(self) -> bool:
-        """True when the element is a single term lambda * x^i y^j z^k ..."""
-        n1, n2 = len(self.f1.terms), len(self.f2.terms)
-        return (n1, n2) in ((1, 0), (0, 1))
+        d1, d2 = self._weighted_degrees(w)
+        best, zero = max(d1, d2), Poly.zero(self.spec.field)
+        return RElem(target or self.spec, self.f1.top_part(w) if d1 == best else zero,
+                     self.f2.top_part(w) if d2 == best else zero)
 
     def __repr__(self):
         return f"RElem({format_poly(self.to_poly())})"
@@ -324,14 +319,7 @@ def reduce_presentation(field: FieldSpec, n: int, h_raw: Poly):
     with h replaced by h - h0*x^d.  The returned record g accumulates the
     composite substitution y -> y + g(x)*z back to the original presentation.
     """
-    if n < 2:
-        raise InputError(f"n must be at least 2, got {n}")
-    if h_raw.field != field:
-        raise InputError("h over a different field")
-    if not h_raw.variables() <= {"x"}:
-        raise InputError("h must be a polynomial in x alone")
-    if h_raw.constant_value().is_zero():
-        raise InputError("h(0) must be nonzero")
+    _require_hypotheses(field, n, h_raw)
     h = h_raw
     g = Poly.zero(field)
     while h.degree_in("x") >= n:

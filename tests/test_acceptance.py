@@ -227,7 +227,8 @@ def test_criterion_4_homogenization():
         ({"x": -4, "y": 1}, "y + U + x*U^5"),
     ]
     for weights, expected in branches:
-        res = homogenize(phi, WeightVector(weights), free)
+        res = homogenize(phi, WeightVector(weights))
+        assert res.target == free
         assert res.bar.image("y") == normal_form(free, parse_poly(expected, F5))
         assert res.bar.image("x") == RElem.var(free, "x")
         assert verify_exponential(free, res.bar.images).passed
@@ -244,7 +245,8 @@ def test_criterion_4_homogenization():
             spec = RingSpec(field, n, h)
             phi = build_exponential(spec, [(1, parse_poly("1 + x^2", field))])
             graded = RingSpec(field, n, Poly.zero(field), graded=True)
-            res = homogenize(phi, w1, graded)
+            res = homogenize(phi, w1)
+            assert res.target == graded
             assert verify_exponential(graded, res.bar.images).passed
             x = RElem.var(graded, "x")
             for k in range(4):

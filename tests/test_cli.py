@@ -132,6 +132,37 @@ def test_usage_errors_exit_2():
             ["normal-form", "--ring", f"R(n=2,h=1,field={field})", "--expr", "z"]
         )
         assert (code, out) == (2, f"input error: bad field spec {field!r}: {reason} (offset 16)")
+    # integers are '-'? then 0-9 and weights -?int('/'int)?, not Python literals
+    ring = "R(n=2,h=1,field=F2)"
+    for argv, message in (
+        (["derive", "--ring", _Q2, "--map", _MAP, "--expr", "y", "--order", "\u0662"],
+         "usage error: argument --order: invalid int value: '\u0662'"),
+        (["derive", "--ring", _Q2, "--map", _MAP, "--expr", "y", "--order", "+2"],
+         "usage error: argument --order: invalid int value: '+2'"),
+        (["cancel-verify", "--n1", "\u0662", "--n2", "\u0663"],
+         "usage error: argument --n1: invalid int value: '\u0662'"),
+        (["cancel-verify", "--n1", "2", "--n2", "3_0"],
+         "usage error: argument --n2: invalid int value: '3_0'"),
+        (["exp-build", "--ring", ring, "--coeff", "0_2:1"],
+         "input error: bad exponent '0_2' in coefficient '0_2:1' (offset 0)"),
+        (["exp-build", "--ring", ring, "--coeff", "1:1", "--coeff", " 2:x"],
+         "input error: bad exponent ' 2' in coefficient ' 2:x' (offset 0)"),
+        (["normal-form", "--ring", "R(n=1_0,h=1,field=Q)", "--expr", "z"],
+         "input error: bad n value '1_0' (offset 4)"),
+        (["normal-form", "--ring", "R(n=+2,h=1,field=Q)", "--expr", "z"],
+         "input error: bad n value '+2' (offset 4)"),
+        (["homogenize", "--ring", _Q2, "--map", _MAP, "--weights", "w{x:0, y:2, z:1e0}"],
+         "input error: bad weight value '1e0' (offset 14)"),
+        (["homogenize", "--ring", _Q2, "--map", _MAP, "--weights", "w{x:0, y:2, z:1.0}"],
+         "input error: bad weight value '1.0' (offset 14)"),
+        (["homogenize", "--ring", _Q2, "--map", _MAP, "--weights", "w{x:0_0, y:2, z:1}"],
+         "input error: bad weight value '0_0' (offset 4)"),
+        (["homogenize", "--ring", _Q2, "--map", _MAP, "--weights", "w{x:0, y:2, z:1/0}"],
+         "input error: bad weight value '1/0' (offset 16)"),
+        (["homogenize", "--ring", _Q2, "--map", _MAP, "--weights", "w{x:0, y:2, z:1/-2}"],
+         "input error: bad weight value '1/-2' (offset 16)"),
+    ):
+        assert dispatch(argv) == (2, message), argv
 
 
 def test_integers_past_the_str_digit_limit():
@@ -167,6 +198,37 @@ def test_exp_build_and_degree_and_derive():
         ["derive", "--ring", ring, "--map", mapping, "--expr", "y", "--order", "2"]
     )
     assert (code, out) == (0, "x^2")
+
+
+def test_homogenize_derives_the_target():
+    # w weighs every term of the relation alike, so gr_w(R) is R itself
+    code, out = dispatch(["homogenize", "--ring", _Q2, "--map", _MAP,
+                          "--weights", "w{x:0, y:0, z:0}"])
+    assert (code, out.splitlines()[:3]) == (0, [
+        "grdeg(U) = 0", "target = R(n=2, h=1, field=Q)",
+        "bar map: x -> x; y -> x^2*U^2 + 2*z*U + y + U; z -> x^2*U + z"])
+    # the target follows from the ring and the weights; naming one is a usage error
+    code, out = dispatch(["homogenize", "--ring", _Q2, "--map", _MAP, "--weights", _W,
+                          "--target", "R(n=2,h=0,field=Q,graded)"])
+    assert (code, out) == (2, "usage error: unrecognized arguments: --target "
+                              "R(n=2,h=0,field=Q,graded)")
+
+
+def test_homogenize_stages_chain_through_the_cli():
+    # stage two reads the ring and the bar map that stage one prints
+    code, out = dispatch(["homogenize", "--ring", "R(n=3,h=1,field=Q)",
+                          "--map", "x->x; z->z+x^3*U; y->y+(2*z+1)*U+x^3*U^2",
+                          "--weights", "w{x:0, y:2, z:1}"])
+    lines = out.splitlines()
+    assert (code, lines[1]) == (0, "target = R(n=3, h=0, field=Q, graded)")
+    ring = lines[1].removeprefix("target = ")
+    bar_map = lines[2].removeprefix("bar map: ")
+    assert bar_map == "x -> x; y -> x^3*U^2 + 2*z*U + y; z -> x^3*U + z"
+    code, out = dispatch(["homogenize", "--ring", ring, "--map", bar_map,
+                          "--weights", "w{x:-1, y:3, z:0}"])
+    assert (code, out) == (0, "grdeg(U) = 3\ntarget = R(n=3, h=0, field=Q, graded)\n"
+                              f"bar map: {bar_map}\nS(x) = {{0}}\nS(y) = {{0, 1, 2}}\n"
+                              "S(z) = {0, 1}")
 
 
 def test_homogenize_command():
@@ -399,13 +461,14 @@ _INPUT_ERRORS = [
     (["homogenize", "--ring", _Q2, "--map", _MAP, "--weights", "w{x:0, y:2}"],
      "weight vector does not assign a weight to 'z'"),
     (["homogenize", "--ring", _Q2, "--map", _MAP, "--weights", "w{x:0, y:2, z:1, q:1}"],
-     "unknown variable 'q' in weight vector"),
+     "unknown variable 'q' in weight vector (offset 17)"),
     (["homogenize", "--ring", _Q2, "--map", _MAP, "--weights", "w{x:1, y:2, z:1}"],
-     "target relation x^2*y - z^2 is not homogeneous under w{z:1, y:2, x:1}"),
+     "the top part x^2*y of the relation under w{z:1, y:2, x:1} is neither the relation "
+     "nor x^2*y - z^2"),
     (["homogenize", "--ring", _Q2, "--map", "x->x; y->y; z->z", "--weights", _W],
      "the map is trivial; no derivation coefficient is nonzero"),
-    (["homogenize", "--ring", _Q2, "--map", _MAP, "--weights", _W,
-      "--target", "R(n=2,h=0,field=F2,graded)"], "target over a different field"),
+    (["homogenize", "--ring", _Q2, "--map", _MAP, "--weights", "w{x:3, y:2, z:1, x:0}"],
+     "repeated weight for x (offset 17)"),
     (["iso-check", "--left", _Q2, "--right", "R(n=2,h=1,field=F3)"],
      "rings over different fields"),
     (["normal-form", "--ring", "R(n=0,h=1,field=Q)", "--expr", "z"],
@@ -445,10 +508,8 @@ _VERIFICATION_FAILURES = [
      f"relation: FAIL {_BAD_RELATION}\naxiom_i: PASS\naxiom_ii: PASS\nfailed"),
     (["exp-degree", "--ring", _Q2, "--map", _BAD_MAP, "--expr", "y"],
      f"error: candidate images are not an exponential map: relation: {_BAD_RELATION}"),
-    (["homogenize", "--ring", _Q2, "--map", _MAP, "--weights", _W,
-      "--target", "R(n=3,h=0,field=Q,graded)"],
-     "error: homogenized map failed verification: relation: image of the relation is "
-     "x^5*U^2 - x^4*U^2 + 2*x^3*z*U - 2*x^2*z*U, not 0"),
+    (["homogenize", "--ring", _Q2, "--map", _BAD_MAP, "--weights", _W],
+     f"error: candidate images are not an exponential map: relation: {_BAD_RELATION}"),
 ]
 
 

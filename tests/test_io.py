@@ -71,6 +71,27 @@ def test_parse_errors_carry_offsets():
     with pytest.raises(ParseError) as exc:
         parse_weights("w{x:0, y:2, z:\u0661}")
     assert exc.value.offset == 14
+    # weight keys are variables named once; numbers are not Python literals
+    for text, message, offset in (
+        ("w{x:0, y:2, z:1, q:1}", "unknown variable 'q' in weight vector", 17),
+        ("w{x:3, y:2, z:1, x:0}", "repeated weight for x", 17),
+        ("w{x:0, y:2, Z:1, z:1}", "repeated weight for z", 17),
+        ("w{x:0, y:2, z:1e0}", "bad weight value '1e0'", 14),
+        ("w{x:0, y:2, z: 1.0}", "bad weight value '1.0'", 15),
+        ("w{x:0_0, y:2, z:1}", "bad weight value '0_0'", 4),
+        ("w{x:0, y:2, z:1/+2}", "bad weight value '1/+2'", 16),
+        ("w{x:0, y:2, z:/2}", "bad weight value '/2'", 14),
+    ):
+        with pytest.raises(ParseError) as exc:
+            parse_weights(text)
+        assert (exc.value.message, exc.value.offset) == (message, offset), text
+    assert parse_weights("w{x:-1/3, Y:2, z:0}") == WeightVector(
+        {"x": Fraction(-1, 3), "y": 2, "z": 0})
+    for text, offset in (("R(n=1_0,h=1,field=Q)", 4), ("R(n= +2,h=1,field=Q)", 5),
+                         ("R(n=2.0,h=1,field=Q)", 4)):
+        with pytest.raises(ParseError, match="bad n value") as exc:
+            parse_ring_spec(text)
+        assert exc.value.offset == offset, text
     spec = standard_spec(Q)
     with pytest.raises(ParseError) as exc:
         parse_generator_map("x->x; z->z+*x; y->y", spec)

@@ -173,10 +173,15 @@ def test_reduce_presentation_multi_step():
 
 
 def test_reduce_presentation_preconditions():
-    with pytest.raises(AlgebraError):
+    # the hypotheses RingSpec checks, with the same messages
+    with pytest.raises(InputError, match=r"^h\(0\) must be nonzero$"):
         reduce_presentation(Q, 2, parse_poly("x", Q))
-    with pytest.raises(AlgebraError):
+    with pytest.raises(InputError, match="^n must be at least 2, got 1$"):
         reduce_presentation(Q, 1, parse_poly("1", Q))
+    with pytest.raises(InputError, match="^h is defined over a different field$"):
+        reduce_presentation(Q, 2, parse_poly("1 + x^3", F3))
+    with pytest.raises(InputError, match="^h must be a polynomial in x alone$"):
+        reduce_presentation(Q, 2, parse_poly("1 + y", Q))
 
 
 def test_free_spec_rejects_z_square():
