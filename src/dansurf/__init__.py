@@ -57,6 +57,7 @@ from .scalars import FieldSpec, Scalar, binom, nth_roots
 from .surface import (
     RElem,
     RingSpec,
+    forced_y,
     normal_form,
     r_x_divide,
     reduce_presentation,

@@ -27,7 +27,7 @@ from .errors import AlgebraError, InputError, NotCanonicalShape, ParseError
 from .ioformats import _offset, _strip, parse_poly, parse_scalar
 from .polyring import Poly, format_poly
 from .scalars import FieldSpec, Scalar, nth_roots
-from .surface import RElem, RingSpec, apply_images, r_x_divide, substitute_poly
+from .surface import RElem, RingSpec, apply_images, forced_y, substitute_poly
 
 
 def _require_standard(spec: RingSpec):
@@ -61,15 +61,12 @@ class Automorphism:
             raise InputError("sigma must be +1 or -1")
         if not self.f.variables() <= {"x"}:
             raise InputError("f must be a polynomial in x alone")
-        h = spec.h
-        if h.substitute({"x": _mu_x(spec, self.mu)}) != h:
+        if spec.h.substitute({"x": _mu_x(spec, self.mu)}) != spec.h:
             raise InputError(f"h({self.mu}*x) != h(x)")
-        if self.sigma == 1:
-            if _low_part(self.f, spec.n):
-                raise InputError("sigma = +1 requires f = 0 mod x^n")
-        else:
-            if _low_part(self.f + h, spec.n):
-                raise InputError("sigma = -1 requires f = -h mod x^n")
+        if self.sigma == 1 and _low_part(self.f, spec.n):
+            raise InputError("sigma = +1 requires f = 0 mod x^n")
+        if self.sigma == -1 and _low_part(self.f + spec.h, spec.n):
+            raise InputError("sigma = -1 requires f = -h mod x^n")
 
     def image_x(self) -> RElem:
         return RElem.var(self.spec, "x").scale(self.mu)
@@ -80,12 +77,7 @@ class Automorphism:
         )
 
     def image_y(self) -> RElem:
-        """Solve the relation: y-image = mu^-n x^-n (alpha(z)^2 + h(mu x) alpha(z))."""
-        spec = self.spec
-        az = self.image_z()
-        h_mu = spec.h.substitute({"x": _mu_x(spec, self.mu)})
-        t = az * az + RElem(spec, h_mu, Poly.zero(spec.field)) * az
-        return r_x_divide(t, spec.n).scale(self.mu.inv() ** spec.n)
+        return forced_y(self.spec, self.mu, self.image_z())
 
     def images(self) -> dict:
         return {"x": self.image_x(), "y": self.image_y(), "z": self.image_z()}
@@ -159,6 +151,7 @@ def from_images(spec: RingSpec, images: dict) -> Automorphism:
     congruence), so a candidate like z -> z + x fails with NotCanonicalShape;
     relation preservation and invertibility are checked afterwards.
     """
+    _require_standard(spec)
     for var in ("x", "y", "z"):
         if var not in images:
             raise InputError(f"missing image of {var}")
@@ -171,41 +164,18 @@ def from_images(spec: RingSpec, images: dict) -> Automorphism:
         raise NotCanonicalShape(f"x-image {ix} is not of the form mu*x")
     mu = ix.f1.terms[x_mono]
 
-    h = spec.h
-    if h.substitute({"x": _mu_x(spec, mu)}) != h:
-        raise NotCanonicalShape(f"h({mu}*x) != h(x)")
-
     iz = images["z"]
     if not iz.f2.is_constant() or iz.f2.is_zero():
         raise NotCanonicalShape(f"z-image {iz} is not of the form sigma*z + f(x)")
     lam = iz.f2.constant_value()
-    f = iz.f1
-    if not f.variables() <= {"x"}:
-        raise NotCanonicalShape("the z-shift must be a polynomial in x alone")
-    p = spec.field.characteristic
-    if p == 2:
-        if lam != 1:
-            raise NotCanonicalShape(f"z-coefficient {lam} is not a sign")
-        if not _low_part(f, spec.n):
-            sigma = 1
-        elif not _low_part(f + h, spec.n):
-            sigma = -1
-        else:
-            raise NotCanonicalShape("f matches neither 0 nor -h mod x^n")
-    else:
-        if lam == 1:
-            sigma = 1
-        elif lam == -1:
-            sigma = -1
-        else:
-            raise NotCanonicalShape(f"z-coefficient {lam} is not +-1")
-        target = _low_part(f, spec.n) if sigma == 1 else _low_part(f + h, spec.n)
-        if target:
-            raise NotCanonicalShape(
-                "f = 0 mod x^n fails" if sigma == 1 else "f = -h mod x^n fails"
-            )
-
-    candidate = Automorphism(spec, mu, sigma, f)
+    # in characteristic 2, where 1 = -1, only f = 0 mod x^n marks a shear
+    if lam not in (1, -1):
+        raise NotCanonicalShape(f"z-coefficient {lam} is not +-1")
+    sigma = 1 if lam == 1 and not (lam == -1 and _low_part(iz.f1, spec.n)) else -1
+    try:
+        candidate = Automorphism(spec, mu, sigma, iz.f1)
+    except InputError as exc:
+        raise NotCanonicalShape(str(exc)) from None
 
     rel = spec.relation()
     if not substitute_poly(spec, rel, images).is_zero():

@@ -31,6 +31,8 @@ from .expmaps import (
 )
 from .grading import homogenize
 from .ioformats import (
+    MAX_EXPONENT,
+    _offset,
     format_aut_word,
     format_generator_map,
     format_relem,
@@ -112,6 +114,10 @@ def _cmd_exp_build(args):
         if not colon:
             raise ParseError(f"coefficient {item!r} must look like E:POLY", 0)
         e = read_int(e_text, 0, f"exponent {e_text!r} in coefficient {item!r}")
+        if e > MAX_EXPONENT:  # worded as the grammar words its exponents
+            digits = len(e_text.lstrip("0"))
+            size = e if digits <= len(str(MAX_EXPONENT)) else f"of {digits} digits"
+            raise ParseError(f"exponent {size} exceeds {MAX_EXPONENT}", 0)
         coeffs.append((e, parse_poly(poly_text, spec.field)))
     text = format_generator_map(build_exponential(spec, coeffs).images)
     return _Outcome({"ring": spec, "coeff": args.coeff}, text, text)
@@ -144,8 +150,12 @@ def _cmd_derive(args):
 
 def _cmd_homogenize(args):
     spec = parse_ring_spec(args.ring)
-    phi = make_exponential(spec, parse_generator_map(args.map, spec))
-    result = homogenize(phi, parse_weights(args.weights))
+    images = parse_generator_map(args.map, spec)
+    w = parse_weights(args.weights)
+    with _offset(args.weights.rindex("}")):  # every carrier needs a weight
+        for var in sorted(images, key="xyzT".index):
+            w.weight(var)
+    result = homogenize(make_exponential(spec, images), w)
     bar_map = format_generator_map(result.bar.images)
     lines = [
         f"grdeg(U) = {result.parameter_weight}",

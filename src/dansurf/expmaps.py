@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import AlgebraError, InputError, StepLimit
 from .polyring import Poly, power
-from .surface import RElem, RingSpec, apply_images, r_x_divide, substitute_poly
+from .surface import RElem, RingSpec, apply_images, forced_y, substitute_poly
 
 
 @dataclass(frozen=True)
@@ -120,21 +120,14 @@ def _legal_exponent(e: int, p: int) -> bool:
 
 
 def solve_generator_images(spec: RingSpec, image_z: RElem) -> dict:
-    """Given phi(x) = x and a candidate phi(z), solve the relation for phi(y).
-
-    Applying phi to x^n y = z^2 + h(x) z gives x^n phi(y) = phi(z)^2 +
-    h(x) phi(z); the right-hand side must be exactly divisible by x^n, and
-    the quotient is phi(y).  NotDivisible here means the candidate z-image
-    breaks the relation.
-    """
+    """Given phi(x) = x and a candidate phi(z), the images with the phi(y)
+    that the relation forces (surface.forced_y with mu = 1).  NotDivisible
+    here means the candidate z-image breaks the relation."""
     if not spec.standard and not spec.graded:
         raise InputError("relation solving needs a spec with a relation")
-    h_elem = RElem(spec, spec.h, Poly.zero(spec.field))
-    rhs = image_z * image_z + h_elem * image_z
-    image_y = r_x_divide(rhs, spec.n)
     return {
         "x": RElem.var(spec, "x"),
-        "y": image_y,
+        "y": forced_y(spec, spec.field.one, image_z),
         "z": image_z,
     }
 

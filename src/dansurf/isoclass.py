@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .errors import AlgebraError, InputError
 from .polyring import Poly
 from .scalars import Scalar, nth_roots
-from .surface import RElem, RingSpec, substitute_poly
+from .surface import RElem, RingSpec, forced_y, substitute_poly
 
 
 @dataclass(frozen=True)
@@ -91,17 +91,17 @@ def classify(spec1: RingSpec, spec2: RingSpec) -> IsoVerdict:
 
 
 def witness(spec1: RingSpec, spec2: RingSpec, verdict: IsoVerdict) -> dict:
-    """The isomorphism x -> mu x, y -> eta^-2 mu^-n y, z -> eta^-1 z, as images
-    of the generators of R_1 inside R_2.  The relation of R_1 is checked to
-    map to zero before returning."""
+    """The isomorphism x -> mu x, z -> eta^-1 z with the y-image eta^-2 mu^-n y
+    that the relation of R_1 forces, as images of the generators of R_1 in
+    R_2.  The relation of R_1 is checked to map to zero before returning."""
     if not verdict.isomorphic:
         raise InputError("witness requires a positive verdict")
     eta, mu = verdict.eta, verdict.mu
-    n = spec1.n
+    image_z = RElem.var(spec2, "z").scale(eta.inv())
     images = {
         "x": RElem.var(spec2, "x").scale(mu),
-        "y": RElem.var(spec2, "y").scale(eta.inv() ** 2 * mu.inv() ** n),
-        "z": RElem.var(spec2, "z").scale(eta.inv()),
+        "y": forced_y(spec1, mu, image_z),
+        "z": image_z,
     }
     mapped = substitute_poly(spec2, spec1.relation(), images)
     if not mapped.is_zero():

@@ -276,26 +276,15 @@ class RElem:
 
 
 def normal_form(spec: RingSpec, p: Poly) -> RElem:
-    """Rewrite z^2 -> x^n*y - h*z until the z-degree drops below 2.
+    """Rewrite z^2 -> x^n*y - h*z until the z-degree drops below 2: the
+    substitution that binds every variable to itself does exactly that.
 
     Each rewrite strictly lowers the z-degree, so the procedure terminates
     and the result does not depend on the rewrite order.
     """
-    if p.field != spec.field:
-        raise InputError("polynomial over a different field")
-    zdeg = p.degree_in("z")
-    if zdeg == NEG_INF:
-        return RElem.zero(spec)
-    if spec.free and zdeg >= 2:
+    if spec.free and p.degree_in("z") >= 2:
         raise InputError("free spec admits no z^2 reduction")
-    zero = Poly.zero(spec.field)
-    result = RElem(spec, p.coeff_of("z", 0), zero)
-    z_powers = {1: RElem.var(spec, "z")}
-    for k in range(1, int(zdeg) + 1):
-        c = p.coeff_of("z", k)
-        if c:
-            result = result + RElem(spec, c, zero) * power(z_powers, k)
-    return result
+    return substitute_poly(spec, p, {})
 
 
 def r_x_divide(a: RElem, m: int) -> RElem:
@@ -309,6 +298,15 @@ def r_x_divide(a: RElem, m: int) -> RElem:
     except NotDivisible as exc:
         raise NotDivisible(f"z component: {exc}") from None
     return RElem(a.spec, f1, f2)
+
+
+def forced_y(source: RingSpec, mu: Scalar, image_z: RElem) -> RElem:
+    """The y-image that the relation of `source` forces under x -> mu*x, z ->
+    image_z, in the ring of image_z: (mu*x)^n y' = image_z^2 + h(mu*x) image_z.
+    NotDivisible means image_z breaks the relation."""
+    h_mu = source.h.substitute({"x": Poly.variable(source.field, "x").scale(mu)})
+    rhs = image_z * (image_z + RElem(image_z.spec, h_mu, Poly.zero(source.field)))
+    return r_x_divide(rhs, source.n).scale(mu.inv() ** source.n)
 
 
 def reduce_presentation(field: FieldSpec, n: int, h_raw: Poly):

@@ -367,7 +367,10 @@ def test_criterion_6_isomorphism_classifier():
                 assert v.isomorphic == o.isomorphic, (s1, s2)
                 if v.isomorphic:
                     assert (v.eta, v.mu) == (o.eta, o.mu), (s1, s2)
-                    witness(s1, s2, v)  # raises if the relation breaks
+                    images = witness(s1, s2, v)  # raises if the relation breaks
+                    # the forced y-image is the closed form eta^-2 mu^-n y
+                    closed = RElem.var(s2, "y").scale(v.eta.inv() ** 2 * v.mu.inv() ** s1.n)
+                    assert images["y"] == closed, (s1, s2)
                 pairs += 1
     assert pairs >= 36 + 576 + 14400
 

@@ -4,7 +4,9 @@ from dansurf import (
     AlgebraError,
     InputError,
     NotCanonicalShape,
+    Poly,
     RElem,
+    RingSpec,
     build_exponential,
     compose,
     decompose,
@@ -182,6 +184,27 @@ def test_from_images_rejects_wrong_y():
     with pytest.raises(AlgebraError, match="images do not preserve the defining relation") as exc:
         from_images(SPEC21, images)
     assert type(exc.value) is AlgebraError
+
+
+@pytest.mark.parametrize("field, h, x_image, z_image, message", [
+    (Q, "1", "x", "z + x^2*y", "f must be a polynomial in x alone"),
+    (Q, "1 + x", "2*x", "z", "h(2*x) != h(x)"),
+    (F5, "1", "x", "2*z", "z-coefficient 2 is not +-1"),
+    (F2, "1", "x", "z + x", "sigma = -1 requires f = -h mod x^n"),
+], ids=["shift-with-y", "h-not-invariant", "lam-not-a-sign", "char2-neither"])
+def test_from_images_rejects_what_the_constructor_checks(field, h, x_image, z_image, message):
+    spec = standard_spec(field, 2, h)
+    images = {"x": NF(spec, x_image), "y": RElem.var(spec, "y"), "z": NF(spec, z_image)}
+    with pytest.raises(NotCanonicalShape) as exc:
+        from_images(spec, images)
+    assert str(exc.value) == message
+
+
+def test_from_images_needs_a_standard_spec():
+    spec = RingSpec(Q, 2, Poly.zero(Q), graded=True)
+    images = {v: RElem.var(spec, v) for v in ("x", "y", "z")}
+    with pytest.raises(InputError, match="automorphism triples are defined for standard specs"):
+        from_images(spec, images)
 
 
 def test_from_images_char2_distinguishes_shear_from_involution():

@@ -163,6 +163,24 @@ def test_usage_errors_exit_2():
          "input error: bad weight value '1/-2' (offset 16)"),
     ):
         assert dispatch(argv) == (2, message), argv
+    # --coeff exponents are bounded like the grammar's; 2^1100 used to recurse
+    # once per binary digit in the Frobenius chain and overflow the stack
+    for e, message in ((2**1100, "exponent of 332 digits exceeds 1000000"),
+                       (2**200, "exponent of 61 digits exceeds 1000000"),
+                       (2**20, "exponent 1048576 exceeds 1000000")):
+        argv = ["exp-build", "--ring", ring, "--coeff", f"{e}:1"]
+        assert dispatch(argv) == (2, f"input error: {message} (offset 0)"), e
+    code, out = dispatch(["exp-build", "--ring", ring, "--coeff", f"{2**19}:1"])
+    assert (code, out) == (0, "x -> x; y -> x^2*U^1048576 + U^524288 + y; z -> x^2*U^524288 + z")
+    # the weight vector must weigh every variable the map carries, in x, y, z,
+    # T order; a missing one is reported at the closing brace, before the map
+    # is verified
+    for weights, mapping, var, offset in (("w{}", _MAP + "; T->T", "x", 2),
+                                          ("w{x:0, y:2}", _BAD_MAP, "z", 10),
+                                          ("w{x:0, y:2, z:1}", _MAP + "; T->T", "T", 15)):
+        argv = ["homogenize", "--ring", _Q2, "--map", mapping, "--weights", weights]
+        assert dispatch(argv) == (2, "input error: weight vector does not assign a weight "
+                                     f"to {var!r} (offset {offset})"), weights
 
 
 def test_integers_past_the_str_digit_limit():
@@ -459,7 +477,7 @@ _INPUT_ERRORS = [
     (["aut-compose", "--ring", "R(n=2,h=1+x,field=Q)", "--word", "T * L(-1)"],
      "h(-1*x) != h(x) (offset 4)"),
     (["homogenize", "--ring", _Q2, "--map", _MAP, "--weights", "w{x:0, y:2}"],
-     "weight vector does not assign a weight to 'z'"),
+     "weight vector does not assign a weight to 'z' (offset 10)"),
     (["homogenize", "--ring", _Q2, "--map", _MAP, "--weights", "w{x:0, y:2, z:1, q:1}"],
      "unknown variable 'q' in weight vector (offset 17)"),
     (["homogenize", "--ring", _Q2, "--map", _MAP, "--weights", "w{x:1, y:2, z:1}"],

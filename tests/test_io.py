@@ -14,6 +14,7 @@ from dansurf import (
     scaling,
     shear,
 )
+from dansurf.cli import dispatch
 from dansurf.ioformats import MAX_NESTING, format_generator_map
 from dansurf.polyring import format_poly
 from fractions import Fraction
@@ -92,6 +93,15 @@ def test_parse_errors_carry_offsets():
         with pytest.raises(ParseError, match="bad n value") as exc:
             parse_ring_spec(text)
         assert exc.value.offset == offset, text
+    # a --coeff exponent past the bound is worded as the grammar words U^E,
+    # at the start of its item
+    for e_text, message in (("0001048576", "exponent 1048576 exceeds 1000000"),
+                            ("1" + "0" * 5000, "exponent of 5001 digits exceeds 1000000")):
+        with pytest.raises(ParseError) as exc:
+            parse_poly("U^" + e_text, Q)
+        assert (exc.value.message, exc.value.offset) == (message, 2)
+        argv = ["exp-build", "--ring", "R(n=2,h=1,field=Q)", "--coeff", e_text + ":1"]
+        assert dispatch(argv) == (2, f"input error: {message} (offset 0)")
     spec = standard_spec(Q)
     with pytest.raises(ParseError) as exc:
         parse_generator_map("x->x; z->z+*x; y->y", spec)
