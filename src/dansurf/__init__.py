@@ -27,7 +27,6 @@ from .errors import (
     NotCanonicalShape,
     NotDivisible,
     ParseError,
-    StepLimit,
 )
 from .expmaps import (
     ExponentialMap,

@@ -118,6 +118,9 @@ def _cmd_exp_build(args):
             digits = len(e_text.lstrip("0"))
             size = e if digits <= len(str(MAX_EXPONENT)) else f"of {digits} digits"
             raise ParseError(f"exponent {size} exceeds {MAX_EXPONENT}", 0)
+        if 2 * e > MAX_EXPONENT:  # so that the printed map parses back
+            raise ParseError(f"exponent {e} exceeds {MAX_EXPONENT // 2}, as the y-image "
+                             f"would carry U^{2 * e}", 0)
         coeffs.append((e, parse_poly(poly_text, spec.field)))
     text = format_generator_map(build_exponential(spec, coeffs).images)
     return _Outcome({"ring": spec, "coeff": args.coeff}, text, text)

@@ -29,7 +29,3 @@ class NotDivisible(AlgebraError):
 
 class NotCanonicalShape(AlgebraError):
     """Candidate images do not have the shape x -> mu*x, z -> (+-)z + f(x)."""
-
-
-class StepLimit(AlgebraError):
-    """Iteration guard tripped; the recursion did not terminate in time."""

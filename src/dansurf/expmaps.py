@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import AlgebraError, InputError, StepLimit
-from .polyring import Poly, power
+from .errors import AlgebraError, InputError
+from .polyring import Poly
 from .surface import RElem, RingSpec, apply_images, forced_y, substitute_poly
 
 
@@ -232,7 +232,7 @@ def derivation(phi: ExponentialMap, i: int, a: RElem) -> RElem:
     """D^i(a): the U^i-coefficient of phi(a).  D^0 is the identity."""
     if i < 0:
         raise InputError("derivation index must be a natural number")
-    return phi.apply(a).coeff_of("U", i)
+    return phi.apply(a).u_coefficients().get(i, RElem.zero(phi.spec))
 
 
 def degree(phi: ExponentialMap, a: RElem):
@@ -263,34 +263,18 @@ def evaluate_at_one(phi: ExponentialMap) -> dict:
     return at_one
 
 
-def expand_in_slice(phi: ExponentialMap, s: RElem, a: RElem, max_steps: int = 64):
+def expand_in_slice(phi: ExponentialMap, s: RElem, a: RElem):
     """Write a = sum a_l s^l with every coefficient a_l invariant.
 
-    Requires phi(s) = s + U (so s has degree 1 and D^1(s) = 1).  The
-    recursion subtracts D^d(a) * s^d where d = deg_phi(a); each step strictly
-    lowers the degree, and D^d(a) is invariant because deg_phi(D^d(a)) <=
-    deg_phi(a) - d.  Each step applies phi once: the image gives the degree,
-    D^d and the check that the degree dropped.  Returns (coefficient, power)
-    pairs in ascending power order, nonzero coefficients only.
+    Requires phi(s) = s + U.  Then phi(a) = sum a_l (s + U)^l, and the shift
+    U -> U - s, a ring automorphism of R[U] in every characteristic, turns
+    it into sum a_l U^l: the a_l are the U-coefficients of the shifted
+    image, and a_0 = phi(a) at U = -s is the Dixmier map.  Returns
+    (coefficient, power) pairs in ascending power order, nonzero
+    coefficients only.
     """
-    if phi.apply(s) != s + RElem.var(phi.spec, "U"):
+    u = RElem.var(phi.spec, "U")
+    if phi.apply(s) != s + u:
         raise AlgebraError(f"phi({s}) != {s} + U; the element is not a slice")
-    s_powers = {1: s}
-    coeffs = []
-    current = a
-    while current:
-        image = phi.apply(current)
-        d = image.degree_in("U")
-        if coeffs and d >= coeffs[-1][1]:
-            raise AlgebraError("internal error: slice recursion failed to reduce degree")
-        if len(coeffs) >= max_steps:
-            raise StepLimit(f"no termination within {max_steps} steps")
-        if d <= 0:
-            coeffs.append((current, 0))
-            break
-        d = int(d)
-        c_d = image.coeff_of("U", d)
-        coeffs.append((c_d, d))
-        current = current - c_d * power(s_powers, d)
-    coeffs.reverse()
-    return coeffs
+    shifted = apply_images(phi.spec, {"U": u - s}, phi.apply(a))
+    return [(c, l) for l, c in shifted.u_coefficients().items()]

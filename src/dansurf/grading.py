@@ -34,13 +34,11 @@ def _coefficients(phi: ExponentialMap, w: WeightVector):
         img = phi.image(g)
         g_weight = RElem.var(phi.spec, g).weighted_degree(w)
         coeffs = []
-        for i in range(int(img.degree_in("U")) + 1):
-            di = img.coeff_of("U", i)
-            if di:
-                d_weight = di.weighted_degree(w)
-                coeffs.append((i, di, d_weight))
-                if i:
-                    candidates.append(Fraction(g_weight - d_weight, i))
+        for i, di in img.u_coefficients().items():
+            d_weight = di.weighted_degree(w)
+            coeffs.append((i, di, d_weight))
+            if i:
+                candidates.append(Fraction(g_weight - d_weight, i))
         table[g] = (g_weight, coeffs)
     if not candidates:
         raise InputError("the map is trivial; no derivation coefficient is nonzero")

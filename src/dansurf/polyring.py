@@ -352,7 +352,7 @@ def reduce_raw(field: FieldSpec, acc: dict) -> dict:
 
 
 def power(memo: dict, e: int):
-    """base^e (e >= 1) for memo = {1: base, ...}; every power formed is memoised.
+    """base^e (e >= 1) for memo = {1: base, ...}, memoised.
 
     In characteristic p, from e = 2p on, base^e = frobenius(base^(e // p)) *
     base^(e % p): the p-th power of a sum is the sum of the p-th powers, so
@@ -361,8 +361,9 @@ def power(memo: dict, e: int):
     forms z^p without recursing into frobenius().
     Powers of a base that is dense_over_q() are dense, and a product by the
     small base costs less than a square (Fateman, Stud. Appl. Math. 53,
-    1974), so it steps up from its largest memoised power.  Any other base
-    steps from e - 1 when that power is memoised and squares otherwise.
+    1974), so it steps up from its largest memoised power below e and keeps
+    only base^e (ask in ascending order).  Any other base steps from e - 1
+    when that power is memoised and squares otherwise.
     """
     if e not in memo:
         base = memo[1]
@@ -372,8 +373,11 @@ def power(memo: dict, e: int):
             frob = power(memo, q).frobenius()
             memo[e] = frob * power(memo, r) if r else frob
         elif base.dense_over_q():
-            for k in range(max(memo), e):
-                memo[k + 1] = memo[k] * base
+            k = max(k for k in memo if k < e)
+            acc = memo[k]
+            for _ in range(k, e):
+                acc = acc * base
+            memo[e] = acc
         elif e - 1 in memo:
             memo[e] = memo[e - 1] * base
         elif e % 2:
@@ -391,8 +395,10 @@ def substitute_terms(p: Poly, images: dict, parts) -> list:
     are grouped by their exponents in the bound variables; each group's
     memoised bound powers are multiplied together, and its free part times
     each component of that product is folded into one raw accumulator per
-    component.  A variable whose image is the variable itself stays free,
-    except z, so that a free part is a z-free first component."""
+    component; a dense_over_q() image's powers are formed first, in
+    ascending order, so that no stepping chain is walked twice.  A variable
+    whose image is itself stays free, except z, so that a free part is a
+    z-free first component."""
     field = p.field
     width, bound = 1, []
     for var, img in images.items():
@@ -407,6 +413,11 @@ def substitute_terms(p: Poly, images: dict, parts) -> list:
         for i, _ in bound:
             free[i] = 0
         groups.setdefault(tuple([m[i] for i, _ in bound]), {})[tuple(free)] = c
+    for j, (_, memo) in enumerate(bound):
+        if memo[1].dense_over_q():
+            for e in sorted({exps[j] for exps in groups}):
+                if e:
+                    power(memo, e)
     accs = [{} for _ in range(width)]
     for exps, free in groups.items():
         product = None

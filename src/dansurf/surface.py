@@ -234,9 +234,16 @@ class RElem:
     def to_poly(self) -> Poly:
         return self.f1 + Poly.variable(self.spec.field, "z") * self.f2
 
-    def coeff_of(self, var: str, i: int) -> "RElem":
-        """The coefficient of var^i for a parameter var (T, U, or S)."""
-        return RElem._trusted(self.spec, self.f1.coeff_of(var, i), self.f2.coeff_of(var, i))
+    def u_coefficients(self) -> dict:
+        """{i: the U^i-coefficient} over the nonzero ones, in ascending i,
+        read from both components in one walk."""
+        parts = {}
+        for k, poly in enumerate((self.f1, self.f2)):
+            for (a0, a1, a2, a3, i, a5), c in poly.terms.items():
+                parts.setdefault(i, ({}, {}))[k][a0, a1, a2, a3, 0, a5] = c
+        field = self.spec.field
+        return {i: RElem._trusted(self.spec, Poly(field, parts[i][0]), Poly(field, parts[i][1]))
+                for i in sorted(parts)}
 
     def degree_in(self, var: str):
         """Degree in a parameter (T, U, or S) across both components."""

@@ -115,8 +115,9 @@ def test_expand_slice_itself():
     assert parts == [(RElem.one(w.spec2), 1)]
 
 
-def test_expand_in_slice_applies_once_per_step(monkeypatch):
-    # one application for the slice check, then one per recursion step
+def test_expand_in_slice_applies_twice(monkeypatch):
+    # one application for the slice check and one for the image that the
+    # shift U -> U - s expands, whatever the degree
     w = build_witness(Q, 2, 3)
     spec = w.spec2
     calls = []
@@ -127,19 +128,31 @@ def test_expand_in_slice_applies_once_per_step(monkeypatch):
         return original(phi, a)
 
     monkeypatch.setattr(ExponentialMap, "apply", counting)
-    for a in (RElem.var(spec, "T") ** 2, RElem.var(spec, "y") * RElem.var(spec, "z"), w.s):
+    for a in (RElem.var(spec, "T") ** 2, RElem.var(spec, "y") * RElem.var(spec, "z"), w.s,
+              RElem.var(spec, "T") ** 5):
         calls.clear()
-        parts = expand_in_slice(w.phi, w.s, a)
-        assert len(calls) == 1 + len(parts)
+        expand_in_slice(w.phi, w.s, a)
+        assert len(calls) == 2
 
 
-def test_expand_step_limit_guard():
-    from dansurf import StepLimit
-
-    w = build_witness(Q, 2, 3)
-    t = RElem.var(w.spec2, "T")
-    with pytest.raises(StepLimit):
-        expand_in_slice(w.phi, w.s, t * t, max_steps=1)
+@pytest.mark.parametrize("field", [Q, F2, F3, F5], ids=lambda f: f.label)
+@pytest.mark.parametrize("n1, n2", [(2, 3), (2, 4), (3, 4), (3, 5)])
+def test_expand_in_slice_known_answer(field, n1, n2):
+    # a = sum c_l s^l with chosen invariants c_l, polynomials in x1, y1, z1:
+    # the expansion returns exactly the nonzero (c_l, l), ascending
+    w = build_witness(field, n1, n2)
+    x1, y1, z1 = w.x1, w.y1, w.z1
+    choices = (
+        [(2 * x1 + 1, 0), (z1, 1), (y1 - x1 * z1, 2)],
+        [(x1**2 * y1, 1), (3 * z1 + 1, 3)],
+        [(z1 * z1 - 2, 0), (x1, 1), (y1, 2), (1 + x1 * y1, 3)],
+    )
+    for chosen in choices:
+        expected = [(c, l) for c, l in chosen if c]
+        a = RElem.zero(w.spec2)
+        for c, l in expected:
+            a = a + c * w.s**l
+        assert expand_in_slice(w.phi, w.s, a) == expected
 
 
 def test_tampered_witness_fails_invariance():

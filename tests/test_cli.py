@@ -170,8 +170,11 @@ def test_usage_errors_exit_2():
                        (2**20, "exponent 1048576 exceeds 1000000")):
         argv = ["exp-build", "--ring", ring, "--coeff", f"{e}:1"]
         assert dispatch(argv) == (2, f"input error: {message} (offset 0)"), e
+    # the y-image carries U^(2E), so E above 500000 would print a map that
+    # does not parse back
     code, out = dispatch(["exp-build", "--ring", ring, "--coeff", f"{2**19}:1"])
-    assert (code, out) == (0, "x -> x; y -> x^2*U^1048576 + U^524288 + y; z -> x^2*U^524288 + z")
+    assert (code, out) == (2, "input error: exponent 524288 exceeds 500000, as the y-image "
+                              "would carry U^1048576 (offset 0)")
     # the weight vector must weigh every variable the map carries, in x, y, z,
     # T order; a missing one is reported at the closing brace, before the map
     # is verified
@@ -181,6 +184,19 @@ def test_usage_errors_exit_2():
         argv = ["homogenize", "--ring", _Q2, "--map", mapping, "--weights", weights]
         assert dispatch(argv) == (2, "input error: weight vector does not assign a weight "
                                      f"to {var!r} (offset {offset})"), weights
+
+
+@pytest.mark.parametrize("p, k", [(2, 18), (3, 11), (5, 8)])
+def test_largest_exp_build_power_parses_back(p, k):
+    # p^k is the largest power of p at most 500000; its printed map goes
+    # back in through exp-verify
+    assert p**k <= 500000 < p ** (k + 1)
+    ring = f"R(n=2,h=1,field=F{p})"
+    code, out = dispatch(["exp-build", "--ring", ring, "--coeff", f"{p**k}:1"])
+    assert code == 0, out
+    assert f"U^{2 * p**k}" in out
+    assert dispatch(["exp-verify", "--ring", ring, "--map", out]) == (
+        0, "relation: PASS\naxiom_i: PASS\naxiom_ii: PASS\nverified")
 
 
 def test_integers_past_the_str_digit_limit():
@@ -551,7 +567,6 @@ def test_error_taxonomy(monkeypatch):
         "ParseError": (errors.InputError,),
         "NotDivisible": (errors.AlgebraError,),
         "NotCanonicalShape": (errors.AlgebraError,),
-        "StepLimit": (errors.AlgebraError,),
     }
     for cls in classes.values():
         exc = cls("boom", 3) if cls is errors.ParseError else cls("boom")

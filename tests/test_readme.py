@@ -1,12 +1,15 @@
-"""The CLI examples in README.md run as shown.
+"""The CLI examples and the library quick start in README.md run as shown.
 
 Each `dansurf ...` command of the sh block under `## CLI` (with its `\\`
 continuations joined) goes through `dispatch`; it must exit 0, and its
 output must open with the `# ...` lines printed under it.  A literal
 `# ...` line ends the shown part; without one, the lines are the whole
-output.
+output.  The python block under `## Library quick start` is executed and
+must print the three lines its comments show.
 """
 
+import contextlib
+import io
 import os
 import shlex
 
@@ -17,13 +20,18 @@ from dansurf.cli import dispatch
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
 
-def _examples():
-    """(argv, shown output lines, whether the output goes on) per example."""
+def _block(heading, fence):
+    """The first `fence` code block under the README heading."""
     with open(README, encoding="utf-8") as fh:
         text = fh.read()
-    section = text[text.index("\n## CLI\n"):]
-    block = section[section.index("```sh\n") + 6:]
-    block = block[:block.index("```")].replace("\\\n", " ")
+    section = text[text.index(f"\n## {heading}\n"):]
+    block = section[section.index(fence) + len(fence):]
+    return block[:block.index("```")]
+
+
+def _examples():
+    """(argv, shown output lines, whether the output goes on) per example."""
+    block = _block("CLI", "```sh\n").replace("\\\n", " ")
     examples = []
     for line in block.splitlines():
         line = line.strip()
@@ -53,3 +61,10 @@ def test_readme_cli_example(argv, shown, goes_on):
         assert lines == shown
     else:
         assert lines[:len(shown)] == shown
+
+
+def test_readme_library_quick_start():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(_block("Library quick start", "```python\n"), {})
+    assert out.getvalue().splitlines() == ["x^2*U^2 + 2*z*U + y + U", "2 x^2", "True"]

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from dansurf import (
@@ -234,13 +236,14 @@ def test_power_memo_matches_repeated_multiplication(field, text):
         for e in order:
             assert power(memo, e) == expected[e]
         assert base**0 == expected[0]
-        # a dense base over Q steps, so its memo holds every power; the
-        # squaring chain reaches 40 through a handful of powers; over F_p,
-        # base^e = frobenius(base^(e // p)) * base^(e % p) from e = 2p on
+        # a dense base over Q steps from 1 and keeps only the power asked
+        # for; the squaring chain reaches 40 through a handful of powers;
+        # over F_p, base^e = frobenius(base^(e // p)) * base^(e % p) from
+        # e = 2p on
         fresh = {1: base}
         power(fresh, 40)
         keys = FRESH_40_KEYS[field.characteristic]
-        assert sorted(fresh) == (list(range(1, 41)) if dense else keys)
+        assert sorted(fresh) == ([1, 40] if dense else keys)
 
 
 # The memo keys of a fresh e = 40 chain: squaring over Q; over F2 40 is
@@ -249,6 +252,48 @@ def test_power_memo_matches_repeated_multiplication(field, text):
 # frobenius(8), and 8 is below 2p = 10.
 FRESH_40_KEYS = {0: [1, 2, 4, 5, 10, 20, 40], 2: [1, 2, 5, 10, 20, 40],
                  3: [1, 2, 4, 13, 40], 5: [1, 2, 4, 8, 40]}
+
+
+@pytest.mark.parametrize("field", [Q, F2, F3, F5], ids=lambda f: f.label)
+def test_z_powers_match_the_lucas_closed_form(field):
+    # z^2 = P z + Q with P = -h and Q = x^n y, so z^k = U_k z + Q U_(k-1)
+    # with U_k = sum_j C(k-1-j, j) P^(k-1-2j) Q^j: an oracle that forms its
+    # powers of P and Q by repeated multiplication, never through power()
+    n, h = 3, parse_poly("1 + x", field)
+    spec = RingSpec(field, n, h)
+    top = 150 if field == Q else 300  # z^150 over Q has 5625 terms per part
+    P, Qxy = -h, parse_poly("x^3*y", field)
+    p_pow, q_pow = [Poly.const(field, 1)], [Poly.const(field, 1)]
+    for _ in range(top):
+        p_pow.append(p_pow[-1] * P)
+        q_pow.append(q_pow[-1] * Qxy)
+
+    def lucas(k):
+        total = Poly.zero(field)
+        for j in range((k - 1) // 2 + 1):
+            total = total + (p_pow[k - 1 - 2 * j] * q_pow[j]).scale(math.comb(k - 1 - j, j))
+        return total
+
+    for k in (1, 2, 3, 7, 64, top):
+        assert NF(spec, f"z^{k}") == RElem(spec, Qxy * lucas(k - 1), lucas(k)), k
+
+
+def test_u_coefficients_match_componentwise_coeff_of():
+    # the one-walk read against Poly.coeff_of on each component, on elements
+    # with z-parts and parameters T, U, S
+    for field in (Q, F2, F3, F5):
+        spec = standard_spec(field, 2, "1 + x")
+        r = rng(field.characteristic + 11)
+        for _ in range(30):
+            a = random_relem(r, spec, ("x", "y", "T", "U", "S"), max_terms=4, max_exp=3)
+            coeffs = a.u_coefficients()
+            assert list(coeffs) == sorted(coeffs)
+            top = int(a.degree_in("U")) if a else -1
+            for i in range(top + 2):
+                reference = RElem(spec, a.f1.coeff_of("U", i), a.f2.coeff_of("U", i))
+                assert coeffs.get(i, RElem.zero(spec)) == reference
+                assert (i in coeffs) == bool(reference)
+        assert RElem.zero(spec).u_coefficients() == {}
 
 
 # Bases over F_p with the parameters T, U and S: as Poly and as RElem on
