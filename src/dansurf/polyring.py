@@ -9,13 +9,16 @@ with fractional parameter weights work without rounding.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import InputError, NotDivisible
-from .scalars import FieldSpec, Scalar, rational
+from .scalars import FieldSpec, Scalar
 
 VARS = ("z", "y", "x", "T", "U", "S")
 VAR_INDEX = {v: i for i, v in enumerate(VARS)}
 ZERO_MONO = (0, 0, 0, 0, 0, 0)
+# The monomial of each variable, e.g. VAR_MONO["x"] = (0, 0, 1, 0, 0, 0).
+VAR_MONO = {v: tuple(int(i == j) for j in range(6)) for i, v in enumerate(VARS)}
 NEG_INF = float("-inf")
 
 # Factor order used when rendering a single monomial (x first, as in x^2*y).
@@ -84,15 +87,31 @@ class Poly:
     """A polynomial as a map from monomials to nonzero scalars.
 
     Values are immutable once constructed; all operations return fresh
-    polynomials in canonical form (no zero coefficients stored).
+    polynomials in canonical form (no zero coefficients stored).  The
+    integer view that products fold is formed on first use and kept.
     """
 
-    __slots__ = ("field", "terms")
+    __slots__ = ("field", "terms", "_ints")
 
     def __init__(self, field: FieldSpec, terms: dict):
         # Trusted constructor; terms must already be canonical.
         self.field = field
         self.terms = terms
+        self._ints = None
+
+    def ints(self) -> tuple:
+        """The integer view (d, [(m, v)]) that fold_product() reads: d is the
+        lcm of the coefficient denominators and v each coefficient times d,
+        an int.  Over F_p and for integral Q, d = 1 and v is the coefficient's
+        value.  Formed once per polynomial."""
+        view = self._ints
+        if view is None:
+            items = [(m, c.value) for m, c in self.terms.items()]
+            d = 1 if self.field.characteristic else lcm(*{v.denominator for _, v in items})
+            if d != 1:
+                items = [(m, v.numerator * (d // v.denominator)) for m, v in items]
+            view = self._ints = (d, items)
+        return view
 
     @classmethod
     def from_items(cls, field: FieldSpec, items) -> "Poly":
@@ -118,9 +137,12 @@ class Poly:
 
     @classmethod
     def variable(cls, field: FieldSpec, name: str, exp: int = 1) -> "Poly":
-        if exp == 0:
-            return cls.const(field, 1)
-        return cls(field, {mono(**{name: exp}): field.one})
+        i = VAR_INDEX.get(name)
+        if i is None:
+            raise InputError(f"unknown variable {name!r}")
+        m = [0] * 6
+        m[i] = exp
+        return cls(field, {tuple(m): field.one})
 
     def _coerce(self, other):
         if isinstance(other, Poly):
@@ -171,8 +193,8 @@ class Poly:
             elif not (many and one):
                 return Poly(self.field, {})
             else:
-                acc = {}
-                fold_product(acc, many, one)
+                acc = Accumulator()
+                fold_product(acc, self.ints(), o.ints())
                 return Poly(self.field, reduce_raw(self.field, acc))
         # a monomial factor: shift the exponents and scale, as scale() does;
         # a product of nonzero field elements needs no zero test
@@ -193,6 +215,17 @@ class Poly:
         """Whether power() steps up: over Q, three terms in two variables (the
         e-th power of a binomial has e + 1 terms, like a univariate one's)."""
         return not self.field.characteristic and len(self.terms) > 2 and len(self.variables()) > 1
+
+    def is_monomial(self) -> bool:
+        """At most one term, so power() forms c^e*m^e in one step."""
+        return len(self.terms) <= 1
+
+    def monomial_power(self, e: int) -> "Poly":
+        """self^e (e >= 1) for a base of at most one term: c^e*m^e."""
+        if not self.terms:
+            return self
+        ((a0, a1, a2, a3, a4, a5), c), = self.terms.items()
+        return Poly(self.field, {(a0 * e, a1 * e, a2 * e, a3 * e, a4 * e, a5 * e): c**e})
 
     def frobenius(self) -> "Poly":
         """self^p over F_p: every exponent times p, the coefficients kept, as
@@ -316,49 +349,83 @@ def add_into(terms: dict, other: dict) -> None:
             terms[m] = s
 
 
-def fold_product(acc: dict, left: dict, right: dict) -> None:
-    """Add the product of the term dicts left and right to acc, a dict from
-    monomials to raw coefficient values: ints or Fractions over Q, unreduced
-    ints over F_p.  No Scalar is formed per term pair; reduce_raw() turns the
-    sum of any number of products into terms."""
+class Accumulator:
+    """Raw sums of term-pair products: int numerators `sums` over the one
+    common denominator `den`, which is 1 over F_p and while every folded
+    operand is integral."""
+
+    __slots__ = ("den", "sums")
+
+    def __init__(self):
+        self.den = 1
+        self.sums = {}
+
+
+def fold_product(acc: Accumulator, left: tuple, right: tuple) -> None:
+    """Add the product of two integer views (Poly.ints()) to acc: one int
+    product and one int sum per term pair, in every field.  A product with
+    a new denominator rescales acc to the common one first; reduce_raw()
+    turns the sum of any number of products into terms."""
+    (dl, left), (dr, right) = left, right
     if not (left and right):
         return
-    get = acc.get
-    right = [(m, c.value) for m, c in right.items()]
-    for (a0, a1, a2, a3, a4, a5), c in left.items():
-        v = c.value
+    d, sums = dl * dr, acc.sums
+    if d != acc.den:  # only over Q, with a fractional operand
+        common = lcm(acc.den, d)
+        if common != acc.den:
+            k = common // acc.den
+            for m in sums:
+                sums[m] *= k
+            acc.den = common
+        if common != d:
+            k = common // d
+            left = [(m, v * k) for m, v in left]
+    get = sums.get
+    for (a0, a1, a2, a3, a4, a5), v in left:
         for (b0, b1, b2, b3, b4, b5), w in right:
             m = (a0 + b0, a1 + b1, a2 + b2, a3 + b3, a4 + b4, a5 + b5)
             s = get(m)
-            acc[m] = v * w if s is None else s + v * w
+            sums[m] = v * w if s is None else s + v * w
 
 
-def reduce_raw(field: FieldSpec, acc: dict) -> dict:
-    """The canonical term dict of the raw sums acc: each value reduced once
-    (mod p, or to an int when integral over Q), zeros dropped, and one
+def reduce_raw(field: FieldSpec, acc: Accumulator) -> dict:
+    """The canonical term dict of the raw sums in acc: each value reduced
+    once (mod p, or divided by the common denominator over Q, forming a
+    Fraction only where the quotient is not an int), zeros dropped, and one
     Scalar formed per remaining term."""
-    p = field.characteristic
+    p, den = field.characteristic, acc.den
     terms = {}
     if p:
-        for m, v in acc.items():
+        for m, v in acc.sums.items():
             v %= p
             if v:
                 terms[m] = Scalar(field, v)
-    else:
-        for m, v in acc.items():
+    elif den == 1:
+        for m, v in acc.sums.items():
             if v:
-                terms[m] = Scalar(field, v if type(v) is int else rational(v))
+                terms[m] = Scalar(field, v)
+    else:
+        for m, v in acc.sums.items():
+            if v:
+                q, r = divmod(v, den)
+                terms[m] = Scalar(field, Fraction(v, den) if r else q)
     return terms
+
+
+# The integer view of the constant 1, in every field.
+UNIT_VIEW = (1, ((ZERO_MONO, 1),))
 
 
 def power(memo: dict, e: int):
     """base^e (e >= 1) for memo = {1: base, ...}, memoised.
 
-    In characteristic p, from e = 2p on, base^e = frobenius(base^(e // p)) *
-    base^(e % p): the p-th power of a sum is the sum of the p-th powers, so
-    (S + U)^(p^k) = S^(p^k) + U^(p^k) costs no product at all.  Below 2p the
-    other chains run, so RingSpec.z_to_p, which RElem.frobenius() needs,
-    forms z^p without recursing into frobenius().
+    A base of at most one term gets c^e*m^e in one step and keeps only
+    base^e.  In characteristic p, from e = 2p on, base^e =
+    frobenius(base^(e // p)) * base^(e % p): the p-th power of a sum is the
+    sum of the p-th powers, so (S + U)^(p^k) = S^(p^k) + U^(p^k) costs no
+    product at all.  Below 2p the other chains run, so RingSpec.z_to_p,
+    which RElem.frobenius() needs, forms z^p without recursing into
+    frobenius().
     Powers of a base that is dense_over_q() are dense, and a product by the
     small base costs less than a square (Fateman, Stud. Appl. Math. 53,
     1974), so it steps up from its largest memoised power below e and keeps
@@ -368,7 +435,9 @@ def power(memo: dict, e: int):
     if e not in memo:
         base = memo[1]
         p = base.field.characteristic
-        if p and e >= 2 * p:
+        if base.is_monomial():
+            memo[e] = base.monomial_power(e)
+        elif p and e >= 2 * p:
             q, r = divmod(e, p)
             frob = power(memo, q).frobenius()
             memo[e] = frob * power(memo, r) if r else frob
@@ -388,48 +457,56 @@ def power(memo: dict, e: int):
     return memo[e]
 
 
+def _is_variable(p: Poly, var: str) -> bool:
+    """Whether p is the variable var itself."""
+    c = p.terms.get(VAR_MONO[var])
+    return c is not None and c.value == 1 and len(p.terms) == 1
+
+
 def substitute_terms(p: Poly, images: dict, parts) -> list:
     """Substitute the Poly or RElem `images` into p.  parts maps an image to
     its components (the Poly itself, or f1 and f2 of f1 + z*f2); the result
-    is the list of the components of the substituted value.  The terms of p
-    are grouped by their exponents in the bound variables; each group's
-    memoised bound powers are multiplied together, and its free part times
-    each component of that product is folded into one raw accumulator per
-    component; a dense_over_q() image's powers are formed first, in
-    ascending order, so that no stepping chain is walked twice.  A variable
-    whose image is itself stays free, except z, so that a free part is a
-    z-free first component."""
+    is the list of the components of the substituted value.  The terms of
+    p's integer view are grouped by their exponents in the bound variables;
+    each group's memoised bound powers are multiplied together, and its free
+    part (over p's denominator) times each component of that product is
+    folded into one accumulator per component; a dense_over_q() image's
+    powers are formed first, in ascending order, so that no stepping chain
+    is walked twice.  A variable whose image is itself stays free, except
+    z, so that a free part is a z-free first component."""
     field = p.field
     width, bound = 1, []
     for var, img in images.items():
         first, *rest = parts(img)
         width = 1 + len(rest)
-        if var == "z" or any(rest) or first != Poly.variable(field, var):
+        if var == "z" or any(rest) or not _is_variable(first, var):
             bound.append((VAR_INDEX[var], {1: img}))
     bound.sort()
+    den, items = p.ints()
     groups = {}
-    for m, c in p.terms.items():
+    for m, v in items:
         free = list(m)
         for i, _ in bound:
             free[i] = 0
-        groups.setdefault(tuple([m[i] for i, _ in bound]), {})[tuple(free)] = c
+        groups.setdefault(tuple([m[i] for i, _ in bound]), []).append((tuple(free), v))
     for j, (_, memo) in enumerate(bound):
         if memo[1].dense_over_q():
             for e in sorted({exps[j] for exps in groups}):
                 if e:
                     power(memo, e)
-    accs = [{} for _ in range(width)]
+    accs = [Accumulator() for _ in range(width)]
     for exps, free in groups.items():
+        free = (den, free)
         product = None
         for (_, memo), e in zip(bound, exps):
             if e:
                 pe = power(memo, e)
                 product = pe if product is None else product * pe
         if product is None:  # the group of terms free of the bound variables
-            fold_product(accs[0], free, {ZERO_MONO: field.one})
+            fold_product(accs[0], free, UNIT_VIEW)
         else:
             for acc, part in zip(accs, parts(product)):
-                fold_product(acc, free, part.terms)
+                fold_product(acc, free, part.ints())
     return [Poly(field, reduce_raw(field, acc)) for acc in accs]
 
 

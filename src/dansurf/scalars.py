@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import AlgebraError, InputError, ParseError
 
@@ -159,13 +160,15 @@ class FieldSpec:
             return Scalar(self, value.numerator * pow(den, p - 2, p) % p)
         return Scalar(self, int(value) % p)
 
-    @property
+    @cached_property
     def zero(self) -> "Scalar":
-        return self.scalar(0)
+        """The field's 0, formed once."""
+        return Scalar(self, 0)
 
-    @property
+    @cached_property
     def one(self) -> "Scalar":
-        return self.scalar(1)
+        """The field's 1, formed once."""
+        return Scalar(self, 1)
 
     def nonzero_elements(self):
         """Iterate over F_p* in residue order; an error over Q."""

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InputError, NotDivisible
-from .polyring import (NEG_INF, Poly, WeightVector, fold_product, format_poly, mono,
-                       power, reduce_raw, substitute_terms)
+from .polyring import (NEG_INF, Accumulator, Poly, WeightVector, fold_product, format_poly,
+                       mono, power, reduce_raw, substitute_terms)
 from .scalars import FieldSpec, Scalar
 
 PARAMS = ("T", "U", "S")
@@ -84,10 +84,15 @@ class RingSpec:
                               -self.h)
 
     @cached_property
+    def z(self) -> "RElem":
+        """The generator z, formed once per spec."""
+        return RElem.var(self, "z")
+
+    @cached_property
     def z_to_p(self) -> "RElem":
         """z^p in characteristic p, formed once per spec by the chains that
         power() takes below 2p, so RElem.frobenius() does not recurse."""
-        return power({1: RElem.var(self, "z")}, self.field.characteristic)
+        return power({1: self.z}, self.field.characteristic)
 
     def __str__(self):
         flags = ", graded" if self.graded else (", free" if self.free else "")
@@ -175,16 +180,16 @@ class RElem:
         if o is None:
             return NotImplemented
         spec, field = self.spec, self.spec.field
-        a1, a2, b1, b2 = self.f1.terms, self.f2.terms, o.f1.terms, o.f2.terms
-        acc1, acc2 = {}, {}
-        if a2 and b2:  # then f2*g2 != 0: a polynomial ring has no zero divisors
+        a1, a2, b1, b2 = self.f1.ints(), self.f2.ints(), o.f1.ints(), o.f2.ints()
+        acc1, acc2 = Accumulator(), Accumulator()
+        if a2[1] and b2[1]:  # then f2*g2 != 0: a polynomial ring has no zero divisors
             if spec.free:
                 raise InputError("product needs z^2, which a free spec cannot reduce")
-            zz = {}
+            zz = Accumulator()
             fold_product(zz, a2, b2)
-            zz = reduce_raw(field, zz)
-            fold_product(acc1, spec.z_squared.f1.terms, zz)
-            fold_product(acc2, spec.z_squared.f2.terms, zz)
+            zz = Poly(field, reduce_raw(field, zz)).ints()
+            fold_product(acc1, spec.z_squared.f1.ints(), zz)
+            fold_product(acc2, spec.z_squared.f2.ints(), zz)
         fold_product(acc1, a1, b1)
         fold_product(acc2, a1, b2)
         fold_product(acc2, a2, b1)
@@ -201,6 +206,14 @@ class RElem:
     def dense_over_q(self) -> bool:
         """As for Poly; over Q a nonzero z-part is dense, as z^2 = x^n*y - h*z."""
         return not self.spec.field.characteristic and (bool(self.f2) or self.f1.dense_over_q())
+
+    def is_monomial(self) -> bool:
+        """z-free with at most one term, so power() forms c^e*m^e in one step."""
+        return not self.f2 and self.f1.is_monomial()
+
+    def monomial_power(self, e: int) -> "RElem":
+        """self^e (e >= 1) for a base that is_monomial()."""
+        return RElem._trusted(self.spec, self.f1.monomial_power(e), self.f2)
 
     def frobenius(self) -> "RElem":
         """self^p over F_p: frobenius(f1) + frobenius(f2)*z^p.  The spec's z^p
@@ -344,7 +357,7 @@ def substitute_poly(spec: RingSpec, p: Poly, images: dict) -> RElem:
         if img.spec is not spec and img.spec != spec:
             raise InputError("elements of different rings")
     # z stays bound, so every free part is a z-free first component.
-    bound = {"z": RElem.var(spec, "z"), **images}
+    bound = {"z": spec.z, **images}
     f1, f2 = substitute_terms(p, bound, lambda a: (a.f1, a.f2))
     return RElem._trusted(spec, f1, f2)
 

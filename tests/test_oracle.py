@@ -129,3 +129,37 @@ def test_substitute_poly_matches_sympy_expand_then_reduce(field, n, h):
         theirs = to_sympy(p).subs({SYM[v]: to_sympy(img.to_poly()) for v, img in images.items()},
                                   simultaneous=True)
         assert agree(to_sympy(ours), reduce_mod_relation(theirs, spec), field), (p, images)
+
+
+# Fractional words L(mu) * T * E(g) and rings (n, h) where h(mu*x) = h(x),
+# as cylinder's aut-apply commands use them: a constant h allows any mu, an
+# even h allows mu = -1.
+FRACTIONAL_WORDS = [(2, "1/2", "-1/2", "3/2 + 2/3*x"), (3, "5/3", "2/7", "1/4 - 3/5*x"),
+                    (3, "1/2 + 2/3*x^2", "-1", "3/2 + 2/3*x")]
+
+
+@pytest.mark.parametrize("n, h, mu, g", FRACTIONAL_WORDS)
+def test_fractional_aut_apply_matches_sympy_expand_then_reduce(n, h, mu, g):
+    # each factor is applied to the expanded polynomial as the substitution
+    # it stands for, rightmost first, and the result reduced at the end:
+    # E_g: z -> z + x^n g, y -> y + 2 z g + x^n g^2 + h g; T: z -> -z - h;
+    # L_mu: x -> mu x, y -> mu^-n y
+    from dansurf import parse_aut_word, parse_poly
+
+    spec = standard_spec(Q, n, h)
+    auto = parse_aut_word(f"L({mu}) * T * E({g})", spec)
+    x, y, z = SYM["x"], SYM["y"], SYM["z"]
+    hs, gs, mus = (to_sympy(parse_poly(t, Q)) for t in (h, g, mu))
+    shear = {z: z + x**n * gs, y: y + 2 * z * gs + x**n * gs**2 + hs * gs}
+    flip = {z: -z - hs}
+    scale = {x: mus * x, y: y / mus**n}
+    r = rng(n)
+    for k in range(3):
+        coeffs = [Fraction(r.choice((-1, 1)) * r.randint(1, 9), r.randint(2, 9)) for _ in range(4)]
+        lin = " + ".join(f"({c})*{v}" for c, v in zip(coeffs, ("1", "x", "y", "z")))
+        dense = normal_form(spec, parse_poly(f"({lin})^{2 + k}", Q))
+        theirs = to_sympy(dense.to_poly())
+        for step in (shear, flip, scale):
+            theirs = sympy.expand(theirs.subs(step, simultaneous=True))
+        ours = auto.apply(dense).to_poly()
+        assert agree(to_sympy(ours), reduce_mod_relation(theirs, spec), Q), (lin, k)

@@ -7,10 +7,14 @@ from dansurf import (
     InputError,
     NotDivisible,
     Poly,
+    RElem,
+    RingSpec,
     WeightVector,
+    normal_form,
     parse_poly,
+    substitute_poly,
 )
-from dansurf.polyring import fold_product, format_poly, mono, reduce_raw
+from dansurf.polyring import Accumulator, fold_product, format_poly, mono, reduce_raw
 from dansurf.scalars import FieldSpec, Scalar
 from conftest import F2, F3, F5, F101, Q, random_poly, rng
 
@@ -243,9 +247,9 @@ def test_product_kernel_matches_per_pair_reference(label, field, coeff):
             assert product == per_pair_product(left, right), (left, right)
             assert_canonical(product)
         # a sum of products that cancels to zero term by term
-        acc = {}
-        fold_product(acc, a.terms, b.terms)
-        fold_product(acc, (-a).terms, b.terms)
+        acc = Accumulator()
+        fold_product(acc, a.ints(), b.ints())
+        fold_product(acc, (-a).ints(), b.ints())
         assert reduce_raw(field, acc) == {}
     # (x - y)(x + y): the mixed terms cancel inside one product
     x, y = Poly.variable(field, "x"), Poly.variable(field, "y")
@@ -279,3 +283,88 @@ def test_multi_term_products_form_no_scalar_per_pair(monkeypatch):
     calls.clear()
     assert a * b == expected
     assert len(calls) == 2
+
+
+# Operands whose coefficient denominators have lcm 1, 2, 3, 6 and 10 (the
+# last with coefficient 7/10), for the common-denominator accumulator.
+MIXED_DENOMINATORS = ("3*x - 2*y + 5", "1/2*x + 3*y*U - 1", "2/3*y - x^2 + 4/3",
+                      "1/6*x*y - 1/2*U + 1/3", "7/10*x - 3*y^2 + U")
+
+
+def test_accumulator_takes_every_denominator_in_any_order():
+    from itertools import permutations
+
+    polys = [P(text) for text in MIXED_DENOMINATORS]
+    assert [p.ints()[0] for p in polys] == [1, 2, 3, 6, 10]
+    # five folds, each pairing two operands of different denominators
+    folds = [(polys[i], polys[(i + 1) % 5]) for i in range(5)]
+    expected = Poly.zero(Q)
+    for a, b in folds:
+        expected = expected + per_pair_product(a, b)
+    for order in permutations(folds):
+        acc = Accumulator()
+        for a, b in order:
+            fold_product(acc, a.ints(), b.ints())
+        result = Poly(Q, reduce_raw(Q, acc))
+        assert result == expected, order
+        assert_canonical(result)
+    # each product folded again with its negation written over other
+    # denominators: -a*10/7 times b*7/10, so the sum cancels to nothing
+    for a, b in folds:
+        acc = Accumulator()
+        fold_product(acc, a.ints(), b.ints())
+        fold_product(acc, a.scale(Fraction(-10, 7)).ints(), b.scale(Fraction(7, 10)).ints())
+        assert reduce_raw(Q, acc) == {}
+    # an integral fold after a fractional one rescales the integral product
+    acc = Accumulator()
+    fold_product(acc, polys[4].ints(), polys[0].ints())
+    fold_product(acc, polys[0].ints(), polys[0].ints())
+    result = Poly(Q, reduce_raw(Q, acc))
+    assert result == per_pair_product(polys[4], polys[0]) + per_pair_product(polys[0], polys[0])
+    assert_canonical(result)
+
+
+def test_integer_view_is_formed_once_and_exact():
+    for field, text, den in ((Q, "x + 2*y - 3", 1), (Q, "1/4*x - 5/6*y + 2", 12),
+                             (F5, "3*x + 4*y", 1)):
+        p = P(text, field)
+        d, items = p.ints()
+        assert d == den and all(type(v) is int for _, v in items)
+        assert {m: field.scalar(Fraction(v, d)) for m, v in items} == p.terms
+        assert p.ints() is p.ints()
+    assert Poly.zero(Q).ints() == (1, [])
+
+
+def test_fractional_products_do_no_fraction_arithmetic(monkeypatch):
+    # the kernel folds ints over a common denominator: no Fraction product
+    # or sum in multi-term Poly and RElem products or in a substitution
+    # with fractional images
+    spec = RingSpec(Q, 2, P("1/2 + 2/3*x"))
+    a, b = P("1/2*x + 2/3*y*U - 3/5"), P("5/7*x^2 - 1/3*y + 4")
+    ea = RElem(spec, P("1/3*x - y"), P("3/4 + 1/6*x*U"))
+    eb = RElem(spec, P("2/5*y + 7"), P("1/2*x - 5/3"))
+    images = {"x": RElem(spec, P("1/2*x + 3/4"), P("0")), "z": ea}
+    expr = P("z^3 + 1/2*x^2*z - 2/3*x*y + 1/5*z^2*x")
+    # references, formed before counting: the per-pair product, the normal
+    # form of the product of the components' sums, and a term-by-term sum
+    # of products of images
+    expected_element = normal_form(spec, ea.to_poly() * eb.to_poly())
+    expected_substituted = RElem.zero(spec)
+    for (z, y, x, _, _, _), c in expr.terms.items():
+        term = RElem.const(spec, c) * RElem.var(spec, "y") ** y
+        expected_substituted = expected_substituted + term * images["x"] ** x * ea**z
+    calls = []
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        method = getattr(Fraction, name)
+
+        def counting(self, other, method=method, name=name):
+            calls.append(name)
+            return method(self, other)
+
+        monkeypatch.setattr(Fraction, name, counting)
+    product, element, substituted = a * b, ea * eb, substitute_poly(spec, expr, images)
+    assert calls == []
+    monkeypatch.undo()
+    assert product == per_pair_product(a, b)
+    assert element == expected_element
+    assert substituted == expected_substituted

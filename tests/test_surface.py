@@ -236,14 +236,40 @@ def test_power_memo_matches_repeated_multiplication(field, text):
         for e in order:
             assert power(memo, e) == expected[e]
         assert base**0 == expected[0]
-        # a dense base over Q steps from 1 and keeps only the power asked
-        # for; the squaring chain reaches 40 through a handful of powers;
-        # over F_p, base^e = frobenius(base^(e // p)) * base^(e % p) from
-        # e = 2p on
+        # a one-term base (-x^2*U, and x - 2*y*T over F2) gets c^e*m^e in
+        # one step, and a dense base over Q steps from 1: both keep only the
+        # power asked for; the squaring chain reaches 40 through a handful
+        # of powers; over F_p, base^e = frobenius(base^(e // p)) *
+        # base^(e % p) from e = 2p on
+        one_term = text == "-x^2*U" or (field == F2 and text == "x - 2*y*T")
+        assert base.is_monomial() == one_term
         fresh = {1: base}
         power(fresh, 40)
         keys = FRESH_40_KEYS[field.characteristic]
-        assert sorted(fresh) == ([1, 40] if dense else keys)
+        assert sorted(fresh) == ([1, 40] if dense or one_term else keys)
+
+
+@pytest.mark.parametrize("field", [Q, F2, F3, F5], ids=lambda f: f.label)
+def test_zero_and_constant_bases_power_in_one_step(field):
+    from dansurf.polyring import power
+
+    spec = standard_spec(field, 2, "1 + x")
+    for text in ("0", "1", "-1", "2", "1/2" if field == Q else "4", "3*U"):
+        poly = parse_poly(text, field)
+        for base in (poly, normal_form(spec, poly)):
+            assert base.is_monomial()
+            expected = base**0
+            for e in range(1, 12):
+                expected = expected * base
+                fresh = {1: base}
+                assert power(fresh, e) == expected
+                assert sorted(fresh) == sorted({1, e})
+            squared = base
+            for _ in range(8):  # base^256 by eight squarings, without power()
+                squared = squared * squared
+            memo = {1: base}
+            assert power(memo, 256) == squared
+            assert sorted(memo) == [1, 256]
 
 
 # The memo keys of a fresh e = 40 chain: squaring over Q; over F2 40 is
