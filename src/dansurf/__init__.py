@@ -50,7 +50,7 @@ from .ioformats import (
     parse_ring_spec,
     parse_weights,
 )
-from .isoclass import IsoVerdict, classify, enumerate_oracle, witness
+from .isoclass import IsoVerdict, classify, witness
 from .polyring import Poly, WeightVector
 from .scalars import FieldSpec, Scalar, binom, nth_roots
 from .surface import (

@@ -25,7 +25,7 @@ from math import gcd
 
 from .errors import AlgebraError, InputError, NotCanonicalShape, ParseError
 from .ioformats import _offset, _strip, parse_poly, parse_scalar
-from .polyring import Poly, format_poly
+from .polyring import VAR_MONO, Poly, format_poly
 from .scalars import FieldSpec, Scalar, nth_roots
 from .surface import RElem, RingSpec, apply_images, forced_y, substitute_poly
 
@@ -160,21 +160,22 @@ def from_images(spec: RingSpec, images: dict) -> Automorphism:
             raise InputError(f"image of {var} lies in a different ring")
 
     ix = images["x"]
-    x_mono = (0, 0, 1, 0, 0, 0)
-    if ix.f2 or set(ix.f1.terms) != {x_mono}:
+    x_terms = ix.to_poly().terms
+    if set(x_terms) != {VAR_MONO["x"]}:
         raise NotCanonicalShape(f"x-image {ix} is not of the form mu*x")
-    mu = ix.f1.terms[x_mono]
+    mu = x_terms[VAR_MONO["x"]]
 
     iz = images["z"]
-    if not iz.f2.is_constant() or iz.f2.is_zero():
+    z_part, f = iz.f2, iz.f1
+    if not z_part.is_constant() or z_part.is_zero():
         raise NotCanonicalShape(f"z-image {iz} is not of the form sigma*z + f(x)")
-    lam = iz.f2.constant_value()
+    lam = z_part.constant_value()
     # in characteristic 2, where 1 = -1, only f = 0 mod x^n marks a shear
     if lam not in (1, -1):
         raise NotCanonicalShape(f"z-coefficient {lam} is not +-1")
-    sigma = 1 if lam == 1 and not (lam == -1 and _low_part(iz.f1, spec.n)) else -1
+    sigma = 1 if lam == 1 and not (lam == -1 and _low_part(f, spec.n)) else -1
     try:
-        candidate = Automorphism(spec, mu, sigma, iz.f1)
+        candidate = Automorphism(spec, mu, sigma, f)
     except InputError as exc:
         raise NotCanonicalShape(str(exc)) from None
 

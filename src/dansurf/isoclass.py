@@ -107,21 +107,3 @@ def witness(spec1: RingSpec, spec2: RingSpec, verdict: IsoVerdict) -> dict:
     if not mapped.is_zero():
         raise AlgebraError(f"internal error: witness breaks the relation: {mapped}")
     return images
-
-
-def enumerate_oracle(spec1: RingSpec, spec2: RingSpec) -> IsoVerdict:
-    """Brute-force cross-check over F_p, p <= 101: try every (eta, mu)."""
-    _require_classifiable(spec1, spec2)
-    p = spec1.field.characteristic
-    if p == 0 or p > 101:
-        raise InputError("oracle needs a prime field with p <= 101")
-    if spec1.n != spec2.n:
-        return IsoVerdict(False, None, None, "n_mismatch")
-    h1, h2 = spec1.h, spec2.h
-    x_poly = Poly.variable(spec1.field, "x")
-    for mu in spec1.field.nonzero_elements():
-        h1_mu = h1.substitute({"x": x_poly.scale(mu)})
-        for eta in spec1.field.nonzero_elements():
-            if h1_mu.scale(eta) == h2:
-                return IsoVerdict(True, eta, mu, "ok")
-    return IsoVerdict(False, None, None, "no_root")

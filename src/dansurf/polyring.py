@@ -296,7 +296,7 @@ class Poly:
             elif val.field != self.field:
                 raise InputError("substitution value over a different field")
             images[var] = val
-        return substitute_terms(self, images, lambda q: (q,))[0]
+        return Poly(self.field, substitute_terms(self, images))
 
     def weighted_degree(self, w: WeightVector):
         """max over terms of the weighted exponent sum; -inf on the zero polynomial."""
@@ -457,31 +457,24 @@ def power(memo: dict, e: int):
     return memo[e]
 
 
-def _is_variable(p: Poly, var: str) -> bool:
-    """Whether p is the variable var itself."""
-    c = p.terms.get(VAR_MONO[var])
-    return c is not None and c.value == 1 and len(p.terms) == 1
+def _is_variable(img, var: str) -> bool:
+    """Whether the Poly or RElem img is the variable var itself, read from
+    its integer view."""
+    d, items = img.ints()
+    return d == 1 and len(items) == 1 and items[0] == (VAR_MONO[var], 1)
 
 
-def substitute_terms(p: Poly, images: dict, parts) -> list:
-    """Substitute the Poly or RElem `images` into p.  parts maps an image to
-    its components (the Poly itself, or f1 and f2 of f1 + z*f2); the result
-    is the list of the components of the substituted value.  The terms of
-    p's integer view are grouped by their exponents in the bound variables;
-    each group's memoised bound powers are multiplied together, and its free
-    part (over p's denominator) times each component of that product is
-    folded into one accumulator per component; a dense_over_q() image's
-    powers are formed first, in ascending order, so that no stepping chain
-    is walked twice.  A variable whose image is itself stays free, except
-    z, so that a free part is a z-free first component."""
-    field = p.field
-    width, bound = 1, []
-    for var, img in images.items():
-        first, *rest = parts(img)
-        width = 1 + len(rest)
-        if var == "z" or any(rest) or not _is_variable(first, var):
-            bound.append((VAR_INDEX[var], {1: img}))
-    bound.sort()
+def substitute_terms(p: Poly, images: dict) -> dict:
+    """The term dict of p with the Poly or RElem `images` substituted.  The
+    terms of p's integer view are grouped by their exponents in the bound
+    variables; each group's memoised bound powers are multiplied together,
+    and its free part (over p's denominator) times that product is folded
+    into one accumulator; a dense_over_q() image's powers are formed first,
+    in ascending order, so that no stepping chain is walked twice.  A
+    variable whose image is itself stays free, except z, so that an RElem
+    image's product reduces every power of z."""
+    bound = sorted((VAR_INDEX[var], {1: img}) for var, img in images.items()
+                   if var == "z" or not _is_variable(img, var))
     den, items = p.ints()
     groups = {}
     for m, v in items:
@@ -494,20 +487,16 @@ def substitute_terms(p: Poly, images: dict, parts) -> list:
             for e in sorted({exps[j] for exps in groups}):
                 if e:
                     power(memo, e)
-    accs = [Accumulator() for _ in range(width)]
+    acc = Accumulator()
     for exps, free in groups.items():
-        free = (den, free)
         product = None
         for (_, memo), e in zip(bound, exps):
             if e:
                 pe = power(memo, e)
                 product = pe if product is None else product * pe
-        if product is None:  # the group of terms free of the bound variables
-            fold_product(accs[0], free, UNIT_VIEW)
-        else:
-            for acc, part in zip(accs, parts(product)):
-                fold_product(acc, free, part.ints())
-    return [Poly(field, reduce_raw(field, acc)) for acc in accs]
+        # the group of terms free of the bound variables folds with 1
+        fold_product(acc, (den, free), UNIT_VIEW if product is None else product.ints())
+    return reduce_raw(p.field, acc)
 
 
 def format_poly(p: Poly) -> str:

@@ -170,12 +170,6 @@ class FieldSpec:
         """The field's 1, formed once."""
         return Scalar(self, 1)
 
-    def nonzero_elements(self):
-        """Iterate over F_p* in residue order; an error over Q."""
-        if self.characteristic == 0:
-            raise InputError("cannot enumerate the infinite field Q")
-        return (self.scalar(v) for v in range(1, self.characteristic))
-
 
 class Scalar:
     """An exact element of Q or F_p.

@@ -2,9 +2,11 @@
 
 Because the defining relation is monic and quadratic in z, the set {1, z}
 is a free basis for R over k[x, y], and every element has a unique normal
-form f1 + z*f2 with f1, f2 free of z.  Polynomial extensions R[T], R[U],
-R[S,U] reuse the same element type: the parameters T, U, S simply appear
-inside the components.
+form f1 + z*f2 with f1, f2 free of z: a polynomial of z-degree at most 1,
+which is how an element is stored.  Only products (and Frobenius powers)
+rewrite z^2 = x^n*y - h*z.  Polynomial extensions R[T], R[U], R[S,U] reuse
+the same element type: the parameters T, U, S simply appear in the
+polynomial.
 
 Two spec variants widen the reach of the type: `graded` drops h (the ring
 k[x,y,z]/(x^n y - z^2), the homogenization target), and `free` drops the
@@ -16,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import InputError, NotDivisible
-from .polyring import (NEG_INF, Accumulator, Poly, WeightVector, fold_product, format_poly,
-                       mono, power, reduce_raw, substitute_terms)
+from .errors import InputError
+from .polyring import (Accumulator, Poly, WeightVector, fold_product, format_poly, power,
+                       reduce_raw, substitute_terms)
 from .scalars import FieldSpec, Scalar
 
 PARAMS = ("T", "U", "S")
@@ -80,8 +82,7 @@ class RingSpec:
     def z_squared(self) -> "RElem":
         """z^2 = x^n*y - h*z in normal form, formed once per spec; a free
         spec has no relation, so RElem products never read it there."""
-        return RElem._trusted(self, Poly(self.field, {mono(x=self.n, y=1): self.field.one}),
-                              -self.h)
+        return RElem._trusted(self, self.relation() + Poly.variable(self.field, "z", 2))
 
     @cached_property
     def z(self) -> "RElem":
@@ -100,27 +101,29 @@ class RingSpec:
 
 
 class RElem:
-    """An element f1 + z*f2 of R (or of R[T], R[U], R[S,U]) in normal form."""
+    """An element of R (or of R[T], R[U], R[S,U]) stored as its normal form:
+    one polynomial f1 + z*f2 of z-degree at most 1."""
 
-    __slots__ = ("spec", "f1", "f2")
+    __slots__ = ("spec", "poly")
 
     def __init__(self, spec: RingSpec, f1: Poly, f2: Poly):
         if f1.field != spec.field or f2.field != spec.field:
             raise InputError("component over a different field")
         if "z" in f1.variables() or "z" in f2.variables():
             raise InputError("normal-form components must not contain z")
+        terms = dict(f1.terms)  # f1 and z*f2 share no monomial
+        for (_, a1, a2, a3, a4, a5), c in f2.terms.items():
+            terms[1, a1, a2, a3, a4, a5] = c
         self.spec = spec
-        self.f1 = f1
-        self.f2 = f2
+        self.poly = Poly(spec.field, terms)
 
     @classmethod
-    def _trusted(cls, spec: RingSpec, f1: Poly, f2: Poly) -> "RElem":
-        """Skip the checks: f1 and f2 must be z-free and over spec.field, as
-        the results of operations on such components are."""
+    def _trusted(cls, spec: RingSpec, poly: Poly) -> "RElem":
+        """Skip the checks: poly must be over spec.field with z-degree at most
+        1, as the results of operations on such polynomials are."""
         a = object.__new__(cls)
         a.spec = spec
-        a.f1 = f1
-        a.f2 = f2
+        a.poly = poly
         return a
 
     @classmethod
@@ -141,6 +144,16 @@ class RElem:
             return cls(spec, Poly.zero(spec.field), Poly.const(spec.field, 1))
         return cls(spec, Poly.variable(spec.field, name), Poly.zero(spec.field))
 
+    @property
+    def f1(self) -> Poly:
+        """The z-free part of the normal form."""
+        return self.poly.coeff_of("z", 0)
+
+    @property
+    def f2(self) -> Poly:
+        """The coefficient of z in the normal form."""
+        return self.poly.coeff_of("z", 1)
+
     def _coerce(self, other):
         if isinstance(other, RElem):
             if other.spec is not self.spec and other.spec != self.spec:
@@ -154,7 +167,7 @@ class RElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RElem._trusted(self.spec, self.f1 + o.f1, self.f2 + o.f2)
+        return RElem._trusted(self.spec, self.poly + o.poly)
 
     __radd__ = __add__
 
@@ -162,7 +175,7 @@ class RElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RElem._trusted(self.spec, self.f1 - o.f1, self.f2 - o.f2)
+        return RElem._trusted(self.spec, self.poly - o.poly)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -171,7 +184,7 @@ class RElem:
         return o - self
 
     def __neg__(self):
-        return RElem._trusted(self.spec, -self.f1, -self.f2)
+        return RElem._trusted(self.spec, -self.poly)
 
     def __mul__(self, other):
         if isinstance(other, Scalar):
@@ -180,21 +193,16 @@ class RElem:
         if o is None:
             return NotImplemented
         spec, field = self.spec, self.spec.field
-        a1, a2, b1, b2 = self.f1.ints(), self.f2.ints(), o.f1.ints(), o.f2.ints()
-        acc1, acc2 = Accumulator(), Accumulator()
-        if a2[1] and b2[1]:  # then f2*g2 != 0: a polynomial ring has no zero divisors
+        acc = Accumulator()
+        fold_product(acc, self.poly.ints(), o.poly.ints())
+        sums = acc.sums
+        zz = [m for m in sums if m[0] == 2]
+        if zz:  # z*f2 times z*g2: move the z^2 sums out and fold them with z^2
             if spec.free:
                 raise InputError("product needs z^2, which a free spec cannot reduce")
-            zz = Accumulator()
-            fold_product(zz, a2, b2)
-            zz = Poly(field, reduce_raw(field, zz)).ints()
-            fold_product(acc1, spec.z_squared.f1.ints(), zz)
-            fold_product(acc2, spec.z_squared.f2.ints(), zz)
-        fold_product(acc1, a1, b1)
-        fold_product(acc2, a1, b2)
-        fold_product(acc2, a2, b1)
-        return RElem._trusted(spec, Poly(field, reduce_raw(field, acc1)),
-                              Poly(field, reduce_raw(field, acc2)))
+            items = [((0,) + m[1:], sums.pop(m)) for m in zz]
+            fold_product(acc, (acc.den, items), spec.z_squared.poly.ints())
+        return RElem._trusted(spec, Poly(field, reduce_raw(field, acc)))
 
     __rmul__ = __mul__
 
@@ -203,33 +211,36 @@ class RElem:
             raise InputError("element powers must be natural numbers")
         return power({1: self}, k) if k else RElem.one(self.spec)
 
+    def _has_z(self) -> bool:
+        return any(m[0] for m in self.poly.terms)
+
     def dense_over_q(self) -> bool:
-        """As for Poly; over Q a nonzero z-part is dense, as z^2 = x^n*y - h*z."""
-        return not self.spec.field.characteristic and (bool(self.f2) or self.f1.dense_over_q())
+        """As for Poly; over Q a z term makes it dense, as z^2 = x^n*y - h*z."""
+        return not self.spec.field.characteristic and (self._has_z() or self.poly.dense_over_q())
 
     def is_monomial(self) -> bool:
         """z-free with at most one term, so power() forms c^e*m^e in one step."""
-        return not self.f2 and self.f1.is_monomial()
+        return self.poly.is_monomial() and not self._has_z()
 
     def monomial_power(self, e: int) -> "RElem":
         """self^e (e >= 1) for a base that is_monomial()."""
-        return RElem._trusted(self.spec, self.f1.monomial_power(e), self.f2)
+        return RElem._trusted(self.spec, self.poly.monomial_power(e))
 
     def frobenius(self) -> "RElem":
-        """self^p over F_p: frobenius(f1) + frobenius(f2)*z^p.  The spec's z^p
-        is formed only for a nonzero z-part; a free spec cannot form z^2."""
-        f1, f2 = self.f1.frobenius(), self.f2.frobenius()
-        if not f2:
-            return RElem._trusted(self.spec, f1, f2)
-        zp = self.spec.z_to_p
-        return RElem._trusted(self.spec, f1 + f2 * zp.f1, f2 * zp.f2)
+        """self^p over F_p: the Frobenius image of the polynomial, whose z^p
+        part is multiplied by the spec's z^p.  That z^p is formed only for a
+        nonzero z-part; a free spec cannot form z^2."""
+        spec, f = self.spec, self.poly.frobenius()
+        high = f.coeff_of("z", spec.field.characteristic)
+        if not high:
+            return RElem._trusted(spec, f)
+        return RElem._trusted(spec, f.coeff_of("z", 0)) + RElem._trusted(spec, high) * spec.z_to_p
 
     def scale(self, c) -> "RElem":
-        c = self.spec.field.scalar(c)
-        return RElem._trusted(self.spec, self.f1.scale(c), self.f2.scale(c))
+        return RElem._trusted(self.spec, self.poly.scale(c))
 
     def __bool__(self):
-        return bool(self.f1) or bool(self.f2)
+        return bool(self.poly)
 
     def is_zero(self) -> bool:
         return not self
@@ -242,57 +253,54 @@ class RElem:
         if not isinstance(other, RElem):
             return NotImplemented
         same = self.spec is other.spec or self.spec == other.spec
-        return same and self.f1 == other.f1 and self.f2 == other.f2
+        return same and self.poly == other.poly
 
     def to_poly(self) -> Poly:
-        return self.f1 + Poly.variable(self.spec.field, "z") * self.f2
+        return self.poly
+
+    def ints(self) -> tuple:
+        """The integer view of the normal form (Poly.ints())."""
+        return self.poly.ints()
 
     def u_coefficients(self) -> dict:
         """{i: the U^i-coefficient} over the nonzero ones, in ascending i,
-        read from both components in one walk."""
+        read in one walk."""
         parts = {}
-        for k, poly in enumerate((self.f1, self.f2)):
-            for (a0, a1, a2, a3, i, a5), c in poly.terms.items():
-                parts.setdefault(i, ({}, {}))[k][a0, a1, a2, a3, 0, a5] = c
+        for (a0, a1, a2, a3, i, a5), c in self.poly.terms.items():
+            parts.setdefault(i, {})[a0, a1, a2, a3, 0, a5] = c
         field = self.spec.field
-        return {i: RElem._trusted(self.spec, Poly(field, parts[i][0]), Poly(field, parts[i][1]))
-                for i in sorted(parts)}
+        return {i: RElem._trusted(self.spec, Poly(field, parts[i])) for i in sorted(parts)}
 
     def degree_in(self, var: str):
-        """Degree in a parameter (T, U, or S) across both components."""
-        return max(self.f1.degree_in(var), self.f2.degree_in(var))
+        """Degree in a parameter (T, U, or S)."""
+        return self.poly.degree_in(var)
 
     def substitute_params(self, bindings: dict) -> "RElem":
-        """Substitute polynomials for the free parameters T, U, S only."""
-        for var in bindings:
+        """Substitute z-free polynomials for the free parameters T, U, S only."""
+        for var, val in bindings.items():
             if var not in PARAMS:
                 raise InputError(f"{var!r} is not a free parameter")
-        return RElem(
-            self.spec, self.f1.substitute(bindings), self.f2.substitute(bindings)
-        )
-
-    def _weighted_degrees(self, w: WeightVector) -> tuple:
-        """The weighted degrees of f1 and of z*f2 (-inf for a zero part)."""
-        d2 = self.f2.weighted_degree(w) + w.weight("z") if self.f2 else NEG_INF
-        return self.f1.weighted_degree(w), d2
+            if isinstance(val, Poly) and "z" in val.variables():
+                raise InputError("normal-form components must not contain z")
+        return RElem._trusted(self.spec, self.poly.substitute(bindings))
 
     def weighted_degree(self, w: WeightVector):
-        return max(self._weighted_degrees(w))
+        return self.poly.weighted_degree(w)
 
     def top_part(self, w: WeightVector, target: RingSpec = None) -> "RElem":
         """The terms achieving the weighted degree, read in `target` (default: same spec)."""
         if self.is_zero():
             raise InputError("top part of zero is undefined")
-        d1, d2 = self._weighted_degrees(w)
-        best, zero = max(d1, d2), Poly.zero(self.spec.field)
-        return RElem(target or self.spec, self.f1.top_part(w) if d1 == best else zero,
-                     self.f2.top_part(w) if d2 == best else zero)
+        target = target or self.spec
+        if target.field != self.spec.field:
+            raise InputError("component over a different field")
+        return RElem._trusted(target, self.poly.top_part(w))
 
     def __repr__(self):
-        return f"RElem({format_poly(self.to_poly())})"
+        return f"RElem({format_poly(self.poly)})"
 
     def __str__(self):
-        return format_poly(self.to_poly())
+        return format_poly(self.poly)
 
 
 def normal_form(spec: RingSpec, p: Poly) -> RElem:
@@ -308,16 +316,8 @@ def normal_form(spec: RingSpec, p: Poly) -> RElem:
 
 
 def r_x_divide(a: RElem, m: int) -> RElem:
-    """Exact division by x^m, componentwise (valid since {1, z} is a free basis)."""
-    try:
-        f1 = a.f1.divide_var_power("x", m)
-    except NotDivisible as exc:
-        raise NotDivisible(f"constant component: {exc}") from None
-    try:
-        f2 = a.f2.divide_var_power("x", m)
-    except NotDivisible as exc:
-        raise NotDivisible(f"z component: {exc}") from None
-    return RElem(a.spec, f1, f2)
+    """Exact division by x^m, term by term (valid since {1, z} is a free basis)."""
+    return RElem._trusted(a.spec, a.poly.divide_var_power("x", m))
 
 
 def forced_y(source: RingSpec, mu: Scalar, image_z: RElem) -> RElem:
@@ -356,10 +356,9 @@ def substitute_poly(spec: RingSpec, p: Poly, images: dict) -> RElem:
     for img in images.values():
         if img.spec is not spec and img.spec != spec:
             raise InputError("elements of different rings")
-    # z stays bound, so every free part is a z-free first component.
+    # z stays bound, so its powers come reduced and every free part is z-free.
     bound = {"z": spec.z, **images}
-    f1, f2 = substitute_terms(p, bound, lambda a: (a.f1, a.f2))
-    return RElem._trusted(spec, f1, f2)
+    return RElem._trusted(spec, Poly(spec.field, substitute_terms(p, bound)))
 
 
 def apply_images(spec: RingSpec, images: dict, a: RElem) -> RElem:

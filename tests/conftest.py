@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 
-from dansurf import FieldSpec, Poly, RElem, RingSpec
+from dansurf import FieldSpec, InputError, IsoVerdict, Poly, RElem, RingSpec
 from dansurf.polyring import mono
 
 Q = FieldSpec(0)
@@ -65,3 +65,23 @@ def standard_spec(field, n=2, h_text="1"):
     from dansurf import parse_poly
 
     return RingSpec(field, n, parse_poly(h_text, field))
+
+
+def enumerate_oracle(spec1, spec2):
+    """Brute-force isomorphism test over F_p, p <= 101: try every (eta, mu)
+    in residue order, mu first.  An oracle independent of classify."""
+    field = spec1.field
+    p = field.characteristic
+    if spec2.field != field or not (spec1.standard and spec2.standard):
+        raise InputError("the oracle compares standard specs over one field")
+    if p == 0 or p > 101:
+        raise InputError("oracle needs a prime field with p <= 101")
+    if spec1.n != spec2.n:
+        return IsoVerdict(False, None, None, "n_mismatch")
+    x = Poly.variable(field, "x")
+    for mu in range(1, p):
+        h1_mu = spec1.h.substitute({"x": x.scale(mu)})
+        for eta in range(1, p):
+            if h1_mu.scale(eta) == spec2.h:
+                return IsoVerdict(True, field.scalar(eta), field.scalar(mu), "ok")
+    return IsoVerdict(False, None, None, "no_root")

@@ -27,7 +27,6 @@ from dansurf import (
     decompose,
     degree,
     derivation,
-    enumerate_oracle,
     evaluate_at_one,
     group_structure,
     homogenize,
@@ -49,7 +48,7 @@ from dansurf import (
 )
 from dansurf.cli import dispatch
 from dansurf.polyring import format_poly
-from conftest import random_poly, random_relem, rng, scan_roots
+from conftest import enumerate_oracle, random_poly, random_relem, rng, scan_roots
 
 Q = FieldSpec(0)
 CHARS = (0, 2, 3, 5)

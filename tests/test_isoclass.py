@@ -7,7 +7,6 @@ from dansurf import (
     Poly,
     RingSpec,
     classify,
-    enumerate_oracle,
     from_images,
     parse_poly,
     shear,
@@ -15,7 +14,7 @@ from dansurf import (
     witness,
 )
 from dansurf.polyring import mono
-from conftest import F2, F3, F5, Q, standard_spec
+from conftest import F2, F3, F5, Q, enumerate_oracle, standard_spec
 
 
 def test_n_mismatch():
