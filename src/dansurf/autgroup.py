@@ -53,6 +53,8 @@ class Automorphism:
     def __post_init__(self):
         spec = self.spec
         _require_standard(spec)
+        if type(self.f) is not Poly:
+            raise TypeError(f"f must be a Poly, not {type(self.f).__name__}")
         if self.mu.field != spec.field or self.f.field != spec.field:
             raise InputError("triple data over a different field")
         if self.mu.is_zero():
@@ -104,7 +106,7 @@ def identity(spec: RingSpec) -> Automorphism:
 
 def shear(spec: RingSpec, f) -> Automorphism:
     """E_f: x -> x, z -> z + x^n f(x) (the U = 1 slice of a coefficient-family map)."""
-    if not isinstance(f, Poly):
+    if type(f) is not Poly:
         f = Poly.const(spec.field, f)
     if not f.variables() <= {"x"}:
         raise InputError("shear coefficient must be a polynomial in x")
@@ -160,7 +162,7 @@ def from_images(spec: RingSpec, images: dict) -> Automorphism:
             raise InputError(f"image of {var} lies in a different ring")
 
     ix = images["x"]
-    x_terms = ix.to_poly().terms
+    x_terms = ix.terms
     if set(x_terms) != {VAR_MONO["x"]}:
         raise NotCanonicalShape(f"x-image {ix} is not of the form mu*x")
     mu = x_terms[VAR_MONO["x"]]

@@ -144,7 +144,7 @@ def build_exponential(spec: RingSpec, coeffs) -> ExponentialMap:
     p = field.characteristic
     F = Poly.zero(field)
     for e, f_e in coeffs:
-        if not isinstance(f_e, Poly):
+        if type(f_e) is not Poly:
             f_e = Poly.const(field, f_e)
         if not f_e.variables() <= {"x"}:
             raise InputError("coefficient polynomials must involve x alone")

@@ -21,7 +21,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from .errors import InputError, ParseError
-from .polyring import Poly, WeightVector, format_poly
+from .polyring import VAR_MONO, VARS, ZERO_MONO, Poly, WeightVector, add_into, format_poly
 from .scalars import FieldSpec, Scalar, digits_to_int, read_int, read_rational
 from .surface import RElem, RingSpec, normal_form
 
@@ -96,41 +96,41 @@ class _PolyParser:
         p = self.term()
         if negate:
             p = -p
-        while True:
+        kind, text, _ = self.toks.peek()
+        if not (kind == "OP" and text in "+-"):
+            return p
+        # from the second term on, add into one term dict: linear in the terms
+        terms = dict(p.terms)
+        while kind == "OP" and text in "+-":
+            self.toks.next()
+            q = self.term()
+            add_into(terms, (-q if text == "-" else q).terms)
             kind, text, _ = self.toks.peek()
-            if kind == "OP" and text in "+-":
-                self.toks.next()
-                q = self.term()
-                p = p - q if text == "-" else p + q
-            else:
-                return p
+        return Poly(self.field, terms)
 
     def term(self) -> Poly:
-        p, top = self.factor()
+        p, tops = self.factor()
         while True:
             kind, text, _ = self.toks.peek()
-            if kind == "OP" and text == "*":
-                self.toks.next()
-                pos = self.toks.peek()[2]
-                q, q_top = self.factor()
-                if top + q_top > MAX_EXPONENT:
-                    # a product's top exponent in a variable is the sum of its
-                    # factors' tops there: their leading terms multiply to a nonzero term
-                    for a, b in zip(_tops(p), _tops(q)):
-                        if a + b > MAX_EXPONENT:
-                            raise ParseError(f"product has exponent {a} + {b}, which exceeds "
-                                             f"{MAX_EXPONENT}", pos)
-                    p = p * q
-                    top = _top(p)
-                else:
-                    p = p * q
-                    top += q_top
-            else:
+            if not (kind == "OP" and text == "*"):
                 return p
+            self.toks.next()
+            pos = self.toks.peek()[2]
+            q, q_tops = self.factor()
+            # a product's top exponent in a variable is the sum of its factors'
+            # tops there: their leading terms multiply to a nonzero term
+            (a0, a1, a2, a3, a4, a5), (b0, b1, b2, b3, b4, b5) = tops, q_tops
+            summed = (a0 + b0, a1 + b1, a2 + b2, a3 + b3, a4 + b4, a5 + b5)
+            if max(summed) > MAX_EXPONENT:
+                a, b = next((a, b) for a, b in zip(tops, q_tops) if a + b > MAX_EXPONENT)
+                raise ParseError(f"product has exponent {a} + {b}, which exceeds "
+                                 f"{MAX_EXPONENT}", pos)
+            p = p * q
+            tops = summed if p.terms else ZERO_MONO
 
     def factor(self):
-        """The next factor and a bound on its exponents."""
-        p, top = self.base()
+        """The next factor and the largest exponent of each variable in it."""
+        p, tops = self.base()
         kind, text, _ = self.toks.peek()
         if kind == "OP" and text == "^":
             self.toks.next()
@@ -143,15 +143,17 @@ class _PolyParser:
             e = int(text)
             if e > MAX_EXPONENT:
                 raise ParseError(f"exponent {e} exceeds {MAX_EXPONENT}", pos)
+            top = max(tops)
             if top * e > MAX_EXPONENT:
                 raise ParseError(f"power has exponent {top} * {e}, which exceeds {MAX_EXPONENT}",
                                  pos)
             p = p**e
-            top *= e
-        return p, top
+            a0, a1, a2, a3, a4, a5 = tops
+            tops = (a0 * e, a1 * e, a2 * e, a3 * e, a4 * e, a5 * e)
+        return p, tops
 
     def base(self):
-        """The next base and its largest exponent."""
+        """The next base and the largest exponent of each variable in it."""
         kind, text, pos = self.toks.next()
         if kind == "INT":
             value = digits_to_int(text)
@@ -165,15 +167,16 @@ class _PolyParser:
                 if den == 0:
                     raise ParseError("zero denominator", p3)
                 try:
-                    return Poly.const(self.field, Fraction(value, den)), 0
+                    return Poly.const(self.field, Fraction(value, den)), ZERO_MONO
                 except InputError as exc:
                     raise ParseError(str(exc), pos) from None
-            return Poly.const(self.field, value), 0
+            return Poly.const(self.field, value), ZERO_MONO
         if kind == "NAME":
             name = ALIASES.get(text, text)
             if name not in KNOWN_VARS:
                 raise ParseError(f"unknown variable {text!r}", pos)
-            return Poly.variable(self.field, name), 1
+            m = VAR_MONO[name]
+            return Poly(self.field, {m: self.field.one}), m
         if kind == "OP" and text == "(":
             if self.depth == MAX_NESTING:
                 raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
@@ -183,13 +186,8 @@ class _PolyParser:
             kind, text, pos = self.toks.next()
             if not (kind == "OP" and text == ")"):
                 raise ParseError("expected ')'", pos)
-            return p, _top(p)
+            return p, _tops(p)
         raise ParseError(f"unexpected {text!r}" if text else "unexpected end of input", pos)
-
-
-def _top(p: Poly) -> int:
-    """The largest exponent in p (0 for the zero polynomial)."""
-    return max(map(max, p.terms), default=0)
 
 
 def _tops(p: Poly) -> list:
@@ -209,7 +207,14 @@ def parse_scalar(text: str, field: FieldSpec) -> Scalar:
 
 
 def format_relem(a: RElem) -> str:
-    return format_poly(a.to_poly())
+    """The canonical text of a result; an exponent above MAX_EXPONENT, which
+    the parser would refuse, is an input error naming it."""
+    tops = _tops(a)
+    top = max(tops)
+    if top > MAX_EXPONENT:
+        raise InputError(f"result has {VARS[tops.index(top)]}^{top}, whose exponent exceeds "
+                         f"{MAX_EXPONENT}")
+    return format_poly(a)
 
 
 def _strip(text: str, at: int):

@@ -113,8 +113,8 @@ class Poly:
             view = self._ints = (d, items)
         return view
 
-    @classmethod
-    def from_items(cls, field: FieldSpec, items) -> "Poly":
+    @staticmethod
+    def from_items(field: FieldSpec, items) -> "Poly":
         terms = {}
         for m, c in items:
             c = field.scalar(c)
@@ -124,28 +124,34 @@ class Poly:
                 terms.pop(m, None)
             else:
                 terms[m] = c
-        return cls(field, terms)
+        return Poly(field, terms)
 
-    @classmethod
-    def zero(cls, field: FieldSpec) -> "Poly":
-        return cls(field, {})
+    @staticmethod
+    def zero(field: FieldSpec) -> "Poly":
+        return Poly(field, {})
 
-    @classmethod
-    def const(cls, field: FieldSpec, value) -> "Poly":
+    @staticmethod
+    def const(field: FieldSpec, value) -> "Poly":
         c = field.scalar(value)
-        return cls(field, {} if c.is_zero() else {ZERO_MONO: c})
+        return Poly(field, {} if c.is_zero() else {ZERO_MONO: c})
 
-    @classmethod
-    def variable(cls, field: FieldSpec, name: str, exp: int = 1) -> "Poly":
+    @staticmethod
+    def variable(field: FieldSpec, name: str, exp: int = 1) -> "Poly":
         i = VAR_INDEX.get(name)
         if i is None:
             raise InputError(f"unknown variable {name!r}")
         m = [0] * 6
         m[i] = exp
-        return cls(field, {tuple(m): field.one})
+        return Poly(field, {tuple(m): field.one})
+
+    def _like(self, terms: dict) -> "Poly":
+        """A value of self's kind with the given canonical terms: the one
+        constructor of the methods whose result has the kind of self."""
+        return Poly(self.field, terms)
 
     def _coerce(self, other):
-        if isinstance(other, Poly):
+        # exactly a Poly: an element of a quotient ring is not a polynomial
+        if type(other) is Poly:
             if other.field is not self.field and other.field != self.field:
                 raise InputError("polynomials over different fields")
             return other
@@ -161,7 +167,7 @@ class Poly:
             return self
         terms = dict(self.terms)
         add_into(terms, o.terms)
-        return Poly(self.field, terms)
+        return self._like(terms)
 
     __radd__ = __add__
 
@@ -178,7 +184,7 @@ class Poly:
         return o - self
 
     def __neg__(self):
-        return Poly(self.field, {m: -c for m, c in self.terms.items()})
+        return self._like({m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, Scalar):
@@ -225,20 +231,18 @@ class Poly:
         if not self.terms:
             return self
         ((a0, a1, a2, a3, a4, a5), c), = self.terms.items()
-        return Poly(self.field, {(a0 * e, a1 * e, a2 * e, a3 * e, a4 * e, a5 * e): c**e})
+        return self._like({(a0 * e, a1 * e, a2 * e, a3 * e, a4 * e, a5 * e): c**e})
 
     def frobenius(self) -> "Poly":
         """self^p over F_p: every exponent times p, the coefficients kept, as
         (sum c*m)^p = sum c^p*m^p and c^p = c."""
         p = self.field.characteristic
-        return Poly(self.field, {(a0 * p, a1 * p, a2 * p, a3 * p, a4 * p, a5 * p): c
-                                 for (a0, a1, a2, a3, a4, a5), c in self.terms.items()})
+        return self._like({(a0 * p, a1 * p, a2 * p, a3 * p, a4 * p, a5 * p): c
+                           for (a0, a1, a2, a3, a4, a5), c in self.terms.items()})
 
     def scale(self, c) -> "Poly":
         c = self.field.scalar(c)
-        if c.is_zero():
-            return Poly.zero(self.field)
-        return Poly(self.field, {m: v * c for m, v in self.terms.items()})
+        return self._like({} if c.is_zero() else {m: v * c for m, v in self.terms.items()})
 
     def __bool__(self):
         return bool(self.terms)
@@ -250,7 +254,7 @@ class Poly:
         return not self.terms or (len(self.terms) == 1 and ZERO_MONO in self.terms)
 
     def __eq__(self, other):
-        if not isinstance(other, Poly):
+        if type(other) is not Poly:
             return NotImplemented
         return self.field == other.field and self.terms == other.terms
 
@@ -291,7 +295,7 @@ class Poly:
         for var, val in bindings.items():
             if var not in VAR_INDEX:
                 raise InputError(f"unknown variable {var!r} in substitution")
-            if not isinstance(val, Poly):
+            if type(val) is not Poly:
                 val = Poly.const(self.field, val)
             elif val.field != self.field:
                 raise InputError("substitution value over a different field")
@@ -309,8 +313,7 @@ class Poly:
         if not self.terms:
             raise InputError("top part of the zero polynomial is undefined")
         best = self.weighted_degree(w)
-        terms = {m: c for m, c in self.terms.items() if w.mono_weight(m) == best}
-        return Poly(self.field, terms)
+        return self._like({m: c for m, c in self.terms.items() if w.mono_weight(m) == best})
 
     def divide_var_power(self, var: str, m: int) -> "Poly":
         """Exact division by var^m; raises NotDivisible naming the offending term."""
@@ -324,7 +327,7 @@ class Poly:
                 )
             lowered = mo[:vi] + (mo[vi] - m,) + mo[vi + 1 :]
             terms[lowered] = c
-        return Poly(self.field, terms)
+        return self._like(terms)
 
     def sorted_terms(self):
         """Terms in descending graded-lex order (z > y > x > T > U > S)."""

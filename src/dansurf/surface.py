@@ -2,8 +2,8 @@
 
 Because the defining relation is monic and quadratic in z, the set {1, z}
 is a free basis for R over k[x, y], and every element has a unique normal
-form f1 + z*f2 with f1, f2 free of z: a polynomial of z-degree at most 1,
-which is how an element is stored.  Only products (and Frobenius powers)
+form f1 + z*f2 with f1, f2 free of z: a polynomial of z-degree at most 1.
+An element, RElem, is that Poly plus its ring.  Only products (and Frobenius powers)
 rewrite z^2 = x^n*y - h*z.  Polynomial extensions R[T], R[U], R[S,U] reuse
 the same element type: the parameters T, U, S simply appear in the
 polynomial.
@@ -31,6 +31,8 @@ def _require_hypotheses(field: FieldSpec, n: int, h: Poly, standard: bool = True
     field and in x alone, and for a standard spec h(0) != 0."""
     if n < 2:
         raise InputError(f"n must be at least 2, got {n}")
+    if type(h) is not Poly:
+        raise TypeError(f"h must be a Poly, not {type(h).__name__}")
     if h.field != field:
         raise InputError("h is defined over a different field")
     if not h.variables() <= {"x"}:
@@ -82,7 +84,7 @@ class RingSpec:
     def z_squared(self) -> "RElem":
         """z^2 = x^n*y - h*z in normal form, formed once per spec; a free
         spec has no relation, so RElem products never read it there."""
-        return RElem._trusted(self, self.relation() + Poly.variable(self.field, "z", 2))
+        return RElem._trusted(self, (self.relation() + Poly.variable(self.field, "z", 2)).terms)
 
     @cached_property
     def z(self) -> "RElem":
@@ -100,11 +102,13 @@ class RingSpec:
         return f"R(n={self.n}, h={format_poly(self.h)}, field={self.field.label}{flags})"
 
 
-class RElem:
-    """An element of R (or of R[T], R[U], R[S,U]) stored as its normal form:
-    one polynomial f1 + z*f2 of z-degree at most 1."""
+class RElem(Poly):
+    """An element of R (or of R[T], R[U], R[S,U]): its normal form, a
+    polynomial f1 + z*f2 of z-degree at most 1, that knows its ring `spec`.
+    The polynomial operations carry the spec along; only products (and
+    Frobenius powers) rewrite z^2."""
 
-    __slots__ = ("spec", "poly")
+    __slots__ = ("spec",)
 
     def __init__(self, spec: RingSpec, f1: Poly, f2: Poly):
         if f1.field != spec.field or f2.field != spec.field:
@@ -114,17 +118,22 @@ class RElem:
         terms = dict(f1.terms)  # f1 and z*f2 share no monomial
         for (_, a1, a2, a3, a4, a5), c in f2.terms.items():
             terms[1, a1, a2, a3, a4, a5] = c
+        Poly.__init__(self, spec.field, terms)
         self.spec = spec
-        self.poly = Poly(spec.field, terms)
 
     @classmethod
-    def _trusted(cls, spec: RingSpec, poly: Poly) -> "RElem":
-        """Skip the checks: poly must be over spec.field with z-degree at most
-        1, as the results of operations on such polynomials are."""
+    def _trusted(cls, spec: RingSpec, terms: dict) -> "RElem":
+        """Skip the checks: terms must be canonical, over spec.field and of
+        z-degree at most 1, as the results of operations on such elements are."""
         a = object.__new__(cls)
+        a.field = spec.field
+        a.terms = terms
+        a._ints = None
         a.spec = spec
-        a.poly = poly
         return a
+
+    def _like(self, terms: dict) -> "RElem":
+        return RElem._trusted(self.spec, terms)
 
     @classmethod
     def zero(cls, spec: RingSpec) -> "RElem":
@@ -147,12 +156,12 @@ class RElem:
     @property
     def f1(self) -> Poly:
         """The z-free part of the normal form."""
-        return self.poly.coeff_of("z", 0)
+        return self.coeff_of("z", 0)
 
     @property
     def f2(self) -> Poly:
         """The coefficient of z in the normal form."""
-        return self.poly.coeff_of("z", 1)
+        return self.coeff_of("z", 1)
 
     def _coerce(self, other):
         if isinstance(other, RElem):
@@ -163,46 +172,23 @@ class RElem:
             return RElem.const(self.spec, other)
         return None
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RElem._trusted(self.spec, self.poly + o.poly)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RElem._trusted(self.spec, self.poly - o.poly)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __neg__(self):
-        return RElem._trusted(self.spec, -self.poly)
-
     def __mul__(self, other):
         if isinstance(other, Scalar):
             return self.scale(other)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        spec, field = self.spec, self.spec.field
+        spec = self.spec
         acc = Accumulator()
-        fold_product(acc, self.poly.ints(), o.poly.ints())
+        fold_product(acc, self.ints(), o.ints())
         sums = acc.sums
         zz = [m for m in sums if m[0] == 2]
         if zz:  # z*f2 times z*g2: move the z^2 sums out and fold them with z^2
             if spec.free:
                 raise InputError("product needs z^2, which a free spec cannot reduce")
             items = [((0,) + m[1:], sums.pop(m)) for m in zz]
-            fold_product(acc, (acc.den, items), spec.z_squared.poly.ints())
-        return RElem._trusted(spec, Poly(field, reduce_raw(field, acc)))
+            fold_product(acc, (acc.den, items), spec.z_squared.ints())
+        return RElem._trusted(spec, reduce_raw(spec.field, acc))
 
     __rmul__ = __mul__
 
@@ -212,95 +198,64 @@ class RElem:
         return power({1: self}, k) if k else RElem.one(self.spec)
 
     def _has_z(self) -> bool:
-        return any(m[0] for m in self.poly.terms)
+        return any(m[0] for m in self.terms)
 
     def dense_over_q(self) -> bool:
         """As for Poly; over Q a z term makes it dense, as z^2 = x^n*y - h*z."""
-        return not self.spec.field.characteristic and (self._has_z() or self.poly.dense_over_q())
+        return not self.field.characteristic and (self._has_z() or Poly.dense_over_q(self))
 
     def is_monomial(self) -> bool:
         """z-free with at most one term, so power() forms c^e*m^e in one step."""
-        return self.poly.is_monomial() and not self._has_z()
-
-    def monomial_power(self, e: int) -> "RElem":
-        """self^e (e >= 1) for a base that is_monomial()."""
-        return RElem._trusted(self.spec, self.poly.monomial_power(e))
+        return len(self.terms) <= 1 and not self._has_z()
 
     def frobenius(self) -> "RElem":
         """self^p over F_p: the Frobenius image of the polynomial, whose z^p
         part is multiplied by the spec's z^p.  That z^p is formed only for a
         nonzero z-part; a free spec cannot form z^2."""
-        spec, f = self.spec, self.poly.frobenius()
+        spec, f = self.spec, Poly.frobenius(self)
         high = f.coeff_of("z", spec.field.characteristic)
         if not high:
-            return RElem._trusted(spec, f)
-        return RElem._trusted(spec, f.coeff_of("z", 0)) + RElem._trusted(spec, high) * spec.z_to_p
-
-    def scale(self, c) -> "RElem":
-        return RElem._trusted(self.spec, self.poly.scale(c))
-
-    def __bool__(self):
-        return bool(self.poly)
-
-    def is_zero(self) -> bool:
-        return not self
-
-    @property
-    def field(self) -> FieldSpec:
-        return self.spec.field
+            return f
+        return self._like(f.coeff_of("z", 0).terms) + self._like(high.terms) * spec.z_to_p
 
     def __eq__(self, other):
         if not isinstance(other, RElem):
             return NotImplemented
         same = self.spec is other.spec or self.spec == other.spec
-        return same and self.poly == other.poly
+        return same and self.terms == other.terms
 
     def to_poly(self) -> Poly:
-        return self.poly
-
-    def ints(self) -> tuple:
-        """The integer view of the normal form (Poly.ints())."""
-        return self.poly.ints()
+        """The normal form as a plain polynomial."""
+        return Poly(self.field, self.terms)
 
     def u_coefficients(self) -> dict:
         """{i: the U^i-coefficient} over the nonzero ones, in ascending i,
         read in one walk."""
         parts = {}
-        for (a0, a1, a2, a3, i, a5), c in self.poly.terms.items():
+        for (a0, a1, a2, a3, i, a5), c in self.terms.items():
             parts.setdefault(i, {})[a0, a1, a2, a3, 0, a5] = c
-        field = self.spec.field
-        return {i: RElem._trusted(self.spec, Poly(field, parts[i])) for i in sorted(parts)}
-
-    def degree_in(self, var: str):
-        """Degree in a parameter (T, U, or S)."""
-        return self.poly.degree_in(var)
+        return {i: self._like(parts[i]) for i in sorted(parts)}
 
     def substitute_params(self, bindings: dict) -> "RElem":
         """Substitute z-free polynomials for the free parameters T, U, S only."""
         for var, val in bindings.items():
             if var not in PARAMS:
                 raise InputError(f"{var!r} is not a free parameter")
-            if isinstance(val, Poly) and "z" in val.variables():
+            if type(val) is Poly and "z" in val.variables():
                 raise InputError("normal-form components must not contain z")
-        return RElem._trusted(self.spec, self.poly.substitute(bindings))
-
-    def weighted_degree(self, w: WeightVector):
-        return self.poly.weighted_degree(w)
+        return self._like(self.substitute(bindings).terms)
 
     def top_part(self, w: WeightVector, target: RingSpec = None) -> "RElem":
         """The terms achieving the weighted degree, read in `target` (default: same spec)."""
         if self.is_zero():
             raise InputError("top part of zero is undefined")
         target = target or self.spec
-        if target.field != self.spec.field:
+        if target.field != self.field:
             raise InputError("component over a different field")
-        return RElem._trusted(target, self.poly.top_part(w))
+        return RElem._trusted(target, Poly.top_part(self, w).terms)
 
     def __repr__(self):
-        return f"RElem({format_poly(self.poly)})"
-
-    def __str__(self):
-        return format_poly(self.poly)
+        return f"RElem({format_poly(self)})"
 
 
 def normal_form(spec: RingSpec, p: Poly) -> RElem:
@@ -317,7 +272,7 @@ def normal_form(spec: RingSpec, p: Poly) -> RElem:
 
 def r_x_divide(a: RElem, m: int) -> RElem:
     """Exact division by x^m, term by term (valid since {1, z} is a free basis)."""
-    return RElem._trusted(a.spec, a.poly.divide_var_power("x", m))
+    return a.divide_var_power("x", m)
 
 
 def forced_y(source: RingSpec, mu: Scalar, image_z: RElem) -> RElem:
@@ -358,9 +313,9 @@ def substitute_poly(spec: RingSpec, p: Poly, images: dict) -> RElem:
             raise InputError("elements of different rings")
     # z stays bound, so its powers come reduced and every free part is z-free.
     bound = {"z": spec.z, **images}
-    return RElem._trusted(spec, Poly(spec.field, substitute_terms(p, bound)))
+    return RElem._trusted(spec, substitute_terms(p, bound))
 
 
 def apply_images(spec: RingSpec, images: dict, a: RElem) -> RElem:
     """Apply the homomorphism given by generator images to a normal form."""
-    return substitute_poly(spec, a.to_poly(), images)
+    return substitute_poly(spec, a, images)

@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction
 
+from hypothesis import settings
+
 from dansurf import FieldSpec, InputError, IsoVerdict, Poly, RElem, RingSpec
 from dansurf.polyring import mono
 
@@ -12,6 +14,11 @@ F3 = FieldSpec(3)
 F5 = FieldSpec(5)
 F7 = FieldSpec(7)
 F101 = FieldSpec(101)
+
+# Every hypothesis test draws the same examples on every run: derandomized,
+# with no example database carried between runs and no per-example deadline.
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
 
 
 def rng(seed=0):

@@ -199,6 +199,25 @@ def test_largest_exp_build_power_parses_back(p, k):
         0, "relation: PASS\naxiom_i: PASS\naxiom_ii: PASS\nverified")
 
 
+def test_results_that_would_not_parse_back_exit_2():
+    # a printed element or map must parse back, so an exponent above 10^6 in
+    # a result is an input error naming it, with or without --json
+    ring = "R(n=3,h=1,field=F2)"
+    message = "input error: result has x^1050000, whose exponent exceeds 1000000"
+    for extra in ([], ["--json"]):
+        assert dispatch(["normal-form", "--ring", ring, "--expr", "z^700000"] + extra) == (
+            2, message)
+    assert dispatch(["aut-apply", "--ring", ring, "--word", "E(x^999998)", "--expr", "z"]) == (
+        2, "input error: result has x^1000001, whose exponent exceeds 1000000")
+    assert dispatch(["exp-build", "--ring", "R(n=2,h=1,field=Q)", "--coeff", "1:x^999999"]) == (
+        2, "input error: result has x^2000000, whose exponent exceeds 1000000")
+    # at the bound the result prints and parses back
+    code, out = dispatch(["normal-form", "--ring", ring, "--expr", "x^999997*z"])
+    assert (code, out) == (0, "x^999997*z")
+    assert dispatch(["aut-apply", "--ring", ring, "--word", "E(x^999997)", "--expr", "z"]) == (
+        0, "x^1000000 + z")
+
+
 def test_integers_past_the_str_digit_limit():
     # Python refuses int <-> str conversions past sys.get_int_max_str_digits()
     # (4300 by default); the kernel prints and parses such integers exactly

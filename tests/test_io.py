@@ -16,7 +16,7 @@ from dansurf import (
 )
 from dansurf.cli import dispatch
 from dansurf.ioformats import MAX_NESTING, format_generator_map
-from dansurf.polyring import format_poly
+from dansurf.polyring import format_poly, mono
 from fractions import Fraction
 
 from conftest import F2, F3, F5, F7, Q, random_poly, rng, standard_spec
@@ -157,6 +157,27 @@ def test_exponent_overflow():
     assert parse_poly("(x^1000)^1000", F2) == parse_poly("x^1000000", F2)
     assert parse_poly("(1 + y^2)^390625", F5) == parse_poly("1 + y^781250", F5)
     assert parse_poly("2^1000 * x", F7) == parse_poly("2^4 * x", F7)
+    # the bound is per variable, and a product that is 0 has no exponents
+    assert parse_poly("x^1000000*y^1000000*(T - T)*x^1000000", F2).is_zero()
+    assert parse_poly("x^999999*y^1000000*x", Q) == parse_poly("y^1000000*x^1000000", Q)
+    with pytest.raises(ParseError, match=r"product has exponent 999999 \+ 2") as exc:
+        parse_poly("y*(x^999999 + y)*x^2", Q)
+    assert exc.value.offset == 17
+
+
+def test_sum_parses_in_linear_time(monkeypatch):
+    # a sum adds each term into one term dict; adding polynomial by
+    # polynomial copies the partial sum once per term, quadratic in the terms
+    n = 2000
+    text = " + ".join(f"{k}*x^{k}*y" for k in range(1, n + 1)) + " - 5*x^7*y - 3*x^3*y"
+    calls = []
+    add = Poly.__add__
+    monkeypatch.setattr(Poly, "__add__", lambda p, q: calls.append(1) or add(p, q))
+    p = parse_poly(text, Q)
+    assert len(calls) <= 1
+    assert p == Poly.from_items(Q, [(mono(x=k, y=1), k - 5 * (k == 7) - 3 * (k == 3))
+                                    for k in range(1, n + 1)])
+    assert len(p.terms) == n - 1
 
 
 def test_fraction_literals():

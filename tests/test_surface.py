@@ -4,16 +4,20 @@ import pytest
 
 from dansurf import (
     AlgebraError,
+    Automorphism,
     FieldSpec,
     InputError,
     NotDivisible,
     Poly,
     RElem,
     RingSpec,
+    WeightVector,
+    build_exponential,
     normal_form,
     parse_poly,
     r_x_divide,
     reduce_presentation,
+    shear,
     substitute_poly,
 )
 from dansurf.polyring import VARS
@@ -404,6 +408,65 @@ def test_public_constructor_checks_components():
     for f1, f2 in ((parse_poly("x", F2), zero), (x, parse_poly("1", F3))):
         with pytest.raises(InputError, match="component over a different field"):
             RElem(spec, f1, f2)
+
+
+def test_relem_and_poly_do_not_mix():
+    # an element of R is no polynomial: mixed arithmetic and equality are
+    # refused, every RElem result keeps its ring, and the documented views
+    # are plain polynomials
+    spec = standard_spec(Q, 2, "1 + x")
+    p, a = parse_poly("x + y", Q), NF(spec, "x*z + y*U + 2")
+    for mixed in (lambda: p + a, lambda: a + p, lambda: a - p, lambda: p - a,
+                  lambda: p * a, lambda: a * p):
+        with pytest.raises(TypeError):
+            mixed()
+    assert not p == a and not a == p and p != a
+    assert not a.to_poly() == a
+    with pytest.raises(TypeError):
+        hash(a)
+    w = WeightVector({"x": 1, "y": 2, "z": 1, "U": 0})
+    results = [a + a, a + 1, a - 3, -a, a.scale(2), a * 2, a.top_part(w),
+               r_x_divide(NF(spec, "x^2*z + x*y"), 1), NF(spec, "3*x^2*U").monomial_power(4),
+               *a.u_coefficients().values()]
+    for r in results:
+        assert type(r) is RElem and r.spec is spec, r
+    for view in (a.f1, a.f2, a.to_poly()):
+        assert type(view) is Poly, view
+    assert (a.f1, a.f2) == (parse_poly("y*U + 2", Q), parse_poly("x", Q))
+
+
+def test_plain_poly_inputs_refuse_an_relem():
+    # the inputs documented as a plain Poly do not take an element of R
+    spec = standard_spec(Q, 2, "1")
+    a = RElem.var(spec, "x")
+    with pytest.raises(TypeError):
+        parse_poly("x + y", Q).substitute({"x": a})
+    with pytest.raises(TypeError):
+        shear(spec, a)
+    with pytest.raises(TypeError):
+        build_exponential(spec, [(1, a)])
+    # an RElem in x alone would pass every condition on h and f
+    with pytest.raises((TypeError, AttributeError)):
+        RingSpec(Q, 2, RElem.const(spec, 1))
+    with pytest.raises((TypeError, AttributeError)):
+        Automorphism(spec, Q.one, 1, RElem.var(spec, "x") ** 2)
+
+
+def test_relem_is_a_poly_that_keeps_its_ring():
+    # what an RElem inherits: the Poly methods whose result has the kind of
+    # self return an RElem of the same ring, the others a plain Poly
+    spec = standard_spec(F3, 2, "1 + x")
+    a = NF(spec, "x^3*z + 2*x*y*T")
+    assert isinstance(a, Poly) and not hasattr(a, "__dict__")
+    divided = a.divide_var_power("x", 1)
+    assert type(divided) is RElem and divided.spec is spec
+    assert divided == NF(spec, "x^2*z + 2*y*T")
+    for view in (a.coeff_of("z", 1), a.substitute({"T": Poly.const(F3, 1)})):
+        assert type(view) is Poly, view
+    assert a**0 == RElem.one(spec) and (a**0).spec is spec
+    # the Poly constructors that RElem inherits still build a plain Poly
+    assert type(RElem.variable(F3, "x")) is Poly
+    assert type(RElem.from_items(F3, [((0,) * 6, 1)])) is Poly
 
 
 def test_substitute_poly_checks_its_inputs():
