@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import NamedTuple
 
@@ -51,6 +52,13 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads a token that names no option as a value when it
+        # looks like a negative number; widen that to every token that
+        # starts with one '-', so that --expr -x reads the expression -x.
+        self._negative_number_matcher = re.compile(r"-[^-]")
+
     def error(self, message):
         raise UsageError(message)
 

@@ -9,7 +9,7 @@ with fractional parameter weights work without rounding.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import InputError, NotDivisible
 from .scalars import FieldSpec, Scalar
@@ -415,6 +415,29 @@ def reduce_raw(field: FieldSpec, acc: Accumulator) -> dict:
     return terms
 
 
+def reduce_view(field: FieldSpec, acc: Accumulator) -> tuple:
+    """The integer view of the raw sums in acc, as Poly.ints() would read it
+    from reduce_raw()'s terms, for a product that only feeds another fold:
+    each value reduced mod p, or over Q the numerators and the common
+    denominator divided by their gcd, so that d stays the lcm of the reduced
+    denominators; zeros dropped and no Scalar formed."""
+    p, den = field.characteristic, acc.den
+    if p:
+        items = []
+        for m, v in acc.sums.items():
+            v %= p
+            if v:
+                items.append((m, v))
+        return 1, items
+    items = [(m, v) for m, v in acc.sums.items() if v]
+    if den != 1:
+        g = gcd(den, *[v for _, v in items])
+        if g != 1:
+            den //= g
+            items = [(m, v // g) for m, v in items]
+    return den, items
+
+
 # The integer view of the constant 1, in every field.
 UNIT_VIEW = (1, ((ZERO_MONO, 1),))
 
@@ -467,39 +490,52 @@ def _is_variable(img, var: str) -> bool:
     return d == 1 and len(items) == 1 and items[0] == (VAR_MONO[var], 1)
 
 
-def substitute_terms(p: Poly, images: dict) -> dict:
+def substitute_terms(p: Poly, images: dict, fold_z_squared=None) -> dict:
     """The term dict of p with the Poly or RElem `images` substituted.  The
     terms of p's integer view are grouped by their exponents in the bound
-    variables; each group's memoised bound powers are multiplied together,
-    and its free part (over p's denominator) times that product is folded
-    into one accumulator; a dense_over_q() image's powers are formed first,
-    in ascending order, so that no stepping chain is walked twice.  A
-    variable whose image is itself stays free, except z, so that an RElem
+    variables, and the exponents of each dense_over_q() image collected on
+    the way, so that its powers are formed first, in ascending order, and no
+    stepping chain is walked twice.  Each group's memoised bound powers are
+    multiplied together on integer views (reduced by reduce_view(), after
+    `fold_z_squared` rewrites the z^2 sums where the images are ring
+    elements), and the group's free part (over p's denominator) times that
+    product is folded into one accumulator; only the result forms Scalars.
+    A variable whose image is itself stays free, except z, so that an RElem
     image's product reduces every power of z."""
     bound = sorted((VAR_INDEX[var], {1: img}) for var, img in images.items()
                    if var == "z" or not _is_variable(img, var))
+    dense = [(i, memo, set()) for i, memo in bound if memo[1].dense_over_q()]
     den, items = p.ints()
     groups = {}
     for m, v in items:
         free = list(m)
         for i, _ in bound:
             free[i] = 0
+        for i, _, seen in dense:
+            seen.add(m[i])
         groups.setdefault(tuple([m[i] for i, _ in bound]), []).append((tuple(free), v))
-    for j, (_, memo) in enumerate(bound):
-        if memo[1].dense_over_q():
-            for e in sorted({exps[j] for exps in groups}):
-                if e:
-                    power(memo, e)
+    for _, memo, seen in dense:
+        for e in sorted(seen):
+            if e:
+                power(memo, e)
+    field = p.field
     acc = Accumulator()
     for exps, free in groups.items():
-        product = None
+        view = None
         for (_, memo), e in zip(bound, exps):
             if e:
-                pe = power(memo, e)
-                product = pe if product is None else product * pe
+                pe = power(memo, e).ints()
+                if view is None:
+                    view = pe
+                else:
+                    part = Accumulator()
+                    fold_product(part, view, pe)
+                    if fold_z_squared is not None:
+                        fold_z_squared(part)
+                    view = reduce_view(field, part)
         # the group of terms free of the bound variables folds with 1
-        fold_product(acc, (den, free), UNIT_VIEW if product is None else product.ints())
-    return reduce_raw(p.field, acc)
+        fold_product(acc, (den, free), UNIT_VIEW if view is None else view)
+    return reduce_raw(field, acc)
 
 
 def format_poly(p: Poly) -> str:

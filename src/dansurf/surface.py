@@ -86,6 +86,18 @@ class RingSpec:
         spec has no relation, so RElem products never read it there."""
         return RElem._trusted(self, (self.relation() + Poly.variable(self.field, "z", 2)).terms)
 
+    def fold_z_squared(self, acc: Accumulator) -> None:
+        """The one z^2 step of a product of normal forms: move the z^2 sums
+        (z*f2 times z*g2) out of acc and fold them with z^2 into acc.  A free
+        spec has no relation to rewrite them by."""
+        sums = acc.sums
+        zz = [m for m in sums if m[0] == 2]
+        if zz:
+            if self.free:
+                raise InputError("product needs z^2, which a free spec cannot reduce")
+            items = [((0,) + m[1:], sums.pop(m)) for m in zz]
+            fold_product(acc, (acc.den, items), self.z_squared.ints())
+
     @cached_property
     def z(self) -> "RElem":
         """The generator z, formed once per spec."""
@@ -181,13 +193,7 @@ class RElem(Poly):
         spec = self.spec
         acc = Accumulator()
         fold_product(acc, self.ints(), o.ints())
-        sums = acc.sums
-        zz = [m for m in sums if m[0] == 2]
-        if zz:  # z*f2 times z*g2: move the z^2 sums out and fold them with z^2
-            if spec.free:
-                raise InputError("product needs z^2, which a free spec cannot reduce")
-            items = [((0,) + m[1:], sums.pop(m)) for m in zz]
-            fold_product(acc, (acc.den, items), spec.z_squared.ints())
+        spec.fold_z_squared(acc)
         return RElem._trusted(spec, reduce_raw(spec.field, acc))
 
     __rmul__ = __mul__
@@ -313,7 +319,7 @@ def substitute_poly(spec: RingSpec, p: Poly, images: dict) -> RElem:
             raise InputError("elements of different rings")
     # z stays bound, so its powers come reduced and every free part is z-free.
     bound = {"z": spec.z, **images}
-    return RElem._trusted(spec, substitute_terms(p, bound))
+    return RElem._trusted(spec, substitute_terms(p, bound, spec.fold_z_squared))
 
 
 def apply_images(spec: RingSpec, images: dict, a: RElem) -> RElem:

@@ -186,6 +186,21 @@ def test_usage_errors_exit_2():
                                      f"to {var!r} (offset {offset})"), weights
 
 
+def test_a_value_may_start_with_one_dash():
+    # -x is normal-form's own output, and it reads back without --expr=
+    ring = "R(n=2,h=1,field=Q)"
+    assert dispatch(["normal-form", "--ring", ring, "--expr", "-x"]) == (0, "-x")
+    assert dispatch(["normal-form", "--ring", ring, "--expr", "-z^2", "--json"])[0] == 0
+    assert dispatch(["aut-apply", "--ring", ring, "--word", "T", "--expr", "-z"]) == (0, "z + 1")
+    assert dispatch(["cancel-verify", "--n1", "-2", "--n2", "3"]) == (
+        2, "input error: need 2 <= n1 < n2 <= 2*n1; got n1=-2, n2=3")
+    # a token with two dashes is always an option
+    assert dispatch(["normal-form", "--ring", ring, "--expr", "--json"]) == (
+        2, "usage error: argument --expr: expected one argument")
+    code, out = dispatch(["normal-form", "--ring", ring, "--expr", "x", "-y"])
+    assert (code, out) == (2, "usage error: unrecognized arguments: -y")
+
+
 @pytest.mark.parametrize("p, k", [(2, 18), (3, 11), (5, 8)])
 def test_largest_exp_build_power_parses_back(p, k):
     # p^k is the largest power of p at most 500000; its printed map goes
@@ -573,6 +588,13 @@ _VERIFICATION_FAILURES = [
     ids=[f"{i}-{argv[0]}" for i, (argv, _) in enumerate(_INPUT_ERRORS + _VERIFICATION_FAILURES)])
 def test_exit_codes_sort_input_errors_from_failures(argv, code, text):
     assert dispatch(argv) == (code, text)
+
+
+def test_free_spec_refuses_z_squared_in_a_group_product():
+    # the images of x and y multiply inside one substitution group, where
+    # their z-parts meet as z^2
+    argv = ["exp-degree", "--ring", _FREE, "--map", "x->x+z*U; y->y+z*U", "--expr", "x*y"]
+    assert dispatch(argv) == (2, "input error: product needs z^2, which a free spec cannot reduce")
 
 
 def test_error_taxonomy(monkeypatch):

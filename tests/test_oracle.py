@@ -163,3 +163,57 @@ def test_fractional_aut_apply_matches_sympy_expand_then_reduce(n, h, mu, g):
             theirs = sympy.expand(theirs.subs(step, simultaneous=True))
         ours = auto.apply(dense).to_poly()
         assert agree(to_sympy(ours), reduce_mod_relation(theirs, spec), Q), (lin, k)
+
+
+# Coefficient families z -> z + x^n F(x, U) for build_exponential, with the
+# U-exponents 1 and p^k that characteristic p allows.
+EXP_FAMILIES = [
+    (Q, 2, "1", [(1, "1 + x")]),
+    (Q, 3, "1 + x^2", [(1, "1/2*x - 3")]),
+    (F2, 2, "1", [(1, "1"), (2, "x"), (4, "1 + x")]),
+    (F3, 2, "1 + x", [(1, "x"), (9, "2")]),
+    (F5, 3, "2 + x^2", [(5, "1 + x"), (25, "3")]),
+]
+
+
+@pytest.mark.parametrize("field, n, h, coeffs", EXP_FAMILIES,
+                         ids=[f"{f.label}-n{n}-U{c[-1][0]}" for f, n, _, c in EXP_FAMILIES])
+def test_exponential_map_images_match_sympy(monkeypatch, field, n, h, coeffs):
+    # the relation under the images and both sides of the coaction law,
+    # expanded and reduced by sympy, against the substitutions that
+    # verify_exponential makes
+    import dansurf.expmaps as expmaps
+    from dansurf import build_exponential, parse_poly, verify_exponential
+
+    spec = standard_spec(field, n, h)
+    phi = build_exponential(spec, [(e, parse_poly(t, field)) for e, t in coeffs])
+    U, S = SYM["U"], SYM["S"]
+    images = {SYM[v]: to_sympy(img.to_poly()) for v, img in phi.images.items()}
+    images_s = {g: img.subs(U, S) for g, img in images.items()}
+    seen = []  # (kernel, the element substituted into, the result)
+    for name in ("substitute_poly", "apply_images"):
+        def recording(*args, name=name, kernel=getattr(expmaps, name)):
+            result = kernel(*args)
+            seen.append((name, args[2] if name == "apply_images" else args[1], result))
+            return result
+
+        monkeypatch.setattr(expmaps, name, recording)
+    assert verify_exponential(spec, phi.images).passed
+    monkeypatch.undo()
+    (name, rel, image_rel), *axiom_ii = seen
+    assert name == "substitute_poly" and rel == spec.relation() and image_rel.is_zero()
+    theirs = reduce_mod_relation(to_sympy(rel).subs(images, simultaneous=True), spec)
+    assert agree(theirs, sympy.Integer(0), field)
+    assert [(name, a) for name, a, _ in axiom_ii] == [
+        ("apply_images", phi.images[v]) for v in phi.carriers()]
+    for (_, a, lhs), var in zip(axiom_ii, phi.carriers()):
+        img = images[SYM[var]]
+        theirs_lhs = reduce_mod_relation(img.subs(images_s, simultaneous=True), spec)
+        theirs_rhs = reduce_mod_relation(img.subs(U, S + U), spec)
+        assert agree(theirs_lhs, theirs_rhs, field), var
+        assert agree(to_sympy(lhs.to_poly()), theirs_lhs, field), var
+        rhs = a.substitute_params({"U": Poly.variable(field, "S") + Poly.variable(field, "U")})
+        assert agree(to_sympy(rhs.to_poly()), theirs_rhs, field), var
+    # U^(p^k) reaches the images: the y-image carries U^(2*E) for the top E
+    top = max(e for e, _ in coeffs)
+    assert phi.image("y").degree_in("U") == 2 * top

@@ -14,7 +14,8 @@ from dansurf import (
     parse_poly,
     substitute_poly,
 )
-from dansurf.polyring import Accumulator, fold_product, format_poly, mono, reduce_raw
+from dansurf.polyring import (Accumulator, fold_product, format_poly, mono, reduce_raw,
+                              reduce_view)
 from dansurf.scalars import FieldSpec, Scalar
 from conftest import F2, F3, F5, F101, Q, random_poly, rng
 
@@ -322,6 +323,40 @@ def test_accumulator_takes_every_denominator_in_any_order():
     result = Poly(Q, reduce_raw(Q, acc))
     assert result == per_pair_product(polys[4], polys[0]) + per_pair_product(polys[0], polys[0])
     assert_canonical(result)
+
+
+@pytest.mark.parametrize("label, field, coeff", KERNEL_FIELDS, ids=[k[0] for k in KERNEL_FIELDS])
+def test_reduced_view_is_the_integer_view_of_the_reduced_terms(label, field, coeff):
+    # a product kept as a view reads as the view of its Scalar terms: over Q
+    # the common denominator divided by the gcd is the lcm of the reduced
+    # denominators, whatever the accumulator's denominator was
+    def check(acc):
+        d, items = reduce_view(field, acc)
+        reference = Poly(field, reduce_raw(field, acc)).ints()
+        assert (d, sorted(items)) == (reference[0], sorted(reference[1]))
+        assert all(type(v) is int and v for _, v in items)
+
+    r = rng(len(label) + 1)
+    for _ in range(40):
+        acc = Accumulator()
+        for _ in range(r.randint(1, 3)):
+            a = kernel_poly(r, field, coeff, r.randint(0, 6))
+            b = kernel_poly(r, field, coeff, r.randint(0, 6))
+            fold_product(acc, a.ints(), b.ints())
+        check(acc)
+    if not field.characteristic:
+        # 3/2*x times 2/3*y over the denominator 6 is the integral x*y
+        acc = Accumulator()
+        fold_product(acc, P("3/2*x").ints(), P("2/3*y").ints())
+        assert acc.den == 6 and reduce_view(Q, acc) == (1, [(mono(x=1, y=1), 1)])
+        # (3/2*x + 1/2)(2/3*y + 4/3) = x*y + 2*x + 1/3*y + 2/3: 6 cancels to 3
+        acc = Accumulator()
+        fold_product(acc, P("3/2*x + 1/2").ints(), P("2/3*y + 4/3").ints())
+        assert reduce_view(Q, acc)[0] == 3
+        check(acc)
+        # a sum that cancels to nothing over a fractional denominator
+        fold_product(acc, P("-3/2*x - 1/2").ints(), P("2/3*y + 4/3").ints())
+        assert reduce_view(Q, acc) == (1, [])
 
 
 def test_integer_view_is_formed_once_and_exact():

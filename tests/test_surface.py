@@ -517,3 +517,69 @@ def test_substitutions_match_term_by_term_reference(field):
             elems = {v: normal_form(spec, q) for v, q in polys.items()}
             assert substitute_poly(spec, p, elems) == term_by_term(
                 p, elems, RElem.one(spec), lambda v: RElem.var(spec, v)), images
+
+
+def per_group_reference(spec, p, images):
+    """The reference substitution: p's terms grouped by their exponents in
+    z, y, x, each group's bound powers multiplied as RElems (the images of
+    z, y and x, in that order), and the group's free part times that
+    product summed."""
+    bound = {"z": spec.z, **images}
+    groups = {}
+    for (z, y, x, t, u, s), c in p.terms.items():
+        groups.setdefault((z, y, x), []).append(((0, 0, 0, t, u, s), c))
+    total = RElem.zero(spec)
+    for exps, free in groups.items():
+        product = RElem.one(spec)
+        for var, e in zip("zyx", exps):
+            if e:
+                product = product * bound[var] ** e
+        part = RElem(spec, Poly(spec.field, dict(free)), Poly.zero(spec.field))
+        total = total + part * product
+    return total
+
+
+def test_group_products_multiply_no_relem(monkeypatch):
+    # a group binding z, y and x multiplies its bound powers on integer
+    # views: RElem.__mul__ runs only inside power()'s chains
+    import sys
+
+    spec = standard_spec(Q, 2, "1 + x")
+    images = {"x": NF(spec, "x + z*U"), "y": NF(spec, "y + 2*z*U + x^2*U^2 + U")}
+    p = parse_poly("x^2*y^3*z^2 + 3*x*y*z*U + y^2*z - 2*x^3*y + x*z^3", Q)
+    expected = per_group_reference(spec, p, images)
+    callers = []
+    mul = RElem.__mul__
+
+    def counting(self, other):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return mul(self, other)
+
+    monkeypatch.setattr(RElem, "__mul__", counting)
+    result = substitute_poly(spec, p, images)
+    monkeypatch.undo()
+    assert result == expected
+    assert callers and set(callers) == {"power"}, callers
+
+
+# Fractional images over h = 1/2 + 2/3*x, whose group products cancel part
+# or all of their common denominator: (3/2*x)(2/3*y) = x*y, and
+# (3/2*x + 1/2)(2/3*y + 4/3) has denominator 3, not 6.
+CANCELLING_IMAGES = (
+    {"x": "3/2*x", "y": "2/3*y"},
+    {"x": "3/2*x + 1/2", "y": "2/3*y + 4/3"},
+    {"x": "3/2*x + 1/2", "y": "2/3*y + 4/3", "z": "1/2*z + 3/4*x"},
+    {"x": "2/5*x*U + 5/2", "y": "5/2*y - 2/5*z*U", "z": "-z + 1/3*U"},
+)
+
+
+@pytest.mark.parametrize("images", CANCELLING_IMAGES, ids=range(len(CANCELLING_IMAGES)))
+def test_fractional_group_products_match_per_group_reference(images):
+    spec = standard_spec(Q, 2, "1/2 + 2/3*x")
+    elems = {v: NF(spec, text) for v, text in images.items()}
+    r = rng(len(images))
+    for _ in range(6):
+        p = random_poly(r, Q, ("x", "y", "z", "U"), max_terms=6, max_exp=3)
+        assert substitute_poly(spec, p, elems) == per_group_reference(spec, p, elems), p
+    p = parse_poly("x*y + x^2*y^2*z - 6*x^3*y*z^2", Q)
+    assert substitute_poly(spec, p, elems) == per_group_reference(spec, p, elems)
