@@ -19,13 +19,13 @@ characteristic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 
 from .errors import AlgebraError, InputError, NotCanonicalShape, ParseError
 from .ioformats import _offset, _strip, parse_poly, parse_scalar
 from .polyring import VAR_MONO, Poly, format_poly
+from .records import Record
 from .scalars import FieldSpec, Scalar, nth_roots
 from .surface import RElem, RingSpec, apply_images, forced_y, substitute_poly
 
@@ -41,33 +41,29 @@ def _low_part(p: Poly, n: int) -> Poly:
     return Poly(p.field, terms)
 
 
-@dataclass(frozen=True)
-class Automorphism:
+class Automorphism(Record):
     """Canonical triple (mu, sigma, f); the action on y is derived on demand."""
 
-    spec: RingSpec
-    mu: Scalar
-    sigma: int
-    f: Poly
+    _fields = ("spec", "mu", "sigma", "f")
 
-    def __post_init__(self):
-        spec = self.spec
+    def __init__(self, spec: RingSpec, mu: Scalar, sigma: int, f: Poly):
+        vars(self).update(spec=spec, mu=mu, sigma=sigma, f=f)
         _require_standard(spec)
-        if type(self.f) is not Poly:
-            raise TypeError(f"f must be a Poly, not {type(self.f).__name__}")
-        if self.mu.field != spec.field or self.f.field != spec.field:
+        if type(f) is not Poly:
+            raise TypeError(f"f must be a Poly, not {type(f).__name__}")
+        if mu.field != spec.field or f.field != spec.field:
             raise InputError("triple data over a different field")
-        if self.mu.is_zero():
+        if mu.is_zero():
             raise InputError("mu must be a unit")
-        if self.sigma not in (1, -1):
+        if sigma not in (1, -1):
             raise InputError("sigma must be +1 or -1")
-        if not self.f.variables() <= {"x"}:
+        if not f.variables() <= {"x"}:
             raise InputError("f must be a polynomial in x alone")
-        if spec.h.substitute({"x": _mu_x(spec, self.mu)}) != spec.h:
-            raise InputError(f"h({self.mu}*x) != h(x)")
-        if self.sigma == 1 and _low_part(self.f, spec.n):
+        if spec.h.substitute({"x": _mu_x(spec, mu)}) != spec.h:
+            raise InputError(f"h({mu}*x) != h(x)")
+        if sigma == 1 and _low_part(f, spec.n):
             raise InputError("sigma = +1 requires f = 0 mod x^n")
-        if self.sigma == -1 and _low_part(self.f + spec.h, spec.n):
+        if sigma == -1 and _low_part(f + spec.h, spec.n):
             raise InputError("sigma = -1 requires f = -h mod x^n")
 
     def image_x(self) -> RElem:
@@ -256,16 +252,17 @@ def parse_aut_word(text: str, spec: RingSpec) -> Automorphism:
     return word
 
 
-@dataclass(frozen=True)
-class GroupStructure:
-    """Shape of Aut(R) = N x| H with H = <T> x L."""
+class GroupStructure(Record):
+    """Shape of Aut(R) = N x| H with H = <T> x L; l_order is an int, or None
+    for the full multiplicative group of Q."""
 
-    m: int
-    l_order: object  # int, or None for the full multiplicative group of Q
-    l_description: str
-    h_description: str
-    n_description: str
-    field: FieldSpec
+    _fields = ("m", "l_order", "l_description", "h_description", "n_description", "field")
+
+    def __init__(self, m: int, l_order, l_description: str, h_description: str,
+                 n_description: str, field: FieldSpec):
+        vars(self).update(m=m, l_order=l_order, l_description=l_description,
+                          h_description=h_description, n_description=n_description,
+                          field=field)
 
     @cached_property
     def l_elements(self):

@@ -25,8 +25,6 @@ inside the ring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import AlgebraError, InputError
 from .expmaps import (
     CheckResult,
@@ -37,21 +35,25 @@ from .expmaps import (
     verify_exponential,
 )
 from .polyring import Poly
+from .records import Record
 from .scalars import FieldSpec
 from .surface import RElem, RingSpec
 
 
-@dataclass
-class CancellationWitness:
-    spec2: RingSpec
-    n1: int
-    n2: int
-    x1: RElem
-    z1: RElem
-    y1: RElem
-    phi: ExponentialMap
-    s: RElem
-    report: VerificationReport | None = None  # set by build_witness
+class CancellationWitness(Record):
+    """The embedding, the map and the slice; `report` is set by
+    build_witness, so unlike the other records this one is mutable and has
+    no hash."""
+
+    _fields = ("spec2", "n1", "n2", "x1", "z1", "y1", "phi", "s", "report")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, spec2: RingSpec, n1: int, n2: int, x1: RElem, z1: RElem, y1: RElem,
+                 phi: ExponentialMap, s: RElem, report: VerificationReport | None = None):
+        vars(self).update(spec2=spec2, n1=n1, n2=n2, x1=x1, z1=z1, y1=y1, phi=phi, s=s,
+                          report=report)
 
 
 def build_witness(field: FieldSpec, n1: int, n2: int) -> CancellationWitness:

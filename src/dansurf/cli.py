@@ -13,10 +13,8 @@ All output is byte-deterministic for identical inputs.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
-from typing import NamedTuple
 
 from .autgroup import decompose, group_structure, parse_aut_word
 from .cancellation import build_witness
@@ -51,6 +49,10 @@ class UsageError(Exception):
     pass
 
 
+class _Help(Exception):
+    """-h or --help was given; carries the help text."""
+
+
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -61,6 +63,11 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise UsageError(message)
+
+    def print_help(self, file=None):
+        # the -h action prints and exits; dispatch returns the text instead,
+        # without the final newline that main()'s print adds back
+        raise _Help(self.format_help().rstrip("\n"))
 
 
 def _int(text: str) -> int:
@@ -93,15 +100,19 @@ def _build_parser() -> _Parser:
     return parser
 
 
-class _Outcome(NamedTuple):
+class _Outcome:
     """One command's output: the envelope's inputs and result, the text
     printed without --json, and the report whose checks the envelope lists
     and whose verdict sets the exit code."""
 
-    inputs: dict
-    result: object
-    text: str
-    report: VerificationReport = VerificationReport(())
+    __slots__ = ("inputs", "result", "text", "report")
+
+    def __init__(self, inputs: dict, result, text: str,
+                 report: VerificationReport = VerificationReport(())):
+        self.inputs = inputs
+        self.result = result
+        self.text = text
+        self.report = report
 
 
 def _check_lines(report: VerificationReport) -> list:
@@ -219,6 +230,8 @@ def _cmd_aut_structure(args):
 
 
 def _cmd_iso_check(args):
+    import json  # on first use: only JSON output needs it
+
     left = parse_ring_spec(args.left)
     right = parse_ring_spec(args.right)
     verdict = classify(left, right)
@@ -267,11 +280,14 @@ _PARSER = _build_parser()
 
 
 def dispatch(argv) -> tuple:
-    """Run one CLI invocation; returns (exit_code, output_text)."""
+    """Run one CLI invocation; returns (exit_code, output_text).  -h or
+    --help returns (0, help_text)."""
     try:
         args = _PARSER.parse_args(argv)
     except UsageError as exc:
         return 2, f"usage error: {exc}"
+    except _Help as exc:
+        return 0, exc.args[0]
     try:
         out = _HANDLERS[args.command][0](args)
     except InputError as exc:
@@ -281,6 +297,8 @@ def dispatch(argv) -> tuple:
     code = 0 if out.report.passed else 1
     if not args.json:
         return code, out.text
+    import json  # on first use: only JSON output needs it
+
     checks = [{"name": c.name, "pass": c.passed, "detail": c.detail} for c in out.report.checks]
     # default=str renders the parsed ring specs among the inputs canonically
     return code, json.dumps({"command": args.command, "inputs": out.inputs,

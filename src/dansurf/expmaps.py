@@ -13,23 +13,24 @@ extraction, and the degree deg_phi(a) = deg_U(phi(a)) is a degree function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import AlgebraError, InputError
 from .polyring import Poly
+from .records import Record
 from .surface import RElem, RingSpec, apply_images, forced_y, substitute_poly
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
+class CheckResult(Record):
+    _fields = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str = ""):
+        vars(self).update(name=name, passed=passed, detail=detail)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    checks: tuple
+class VerificationReport(Record):
+    _fields = ("checks",)
+
+    def __init__(self, checks: tuple):
+        vars(self)["checks"] = checks
 
     @property
     def passed(self) -> bool:

@@ -15,12 +15,12 @@ of R's, so the h-term drops out exactly when its weight is lower.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import AlgebraError, InputError
 from .expmaps import ExponentialMap, is_invariant, verify_exponential
 from .polyring import Poly, WeightVector
+from .records import Record
 from .surface import RElem, RingSpec
 
 
@@ -67,12 +67,13 @@ def _graded_ring(spec: RingSpec, w: WeightVector) -> RingSpec:
     return graded
 
 
-@dataclass(frozen=True)
-class Homogenization:
-    parameter_weight: Fraction
-    target: RingSpec
-    bar: ExponentialMap
-    s_sets: dict
+class Homogenization(Record):
+    _fields = ("parameter_weight", "target", "bar", "s_sets")
+
+    def __init__(self, parameter_weight: Fraction, target: RingSpec, bar: ExponentialMap,
+                 s_sets: dict):
+        vars(self).update(parameter_weight=parameter_weight, target=target, bar=bar,
+                          s_sets=s_sets)
 
 
 def _invariant_sample(spec: RingSpec):

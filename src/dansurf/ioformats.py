@@ -78,6 +78,7 @@ class _PolyParser:
     def __init__(self, text: str, field: FieldSpec):
         self.toks = _Tokens(text)
         self.field = field
+        self.one = field.one  # shared by every variable's term
         self.depth = 0
 
     def parse(self) -> Poly:
@@ -176,7 +177,7 @@ class _PolyParser:
             if name not in KNOWN_VARS:
                 raise ParseError(f"unknown variable {text!r}", pos)
             m = VAR_MONO[name]
-            return Poly(self.field, {m: self.field.one}), m
+            return Poly(self.field, {m: self.one}), m
         if kind == "OP" and text == "(":
             if self.depth == MAX_NESTING:
                 raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)

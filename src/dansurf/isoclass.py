@@ -10,20 +10,21 @@ verdict comes with an explicit, machine-verified witness map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import AlgebraError, InputError
 from .polyring import Poly
+from .records import Record
 from .scalars import Scalar, nth_roots
 from .surface import RElem, RingSpec, forced_y, substitute_poly
 
 
-@dataclass(frozen=True)
-class IsoVerdict:
-    isomorphic: bool
-    eta: object  # Scalar or None
-    mu: object  # Scalar or None
-    reason: str  # n_mismatch | support_mismatch | no_root | ok
+class IsoVerdict(Record):
+    """eta and mu are Scalars or None; reason is n_mismatch,
+    support_mismatch, no_root or ok."""
+
+    _fields = ("isomorphic", "eta", "mu", "reason")
+
+    def __init__(self, isomorphic: bool, eta, mu, reason: str):
+        vars(self).update(isomorphic=isomorphic, eta=eta, mu=mu, reason=reason)
 
 
 def _require_classifiable(spec1: RingSpec, spec2: RingSpec):

@@ -271,7 +271,7 @@ class Poly:
 
     def constant_value(self) -> Scalar:
         """The coefficient of the constant monomial."""
-        return self.terms.get(ZERO_MONO, self.field.zero)
+        return self.terms.get(ZERO_MONO) or self.field.zero
 
     def coeff_of(self, var: str, k: int) -> "Poly":
         """The coefficient of var^k, as a polynomial in the remaining variables."""

@@ -10,11 +10,10 @@ never approximations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .errors import AlgebraError, InputError, ParseError
+from .records import Record
 
 MAX_PRIME = 2**31
 
@@ -106,20 +105,30 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(Record):
     """The ground field: Q when characteristic is 0, otherwise F_p, p prime."""
 
-    characteristic: int = 0
+    _fields = ("characteristic",)
 
-    def __post_init__(self):
-        c = self.characteristic
+    def __init__(self, characteristic: int = 0):
+        vars(self)["characteristic"] = characteristic
+        c = characteristic
         if c == 0:
             return
         if c >= MAX_PRIME:
             raise InputError(f"characteristic {c} exceeds the 2^31 bound")
         if not is_prime(c):
             raise InputError(f"characteristic {c} is not 0 or a prime")
+
+    # Written here rather than inherited, and with one attribute to compare:
+    # it runs on every field check of every scalar and polynomial operation.
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.characteristic == other.characteristic
+
+    def __hash__(self):
+        return hash((self.characteristic,))
 
     @property
     def label(self) -> str:
@@ -160,14 +169,16 @@ class FieldSpec:
             return Scalar(self, value.numerator * pow(den, p - 2, p) % p)
         return Scalar(self, int(value) % p)
 
-    @cached_property
+    # Formed on each access: a field that kept its own 0 or 1, whose .field
+    # is the field again, would be a reference cycle.
+    @property
     def zero(self) -> "Scalar":
-        """The field's 0, formed once."""
+        """The field's 0."""
         return Scalar(self, 0)
 
-    @cached_property
+    @property
     def one(self) -> "Scalar":
-        """The field's 1, formed once."""
+        """The field's 1."""
         return Scalar(self, 1)
 
 

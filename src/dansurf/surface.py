@@ -15,12 +15,12 @@ relation entirely (a plain polynomial ring, used with generators x, y).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InputError
 from .polyring import (Accumulator, Poly, WeightVector, fold_product, format_poly, power,
                        reduce_raw, substitute_terms)
+from .records import Record
 from .scalars import FieldSpec, Scalar
 
 PARAMS = ("T", "U", "S")
@@ -41,27 +41,28 @@ def _require_hypotheses(field: FieldSpec, n: int, h: Poly, standard: bool = True
         raise InputError("h(0) must be nonzero")
 
 
-@dataclass(frozen=True)
-class RingSpec:
-    """Defining data (field, n, h) of a surface ring, plus variant flags."""
+class RingSpec(Record):
+    """Defining data (field, n, h) of a surface ring, plus variant flags.
 
-    field: FieldSpec
-    n: int
-    h: Poly
-    graded: bool = False
-    free: bool = False
+    The spec caches only data that does not point back at it (the integer
+    view of z^2, the terms and views of z and z^p); its elements z and z^p
+    are formed on access, so that no spec is part of a reference cycle."""
 
-    def __post_init__(self):
-        _require_hypotheses(self.field, self.n, self.h, self.standard)
-        if self.graded and self.free:
+    _fields = ("field", "n", "h", "graded", "free")
+
+    def __init__(self, field: FieldSpec, n: int, h: Poly, graded: bool = False,
+                 free: bool = False):
+        vars(self).update(field=field, n=n, h=h, graded=graded, free=free)
+        _require_hypotheses(field, n, h, self.standard)
+        if graded and free:
             raise InputError("a spec cannot be both graded and free")
         if not self.standard:
-            if not self.h.is_zero():
+            if not h.is_zero():
                 raise InputError("graded and free specs require h = 0")
             return
-        deg = self.h.degree_in("x")
-        if deg >= self.n:
-            raise InputError(f"deg_x(h) = {deg} >= n = {self.n}; apply reduce_presentation")
+        deg = h.degree_in("x")
+        if deg >= n:
+            raise InputError(f"deg_x(h) = {deg} >= n = {n}; apply reduce_presentation")
 
     @property
     def standard(self) -> bool:
@@ -81,10 +82,10 @@ class RingSpec:
         return rel
 
     @cached_property
-    def z_squared(self) -> "RElem":
-        """z^2 = x^n*y - h*z in normal form, formed once per spec; a free
-        spec has no relation, so RElem products never read it there."""
-        return RElem._trusted(self, (self.relation() + Poly.variable(self.field, "z", 2)).terms)
+    def _z_squared_view(self) -> tuple:
+        """The integer view of z^2 = x^n*y - h*z in normal form, formed once
+        per spec; a free spec has no relation, so products never read it."""
+        return (self.relation() + Poly.variable(self.field, "z", 2)).ints()
 
     def fold_z_squared(self, acc: Accumulator) -> None:
         """The one z^2 step of a product of normal forms: move the z^2 sums
@@ -96,18 +97,30 @@ class RingSpec:
             if self.free:
                 raise InputError("product needs z^2, which a free spec cannot reduce")
             items = [((0,) + m[1:], sums.pop(m)) for m in zz]
-            fold_product(acc, (acc.den, items), self.z_squared.ints())
+            fold_product(acc, (acc.den, items), self._z_squared_view)
 
     @cached_property
+    def _z(self) -> tuple:
+        z = Poly.variable(self.field, "z")
+        return z.terms, z.ints()
+
+    @property
     def z(self) -> "RElem":
-        """The generator z, formed once per spec."""
-        return RElem.var(self, "z")
+        """The generator z, formed on each access from terms formed once."""
+        return RElem._trusted(self, *self._z)
 
     @cached_property
+    def _z_to_p(self) -> tuple:
+        """The terms and integer view of z^p in characteristic p, formed
+        once per spec by the chains that power() takes below 2p, so
+        RElem.frobenius() does not recurse."""
+        zp = power({1: self.z}, self.field.characteristic)
+        return zp.terms, zp.ints()
+
+    @property
     def z_to_p(self) -> "RElem":
-        """z^p in characteristic p, formed once per spec by the chains that
-        power() takes below 2p, so RElem.frobenius() does not recurse."""
-        return power({1: self.z}, self.field.characteristic)
+        """z^p in characteristic p, formed on each access from terms formed once."""
+        return RElem._trusted(self, *self._z_to_p)
 
     def __str__(self):
         flags = ", graded" if self.graded else (", free" if self.free else "")
@@ -134,13 +147,14 @@ class RElem(Poly):
         self.spec = spec
 
     @classmethod
-    def _trusted(cls, spec: RingSpec, terms: dict) -> "RElem":
+    def _trusted(cls, spec: RingSpec, terms: dict, view: tuple = None) -> "RElem":
         """Skip the checks: terms must be canonical, over spec.field and of
-        z-degree at most 1, as the results of operations on such elements are."""
+        z-degree at most 1, as the results of operations on such elements
+        are; `view`, if given, is their integer view."""
         a = object.__new__(cls)
         a.field = spec.field
         a.terms = terms
-        a._ints = None
+        a._ints = view
         a.spec = spec
         return a
 

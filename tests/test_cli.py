@@ -1,11 +1,15 @@
 import decimal
+import gc
 import json
+import os
 import random
+import subprocess
 import sys
 
 import pytest
 
-from dansurf.cli import dispatch
+import dansurf
+from dansurf.cli import dispatch, main
 
 
 def test_normal_form_documented_output():
@@ -666,3 +670,60 @@ def test_shared_parser_leaves_no_state():
     random.Random(7).shuffle(order)
     for argv, code, text in order:
         assert dispatch(argv) == (code, text), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["-h"],
+    ["normal-form", "-h"],
+    ["normal-form", "--ring", "R(n=2,h=1,field=Q)", "--help"],
+])
+def test_help_is_returned_not_printed(argv, capsys):
+    code, text = dispatch(argv)
+    assert capsys.readouterr().out == ""
+    command = " normal-form" if "normal-form" in argv else ""
+    assert code == 0 and text.startswith(f"usage: dansurf{command} [-h]")
+    assert "show this help message and exit" in text and not text.endswith("\n")
+    # main() prints the text argparse prints, which ends in one newline
+    assert main(argv) == 0
+    assert capsys.readouterr().out == text + "\n"
+
+
+@pytest.mark.parametrize("argv", [argv for argv, *_ in GOLDEN], ids=lambda argv: argv[0])
+def test_dispatch_leaves_no_cyclic_garbage(argv):
+    # a spec keeps no element and a field no scalar that points back at it,
+    # so every command's objects are freed by reference counts alone
+    for args in (argv, argv + ["--json"]):
+        dispatch(args)
+        gc.collect()
+        gc.disable()
+        try:
+            dispatch(args)
+            dispatch(args)
+            assert gc.collect() == 0, args
+        finally:
+            gc.enable()
+
+
+_NORMAL_FORM = ["normal-form", "--ring", "R(n=2,h=1+x,field=F3)", "--expr", "z^2 - x"]
+
+
+def test_import_footprint():
+    # without site (python -S), which may preload modules, a text command
+    # loads neither dataclasses, inspect nor typing, and json only once a
+    # command writes JSON
+    script = "\n".join([
+        "import sys",
+        "from dansurf.cli import dispatch",
+        f"assert dispatch({_NORMAL_FORM!r}) == (0, 'x^2*y + 2*x*z + 2*z + 2*x')",
+        "print([m for m in ('dataclasses', 'inspect', 'typing', 'json') if m in sys.modules])",
+        f"print(dispatch({_NORMAL_FORM + ['--json']!r})[1])",
+    ])
+    src = os.path.dirname(os.path.dirname(dansurf.__file__))
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "[]",
+        '{"command": "normal-form", "inputs": {"ring": "R(n=2, h=x + 1, field=F3)", '
+        '"expr": "z^2 - x"}, "result": "x^2*y + 2*x*z + 2*z + 2*x", "checks": []}',
+    ]
