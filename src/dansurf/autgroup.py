@@ -27,7 +27,7 @@ from .ioformats import _offset, _strip, parse_poly, parse_scalar
 from .polyring import VAR_MONO, Poly, format_poly
 from .records import Record
 from .scalars import FieldSpec, Scalar, nth_roots
-from .surface import RElem, RingSpec, apply_images, forced_y, substitute_poly
+from .surface import RElem, RingSpec, forced_y, substitute_poly
 
 
 def _require_standard(spec: RingSpec):
@@ -83,7 +83,7 @@ class Automorphism(Record):
     def apply(self, a: RElem) -> RElem:
         if a.spec != self.spec:
             raise InputError("element of a different ring")
-        return apply_images(self.spec, self.images(), a)
+        return substitute_poly(self.spec, a, self.images())
 
     def is_identity(self) -> bool:
         return self.mu == 1 and self.sigma == 1 and self.f.is_zero()

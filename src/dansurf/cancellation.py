@@ -36,7 +36,7 @@ from .expmaps import (
 )
 from .polyring import Poly
 from .records import Record
-from .scalars import FieldSpec
+from .scalars import FieldSpec, int_to_str
 from .surface import RElem, RingSpec
 
 
@@ -63,7 +63,7 @@ def build_witness(field: FieldSpec, n1: int, n2: int) -> CancellationWitness:
     """
     if not (2 <= n1 < n2 <= 2 * n1):
         raise InputError(
-            f"need 2 <= n1 < n2 <= 2*n1; got n1={n1}, n2={n2}"
+            f"need 2 <= n1 < n2 <= 2*n1; got n1={int_to_str(n1)}, n2={int_to_str(n2)}"
         )
     spec2 = RingSpec(field, n2, Poly.const(field, 1))
     x = RElem.var(spec2, "x")

@@ -39,9 +39,10 @@ from .ioformats import (
     parse_poly,
     parse_ring_spec,
     parse_weights,
+    read_exponent,
 )
 from .isoclass import classify, witness
-from .scalars import FieldSpec, read_int
+from .scalars import FieldSpec, rational_to_str, read_int
 from .surface import normal_form
 
 
@@ -132,11 +133,7 @@ def _cmd_exp_build(args):
         e_text, colon, poly_text = item.partition(":")
         if not colon:
             raise ParseError(f"coefficient {item!r} must look like E:POLY", 0)
-        e = read_int(e_text, 0, f"exponent {e_text!r} in coefficient {item!r}")
-        if e > MAX_EXPONENT:  # worded as the grammar words its exponents
-            digits = len(e_text.lstrip("0"))
-            size = e if digits <= len(str(MAX_EXPONENT)) else f"of {digits} digits"
-            raise ParseError(f"exponent {size} exceeds {MAX_EXPONENT}", 0)
+        e = read_exponent(e_text, 0, f"exponent {e_text!r} in coefficient {item!r}")
         if 2 * e > MAX_EXPONENT:  # so that the printed map parses back
             raise ParseError(f"exponent {e} exceeds {MAX_EXPONENT // 2}, as the y-image "
                              f"would carry U^{2 * e}", 0)
@@ -180,7 +177,7 @@ def _cmd_homogenize(args):
     result = homogenize(make_exponential(spec, images), w)
     bar_map = format_generator_map(result.bar.images)
     lines = [
-        f"grdeg(U) = {result.parameter_weight}",
+        f"grdeg(U) = {rational_to_str(result.parameter_weight)}",
         f"target = {result.target}",
         f"bar map: {bar_map}",
     ]
@@ -188,7 +185,7 @@ def _cmd_homogenize(args):
         lines.append(f"S({g}) = {{{', '.join(str(i) for i in result.s_sets[g])}}}")
     return _Outcome(
         {"ring": spec, "map": args.map, "weights": args.weights, "target": result.target},
-        {"parameter_weight": str(result.parameter_weight), "bar_map": bar_map,
+        {"parameter_weight": rational_to_str(result.parameter_weight), "bar_map": bar_map,
          "s_sets": {g: list(v) for g, v in sorted(result.s_sets.items())}},
         "\n".join(lines))
 

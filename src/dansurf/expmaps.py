@@ -16,7 +16,8 @@ from __future__ import annotations
 from .errors import AlgebraError, InputError
 from .polyring import Poly
 from .records import Record
-from .surface import RElem, RingSpec, apply_images, forced_y, substitute_poly
+from .scalars import int_to_str
+from .surface import RElem, RingSpec, forced_y, substitute_poly
 
 
 class CheckResult(Record):
@@ -91,7 +92,7 @@ class ExponentialMap:
             raise InputError("element of a different ring")
         if a.degree_in("U") > 0:
             raise InputError("apply expects a U-free element")
-        return apply_images(self.spec, self.images, a)
+        return substitute_poly(self.spec, a, self.images)
 
     def is_trivial(self) -> bool:
         return all(img == RElem.var(self.spec, v) for v, img in self.images.items())
@@ -151,7 +152,7 @@ def build_exponential(spec: RingSpec, coeffs) -> ExponentialMap:
             raise InputError("coefficient polynomials must involve x alone")
         if not _legal_exponent(e, p):
             raise InputError(
-                f"U-exponent {e} is not allowed in characteristic {p}"
+                f"U-exponent {int_to_str(e)} is not allowed in characteristic {p}"
             )
         F = F + f_e * Poly.variable(field, "U", e)
     xnF = Poly.variable(field, "x", spec.n) * F
@@ -218,7 +219,7 @@ def verify_exponential(spec: RingSpec, images: dict) -> VerificationReport:
     images_s = {v: img.substitute_params({"U": s_poly}) for v, img in phi.images.items()}
     bad = []
     for var in phi.carriers():
-        lhs = apply_images(spec, images_s, phi.images[var])
+        lhs = substitute_poly(spec, phi.images[var], images_s)
         rhs = phi.images[var].substitute_params({"U": su_poly})
         if lhs != rhs:
             bad.append(f"{var}: phi_S(phi_U) = {lhs} but phi_(S+U) = {rhs}")
@@ -255,8 +256,8 @@ def evaluate_at_one(phi: ExponentialMap) -> dict:
     at_one = {v: img.substitute_params({"U": 1}) for v, img in phi.images.items()}
     at_neg = {v: img.substitute_params({"U": -1}) for v, img in phi.images.items()}
     for var in phi.carriers():
-        forward = apply_images(spec, at_one, at_neg[var])
-        backward = apply_images(spec, at_neg, at_one[var])
+        forward = substitute_poly(spec, at_neg[var], at_one)
+        backward = substitute_poly(spec, at_one[var], at_neg)
         if forward != RElem.var(spec, var) or backward != RElem.var(spec, var):
             raise AlgebraError(
                 f"internal error: U = 1 evaluation is not invertible on {var}"
@@ -277,5 +278,5 @@ def expand_in_slice(phi: ExponentialMap, s: RElem, a: RElem):
     u = RElem.var(phi.spec, "U")
     if phi.apply(s) != s + u:
         raise AlgebraError(f"phi({s}) != {s} + U; the element is not a slice")
-    shifted = apply_images(phi.spec, {"U": u - s}, phi.apply(a))
+    shifted = substitute_poly(phi.spec, phi.apply(a), {"U": u - s})
     return [(c, l) for l, c in shifted.u_coefficients().items()]

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .errors import InputError, ParseError
 from .polyring import VAR_MONO, VARS, ZERO_MONO, Poly, WeightVector, add_into, format_poly
-from .scalars import FieldSpec, Scalar, digits_to_int, read_int, read_rational
+from .scalars import FieldSpec, Scalar, digits_to_int, int_to_str, read_int, read_rational
 from .surface import RElem, RingSpec, normal_form
 
 MAX_EXPONENT = 10**6
@@ -138,12 +138,7 @@ class _PolyParser:
             kind, text, pos = self.toks.next()
             if kind != "INT":
                 raise ParseError("expected a natural-number exponent", pos)
-            digits = text.lstrip("0")
-            if len(digits) > len(str(MAX_EXPONENT)):
-                raise ParseError(f"exponent of {len(digits)} digits exceeds {MAX_EXPONENT}", pos)
-            e = int(text)
-            if e > MAX_EXPONENT:
-                raise ParseError(f"exponent {e} exceeds {MAX_EXPONENT}", pos)
+            e = read_exponent(text, pos, "exponent")
             top = max(tops)
             if top * e > MAX_EXPONENT:
                 raise ParseError(f"power has exponent {top} * {e}, which exceeds {MAX_EXPONENT}",
@@ -191,6 +186,19 @@ class _PolyParser:
         raise ParseError(f"unexpected {text!r}" if text else "unexpected end of input", pos)
 
 
+def read_exponent(text: str, at: int, what: str) -> int:
+    """read_int(text), refused above MAX_EXPONENT by a ParseError at `at`: a
+    text of digits alone by its digit count, before it is converted."""
+    natural = text.isascii() and text.isdigit()
+    digits = text.lstrip("0")
+    if natural and len(digits) > len(str(MAX_EXPONENT)):
+        raise ParseError(f"exponent of {len(digits)} digits exceeds {MAX_EXPONENT}", at)
+    e = int("0" + digits) if natural else read_int(text, at, what)
+    if e > MAX_EXPONENT:
+        raise ParseError(f"exponent {e} exceeds {MAX_EXPONENT}", at)
+    return e
+
+
 def _tops(p: Poly) -> list:
     """The largest exponent of each variable in p (0 for the zero polynomial)."""
     return list(map(max, zip(*p.terms))) if p.terms else [0] * 6
@@ -213,8 +221,8 @@ def format_relem(a: RElem) -> str:
     tops = _tops(a)
     top = max(tops)
     if top > MAX_EXPONENT:
-        raise InputError(f"result has {VARS[tops.index(top)]}^{top}, whose exponent exceeds "
-                         f"{MAX_EXPONENT}")
+        raise InputError(f"result has {VARS[tops.index(top)]}^{int_to_str(top)}, whose exponent "
+                         f"exceeds {MAX_EXPONENT}")
     return format_poly(a)
 
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import InputError, NotDivisible
-from .scalars import FieldSpec, Scalar
+from .scalars import FieldSpec, Scalar, int_to_str, rational_to_str
 
 VARS = ("z", "y", "x", "T", "U", "S")
 VAR_INDEX = {v: i for i, v in enumerate(VARS)}
@@ -46,7 +46,7 @@ def format_mono(m: tuple) -> str:
         if e == 1:
             parts.append(var)
         elif e > 1:
-            parts.append(f"{var}^{e}")
+            parts.append(f"{var}^{int_to_str(e)}")
     return "*".join(parts)
 
 
@@ -79,7 +79,8 @@ class WeightVector:
         return isinstance(other, WeightVector) and self.weights == other.weights
 
     def __repr__(self):
-        inner = ", ".join(f"{v}:{self.weights[v]}" for v in VARS if v in self.weights)
+        inner = ", ".join(f"{v}:{rational_to_str(self.weights[v])}" for v in VARS
+                          if v in self.weights)
         return "w{" + inner + "}"
 
 
@@ -87,8 +88,8 @@ class Poly:
     """A polynomial as a map from monomials to nonzero scalars.
 
     Values are immutable once constructed; all operations return fresh
-    polynomials in canonical form (no zero coefficients stored).  The
-    integer view that products fold is formed on first use and kept.
+    polynomials in canonical form (no zero coefficients stored).  A fold's
+    result keeps the view it was reduced to; others form theirs on first use.
     """
 
     __slots__ = ("field", "terms", "_ints")
@@ -103,7 +104,7 @@ class Poly:
         """The integer view (d, [(m, v)]) that fold_product() reads: d is the
         lcm of the coefficient denominators and v each coefficient times d,
         an int.  Over F_p and for integral Q, d = 1 and v is the coefficient's
-        value.  Formed once per polynomial."""
+        value.  A fold's result comes with it; others form it here, once."""
         view = self._ints
         if view is None:
             items = [(m, c.value) for m, c in self.terms.items()]
@@ -112,6 +113,13 @@ class Poly:
                 items = [(m, v.numerator * (d // v.denominator)) for m, v in items]
             view = self._ints = (d, items)
         return view
+
+    @staticmethod
+    def _of_view(field: FieldSpec, view: tuple) -> "Poly":
+        """The Poly of a reduced integer view (reduce_view()), which it keeps."""
+        p = Poly(field, view_terms(field, view))
+        p._ints = view
+        return p
 
     @staticmethod
     def from_items(field: FieldSpec, items) -> "Poly":
@@ -201,7 +209,7 @@ class Poly:
             else:
                 acc = Accumulator()
                 fold_product(acc, self.ints(), o.ints())
-                return Poly(self.field, reduce_raw(self.field, acc))
+                return Poly._of_view(self.field, reduce_view(self.field, acc))
         # a monomial factor: shift the exponents and scale, as scale() does;
         # a product of nonzero field elements needs no zero test
         ((b0, b1, b2, b3, b4, b5), c), = one.items()
@@ -300,7 +308,7 @@ class Poly:
             elif val.field != self.field:
                 raise InputError("substitution value over a different field")
             images[var] = val
-        return Poly(self.field, substitute_terms(self, images))
+        return Poly._of_view(self.field, substitute_terms(self, images))
 
     def weighted_degree(self, w: WeightVector):
         """max over terms of the weighted exponent sum; -inf on the zero polynomial."""
@@ -322,9 +330,8 @@ class Poly:
         for mo, c in self.terms.items():
             if mo[vi] < m:
                 term = f"{c}*{format_mono(mo)}" if format_mono(mo) else str(c)
-                raise NotDivisible(
-                    f"term {term} has {var}-exponent {mo[vi]} < {m}"
-                )
+                raise NotDivisible(f"term {term} has {var}-exponent {int_to_str(mo[vi])} < "
+                                   f"{int_to_str(m)}")
             lowered = mo[:vi] + (mo[vi] - m,) + mo[vi + 1 :]
             terms[lowered] = c
         return self._like(terms)
@@ -367,8 +374,8 @@ class Accumulator:
 def fold_product(acc: Accumulator, left: tuple, right: tuple) -> None:
     """Add the product of two integer views (Poly.ints()) to acc: one int
     product and one int sum per term pair, in every field.  A product with
-    a new denominator rescales acc to the common one first; reduce_raw()
-    turns the sum of any number of products into terms."""
+    a new denominator rescales acc to the common one first; reduce_view()
+    turns the sum of any number of products into a view."""
     (dl, left), (dr, right) = left, right
     if not (left and right):
         return
@@ -391,36 +398,12 @@ def fold_product(acc: Accumulator, left: tuple, right: tuple) -> None:
             sums[m] = v * w if s is None else s + v * w
 
 
-def reduce_raw(field: FieldSpec, acc: Accumulator) -> dict:
-    """The canonical term dict of the raw sums in acc: each value reduced
-    once (mod p, or divided by the common denominator over Q, forming a
-    Fraction only where the quotient is not an int), zeros dropped, and one
-    Scalar formed per remaining term."""
-    p, den = field.characteristic, acc.den
-    terms = {}
-    if p:
-        for m, v in acc.sums.items():
-            v %= p
-            if v:
-                terms[m] = Scalar(field, v)
-    elif den == 1:
-        for m, v in acc.sums.items():
-            if v:
-                terms[m] = Scalar(field, v)
-    else:
-        for m, v in acc.sums.items():
-            if v:
-                q, r = divmod(v, den)
-                terms[m] = Scalar(field, Fraction(v, den) if r else q)
-    return terms
-
-
 def reduce_view(field: FieldSpec, acc: Accumulator) -> tuple:
-    """The integer view of the raw sums in acc, as Poly.ints() would read it
-    from reduce_raw()'s terms, for a product that only feeds another fold:
-    each value reduced mod p, or over Q the numerators and the common
-    denominator divided by their gcd, so that d stays the lcm of the reduced
-    denominators; zeros dropped and no Scalar formed."""
+    """The one reduction of a fold: the integer view (d, [(m, v)]) of the raw
+    sums in acc, as Poly.ints() reads it from the result's Scalars.  Each
+    value is reduced mod p, or over Q the numerators and the common
+    denominator are divided by their gcd, so that d is the lcm of the
+    reduced denominators; zeros are dropped and no Scalar is formed."""
     p, den = field.characteristic, acc.den
     if p:
         items = []
@@ -436,6 +419,14 @@ def reduce_view(field: FieldSpec, acc: Accumulator) -> tuple:
             den //= g
             items = [(m, v // g) for m, v in items]
     return den, items
+
+
+def view_terms(field: FieldSpec, view: tuple) -> dict:
+    """The terms of a reduced view: Scalars v // d where d divides v, else Fraction(v, d)."""
+    d, items = view
+    if d == 1:
+        return {m: Scalar(field, v) for m, v in items}
+    return {m: Scalar(field, Fraction(v, d) if v % d else v // d) for m, v in items}
 
 
 # The integer view of the constant 1, in every field.
@@ -490,16 +481,17 @@ def _is_variable(img, var: str) -> bool:
     return d == 1 and len(items) == 1 and items[0] == (VAR_MONO[var], 1)
 
 
-def substitute_terms(p: Poly, images: dict, fold_z_squared=None) -> dict:
-    """The term dict of p with the Poly or RElem `images` substituted.  The
-    terms of p's integer view are grouped by their exponents in the bound
-    variables, and the exponents of each dense_over_q() image collected on
-    the way, so that its powers are formed first, in ascending order, and no
-    stepping chain is walked twice.  Each group's memoised bound powers are
-    multiplied together on integer views (reduced by reduce_view(), after
+def substitute_terms(p: Poly, images: dict, fold_z_squared=None) -> tuple:
+    """The reduced integer view of p with the Poly or RElem `images`
+    substituted, which the caller builds its value from.  The terms of p's
+    view are grouped by their exponents in the bound variables, and the
+    exponents of each dense_over_q() image collected on the way, so that its
+    powers are formed first, in ascending order, and no stepping chain is
+    walked twice.  Each group's memoised bound powers are multiplied together
+    on views, each partial product reduced by reduce_view() (after
     `fold_z_squared` rewrites the z^2 sums where the images are ring
     elements), and the group's free part (over p's denominator) times that
-    product is folded into one accumulator; only the result forms Scalars.
+    product is folded into one accumulator, which reduce_view() reduces too.
     A variable whose image is itself stays free, except z, so that an RElem
     image's product reduces every power of z."""
     bound = sorted((VAR_INDEX[var], {1: img}) for var, img in images.items()
@@ -535,7 +527,7 @@ def substitute_terms(p: Poly, images: dict, fold_z_squared=None) -> dict:
                     view = reduce_view(field, part)
         # the group of terms free of the bound variables folds with 1
         fold_product(acc, (den, free), UNIT_VIEW if view is None else view)
-    return reduce_raw(field, acc)
+    return reduce_view(field, acc)
 
 
 def format_poly(p: Poly) -> str:

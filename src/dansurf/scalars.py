@@ -49,6 +49,12 @@ def int_to_str(v: int) -> str:
     return sign + "".join(reversed(chunks))
 
 
+def rational_to_str(v) -> str:
+    """str(v) for an int or a Fraction, exact for any size (int_to_str)."""
+    d = v.denominator
+    return int_to_str(v.numerator) + (f"/{int_to_str(d)}" if d != 1 else "")
+
+
 def digits_to_int(text: str) -> int:
     """int(text) for a string of ASCII digits of any length, a chunk at a
     time past the interpreter's digit limit for str-to-int conversion."""
@@ -165,7 +171,7 @@ class FieldSpec(Record):
         if isinstance(value, Fraction):
             den = value.denominator % p
             if den == 0:
-                raise InputError(f"denominator {value.denominator} is 0 in F{p}")
+                raise InputError(f"denominator {int_to_str(value.denominator)} is 0 in F{p}")
             return Scalar(self, value.numerator * pow(den, p - 2, p) % p)
         return Scalar(self, int(value) % p)
 
@@ -298,10 +304,7 @@ class Scalar:
         return f"Scalar({self.value!r} over {self.field.label})"
 
     def __str__(self):
-        v = self.value
-        if isinstance(v, Fraction) and v.denominator != 1:
-            return f"{int_to_str(v.numerator)}/{int_to_str(v.denominator)}"
-        return int_to_str(int(v))
+        return rational_to_str(self.value)
 
 
 # The slot setters, which bypass the raising __setattr__ (cheaper than

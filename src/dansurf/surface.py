@@ -19,9 +19,9 @@ from functools import cached_property
 
 from .errors import InputError
 from .polyring import (Accumulator, Poly, WeightVector, fold_product, format_poly, power,
-                       reduce_raw, substitute_terms)
+                       reduce_view, substitute_terms, view_terms)
 from .records import Record
-from .scalars import FieldSpec, Scalar
+from .scalars import FieldSpec, Scalar, int_to_str
 
 PARAMS = ("T", "U", "S")
 
@@ -30,7 +30,7 @@ def _require_hypotheses(field: FieldSpec, n: int, h: Poly, standard: bool = True
     """The conditions on (n, h) that do not involve deg h: n >= 2, h over the
     field and in x alone, and for a standard spec h(0) != 0."""
     if n < 2:
-        raise InputError(f"n must be at least 2, got {n}")
+        raise InputError(f"n must be at least 2, got {int_to_str(n)}")
     if type(h) is not Poly:
         raise TypeError(f"h must be a Poly, not {type(h).__name__}")
     if h.field != field:
@@ -124,7 +124,8 @@ class RingSpec(Record):
 
     def __str__(self):
         flags = ", graded" if self.graded else (", free" if self.free else "")
-        return f"R(n={self.n}, h={format_poly(self.h)}, field={self.field.label}{flags})"
+        return (f"R(n={int_to_str(self.n)}, h={format_poly(self.h)}, "
+                f"field={self.field.label}{flags})")
 
 
 class RElem(Poly):
@@ -208,7 +209,8 @@ class RElem(Poly):
         acc = Accumulator()
         fold_product(acc, self.ints(), o.ints())
         spec.fold_z_squared(acc)
-        return RElem._trusted(spec, reduce_raw(spec.field, acc))
+        view = reduce_view(spec.field, acc)
+        return RElem._trusted(spec, view_terms(spec.field, view), view)
 
     __rmul__ = __mul__
 
@@ -333,9 +335,5 @@ def substitute_poly(spec: RingSpec, p: Poly, images: dict) -> RElem:
             raise InputError("elements of different rings")
     # z stays bound, so its powers come reduced and every free part is z-free.
     bound = {"z": spec.z, **images}
-    return RElem._trusted(spec, substitute_terms(p, bound, spec.fold_z_squared))
-
-
-def apply_images(spec: RingSpec, images: dict, a: RElem) -> RElem:
-    """Apply the homomorphism given by generator images to a normal form."""
-    return substitute_poly(spec, a, images)
+    view = substitute_terms(p, bound, spec.fold_z_squared)
+    return RElem._trusted(spec, view_terms(spec.field, view), view)

@@ -727,3 +727,72 @@ def test_import_footprint():
         '{"command": "normal-form", "inputs": {"ring": "R(n=2, h=x + 1, field=F3)", '
         '"expr": "z^2 - x"}, "result": "x^2*y + 2*x*z + 2*z + 2*x", "checks": []}',
     ]
+
+
+_HUGE = "9" * 5000  # past the interpreter's 4300-digit int-to-str limit
+_HUGE_Q = f"R(n={_HUGE},h=1,field=Q)"
+_THIRD = "1/3" + "0" * 5000  # its denominator is 0 in F3
+
+
+@pytest.mark.parametrize("argv, code, expected", [
+    (["normal-form", "--ring", _HUGE_Q, "--expr", "z^2"], 2,
+     f"input error: result has x^{_HUGE}, whose exponent exceeds 1000000"),
+    (["exp-build", "--ring", _HUGE_Q, "--coeff", "1:1"], 2,
+     f"input error: result has x^{_HUGE}, whose exponent exceeds 1000000"),
+    (["aut-compose", "--ring", _HUGE_Q, "--word", "E(1)"], 0,
+     f"(mu=1, sigma=+1, f=x^{_HUGE})"),
+    (["iso-check", "--left", _HUGE_Q, "--right", _HUGE_Q, "--json"], 0,
+     f'"inputs": {{"left": "R(n={_HUGE}, h=1, field=Q)", "right": "R(n={_HUGE}, h=1, field=Q)"}}'),
+    (["aut-structure", "--ring", _HUGE_Q, "--json"], 0,
+     f'"inputs": {{"ring": "R(n={_HUGE}, h=1, field=Q)"}}'),
+    (["cancel-verify", "--n1", _HUGE, "--n2", "3"], 2,
+     f"input error: need 2 <= n1 < n2 <= 2*n1; got n1={_HUGE}, n2=3"),
+    (["cancel-verify", "--n1", "2", "--n2", _HUGE], 2,
+     f"input error: need 2 <= n1 < n2 <= 2*n1; got n1=2, n2={_HUGE}"),
+    (["exp-build", "--ring", _Q2, "--coeff", f"-{_HUGE}:1"], 2,
+     f"input error: U-exponent -{_HUGE} is not allowed in characteristic 0"),
+    (["normal-form", "--ring", f"R(n=-{_HUGE},h=1,field=Q)", "--expr", "x"], 2,
+     f"input error: n must be at least 2, got -{_HUGE} (offset 4)"),
+    (["normal-form", "--ring", "R(n=2,h=1,field=F3)", "--expr", _THIRD], 2,
+     f"input error: denominator 3{'0' * 5000} is 0 in F3 (offset 0)"),
+    (["normal-form", "--ring", f"R(n=2,h={_THIRD},field=F3)", "--expr", "x"], 2,
+     f"input error: denominator 3{'0' * 5000} is 0 in F3 (offset 8)"),
+    (["aut-compose", "--ring", "R(n=2,h=1,field=F3)", "--word", f"L({_THIRD})"], 2,
+     f"input error: denominator 3{'0' * 5000} is 0 in F3 (offset 2)"),
+    (["homogenize", "--ring", _Q2, "--map", _MAP, "--weights", f"w{{x:0, y:2{_HUGE}, z:1}}"], 2,
+     f"of the relation under w{{z:1, y:2{_HUGE}, x:0}} is neither"),
+    (["homogenize", "--ring", _Q2, "--map", _MAP,
+      "--weights", f"w{{x:0, y:2/1{_HUGE}, z:1/1{_HUGE}}}"], 0, f"grdeg(U) = 1/1{_HUGE}\n"),
+    (["normal-form", "--ring", _Q2, "--expr", f"x^{'0' * 5000}5"], 0, "x^5"),
+], ids=["n-z2", "n-exp-build", "n-aut-compose", "n-iso-check", "n-aut-structure", "n1", "n2",
+        "coeff-exponent", "negative-n", "F3-expr", "F3-h", "F3-word", "weight",
+        "weight-denominator", "exponent-zeros"])
+def test_integers_past_the_str_digit_limit_in_every_message(argv, code, expected):
+    # every integer a result or a message carries prints in full, whatever
+    # its length: no ValueError from int-to-str conversion escapes dispatch
+    result = dispatch(argv)
+    assert result[0] == code, result[1][:200]
+    assert expected in result[1]
+
+
+def test_long_exponents_are_refused_before_conversion(monkeypatch):
+    # a --coeff exponent, like an exponent in an expression, is refused by its
+    # digit count: the long text is never converted to an int
+    import dansurf.ioformats
+    import dansurf.scalars
+
+    seen = []
+    convert = dansurf.scalars.digits_to_int
+
+    def recording(text):
+        seen.append(len(text))
+        return convert(text)
+
+    monkeypatch.setattr(dansurf.scalars, "digits_to_int", recording)
+    monkeypatch.setattr(dansurf.ioformats, "digits_to_int", recording)
+    long = "9" * 400000
+    assert dispatch(["exp-build", "--ring", _Q2, "--coeff", f"{long}:1"]) == (
+        2, "input error: exponent of 400000 digits exceeds 1000000 (offset 0)")
+    assert dispatch(["normal-form", "--ring", _Q2, "--expr", f"x^{long}"]) == (
+        2, "input error: exponent of 400000 digits exceeds 1000000 (offset 2)")
+    assert seen and max(seen) < 400000

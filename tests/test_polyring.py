@@ -14,8 +14,8 @@ from dansurf import (
     parse_poly,
     substitute_poly,
 )
-from dansurf.polyring import (Accumulator, fold_product, format_poly, mono, reduce_raw,
-                              reduce_view)
+from dansurf.polyring import (Accumulator, fold_product, format_poly, mono, reduce_view,
+                              view_terms)
 from dansurf.scalars import FieldSpec, Scalar
 from conftest import F2, F3, F5, F101, Q, random_poly, rng
 
@@ -251,7 +251,7 @@ def test_product_kernel_matches_per_pair_reference(label, field, coeff):
         acc = Accumulator()
         fold_product(acc, a.ints(), b.ints())
         fold_product(acc, (-a).ints(), b.ints())
-        assert reduce_raw(field, acc) == {}
+        assert view_terms(field, reduce_view(field, acc)) == {}
     # (x - y)(x + y): the mixed terms cancel inside one product
     x, y = Poly.variable(field, "x"), Poly.variable(field, "y")
     assert (x - y) * (x + y) == x * x - y * y
@@ -306,7 +306,7 @@ def test_accumulator_takes_every_denominator_in_any_order():
         acc = Accumulator()
         for a, b in order:
             fold_product(acc, a.ints(), b.ints())
-        result = Poly(Q, reduce_raw(Q, acc))
+        result = Poly(Q, view_terms(Q, reduce_view(Q, acc)))
         assert result == expected, order
         assert_canonical(result)
     # each product folded again with its negation written over other
@@ -315,26 +315,30 @@ def test_accumulator_takes_every_denominator_in_any_order():
         acc = Accumulator()
         fold_product(acc, a.ints(), b.ints())
         fold_product(acc, a.scale(Fraction(-10, 7)).ints(), b.scale(Fraction(7, 10)).ints())
-        assert reduce_raw(Q, acc) == {}
+        assert view_terms(Q, reduce_view(Q, acc)) == {}
     # an integral fold after a fractional one rescales the integral product
     acc = Accumulator()
     fold_product(acc, polys[4].ints(), polys[0].ints())
     fold_product(acc, polys[0].ints(), polys[0].ints())
-    result = Poly(Q, reduce_raw(Q, acc))
+    result = Poly(Q, view_terms(Q, reduce_view(Q, acc)))
     assert result == per_pair_product(polys[4], polys[0]) + per_pair_product(polys[0], polys[0])
     assert_canonical(result)
 
 
 @pytest.mark.parametrize("label, field, coeff", KERNEL_FIELDS, ids=[k[0] for k in KERNEL_FIELDS])
 def test_reduced_view_is_the_integer_view_of_the_reduced_terms(label, field, coeff):
-    # a product kept as a view reads as the view of its Scalar terms: over Q
-    # the common denominator divided by the gcd is the lcm of the reduced
+    # a reduced view reads as the view of its Scalar terms: over Q the
+    # common denominator divided by the gcd is the lcm of the reduced
     # denominators, whatever the accumulator's denominator was
     def check(acc):
         d, items = reduce_view(field, acc)
-        reference = Poly(field, reduce_raw(field, acc)).ints()
+        terms = view_terms(field, (d, items))
+        reference = Poly(field, terms).ints()
         assert (d, sorted(items)) == (reference[0], sorted(reference[1]))
         assert all(type(v) is int and v for _, v in items)
+        # and its terms are the raw sums each divided by the denominator
+        raw = {m: field.scalar(Fraction(v, acc.den)) for m, v in acc.sums.items()}
+        assert terms == {m: c for m, c in raw.items() if not c.is_zero()}
 
     r = rng(len(label) + 1)
     for _ in range(40):
@@ -357,6 +361,39 @@ def test_reduced_view_is_the_integer_view_of_the_reduced_terms(label, field, coe
         # a sum that cancels to nothing over a fractional denominator
         fold_product(acc, P("-3/2*x - 1/2").ints(), P("2/3*y + 4/3").ints())
         assert reduce_view(Q, acc) == (1, [])
+
+
+@pytest.mark.parametrize("label, field, coeff", KERNEL_FIELDS, ids=[k[0] for k in KERNEL_FIELDS])
+def test_fold_results_keep_the_view_they_were_reduced_to(label, field, coeff):
+    # every value a fold makes stores the reduced view it was built from,
+    # and that view is what Poly.ints() derives from its Scalars afresh:
+    # the same denominator and the same items in the same order
+    def check(value):
+        assert value._ints is not None, value
+        assert value._ints == Poly(field, value.terms).ints(), value
+
+    def nonzero(r):
+        c = coeff(r)
+        return c if field.scalar(c) else 1
+
+    r = rng(len(label) + 2)
+    x, y5 = Poly.variable(field, "x"), Poly.variable(field, "y", 5)
+    for _ in range(12):
+        a = kernel_poly(r, field, coeff, r.randint(2, 6)) + x + y5
+        b = kernel_poly(r, field, coeff, r.randint(2, 6)) + y5
+        for value in (a * b, b * a, a**3, a.substitute({"x": b, "U": a})):
+            check(value)
+        # h with a fractional constant over Q, and elements with a z-part,
+        # so that every product needs the z^2 step
+        spec = RingSpec(field, 2, Poly.const(field, nonzero(r)) + x.scale(coeff(r)))
+        ea = RElem(spec, kernel_poly(r, field, coeff, 3), kernel_poly(r, field, coeff, 3) + y5)
+        eb = RElem(spec, kernel_poly(r, field, coeff, 3), y5.scale(nonzero(r)))
+        expr = Poly.from_items(field, [(mono(z=r.randint(0, 3), x=r.randint(0, 2),
+                                             U=r.randint(0, 1)), coeff(r)) for _ in range(5)])
+        for value in (ea * eb, ea**3, normal_form(spec, expr),
+                      substitute_poly(spec, expr, {"x": eb, "z": ea}),
+                      substitute_poly(spec, ea, {"x": eb, "U": ea})):
+            check(value)
 
 
 def test_integer_view_is_formed_once_and_exact():
