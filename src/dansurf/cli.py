@@ -42,7 +42,7 @@ from .ioformats import (
     read_exponent,
 )
 from .isoclass import classify, witness
-from .scalars import FieldSpec, rational_to_str, read_int
+from .scalars import FieldSpec, int_to_str, rational_to_str, read_int
 from .surface import normal_form
 
 
@@ -54,8 +54,19 @@ class _Help(Exception):
     """-h or --help was given; carries the help text."""
 
 
+class _Formatter(argparse.HelpFormatter):
+    def format_help(self):
+        text = super().format_help()
+        # the sections point back at the formatter and at their parent
+        # section: unlink them, so that reference counts free them all
+        self._root_section.items.clear()
+        self._root_section = self._current_section = None
+        return text
+
+
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
+        kwargs.setdefault("formatter_class", _Formatter)
         super().__init__(*args, **kwargs)
         # argparse reads a token that names no option as a value when it
         # looks like a negative number; widen that to every token that
@@ -297,9 +308,14 @@ def dispatch(argv) -> tuple:
     import json  # on first use: only JSON output needs it
 
     checks = [{"name": c.name, "pass": c.passed, "detail": c.detail} for c in out.report.checks]
-    # default=str renders the parsed ring specs among the inputs canonically
-    return code, json.dumps({"command": args.command, "inputs": out.inputs,
-                             "result": out.result, "checks": checks}, default=str)
+    # the inputs are written one by one, as json.dumps writes them: an int by
+    # int_to_str, exact past the interpreter's digit limit (as --order may
+    # be), and a parsed ring spec by its canonical text
+    inputs = ", ".join(f'"{k}": ' + (int_to_str(v) if type(v) is int else
+                                      json.dumps(v if type(v) in (str, list) else str(v)))
+                       for k, v in out.inputs.items())
+    return code, (f'{{"command": "{args.command}", "inputs": {{{inputs}}}, '
+                  f'"result": {json.dumps(out.result)}, "checks": {json.dumps(checks)}}}')
 
 
 def main(argv=None) -> int:

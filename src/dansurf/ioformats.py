@@ -17,12 +17,14 @@ followed by '/' and a positive denominator.
 
 from __future__ import annotations
 
+import re
 from contextlib import contextmanager
 from fractions import Fraction
 
 from .errors import InputError, ParseError
 from .polyring import VAR_MONO, VARS, ZERO_MONO, Poly, WeightVector, add_into, format_poly
-from .scalars import FieldSpec, Scalar, digits_to_int, int_to_str, read_int, read_rational
+from .scalars import (FieldSpec, Scalar, digits_to_int, int_to_str, rational, read_int,
+                      read_rational)
 from .surface import RElem, RingSpec, normal_form
 
 MAX_EXPONENT = 10**6
@@ -33,91 +35,109 @@ ALIASES = {"X": "x", "Y": "y", "Z": "z"}
 KNOWN_VARS = {"x", "y", "z", "T", "U", "S"}
 
 
-class _Tokens:
-    def __init__(self, text: str):
-        self.text = text
-        self.items = []
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-                continue
-            if "0" <= ch <= "9":
-                j = i
-                while j < len(text) and "0" <= text[j] <= "9":
-                    j += 1
-                self.items.append(("INT", text[i:j], i))
-                i = j
-                continue
-            if ch.isalpha():
-                j = i
-                while j < len(text) and text[j].isalpha():
-                    j += 1
-                self.items.append(("NAME", text[i:j], i))
-                i = j
-                continue
-            if ch in "+-*/^()":
-                self.items.append(("OP", ch, i))
-                i += 1
-                continue
-            raise ParseError(f"unexpected character {ch!r}", i)
-        self.items.append(("END", "", len(text)))
-        self.pos = 0
+# One token, or whitespace, or (group 4) a character no token starts with.
+# [^\W\d_] is every letter (str.isalpha) and also the numeric characters
+# outside 0-9, such as '²', which no token takes; \s is str.isspace.
+_TOKEN = re.compile(r"\s+|([0-9]+)|([^\W\d_]+)|([-+*/^()])|(.)", re.S)
+_KINDS = (None, "INT", "NAME", "OP")
 
-    def peek(self):
-        return self.items[self.pos]
 
-    def next(self):
-        tok = self.items[self.pos]
-        self.pos += 1
-        return tok
+def _tokens(text: str) -> list:
+    """The (kind, text, offset) of each token, then ("END", "", len(text))."""
+    items = []
+    for mt in _TOKEN.finditer(text):
+        kind = mt.lastindex
+        if kind:
+            tok, at = mt.group(kind), mt.start()
+            if kind == 4 or (kind == 2 and not tok.isalpha()):
+                bad = next(k for k, ch in enumerate(tok) if not ch.isalpha())
+                raise ParseError(f"unexpected character {tok[bad]!r}", at + bad)
+            items.append((_KINDS[kind], tok, at))
+    items.append(("END", "", len(text)))
+    return items
 
 
 class _PolyParser:
+    """A product of scalars and variables stays raw while it is parsed: one
+    coefficient (an int or Fraction over Q, a residue over F_p) and one
+    monomial; a sum is a dict of raw coefficients, and a Scalar is formed
+    only for each term of a result.  Only a parenthesized sum of two or more
+    terms becomes a Poly, multiplied and powered as one."""
+
     def __init__(self, text: str, field: FieldSpec):
-        self.toks = _Tokens(text)
+        self.toks = _tokens(text)
+        self.pos = 0
         self.field = field
-        self.one = field.one  # shared by every variable's term
+        self.p = field.characteristic
         self.depth = 0
+
+    def peek(self):
+        return self.toks[self.pos]
+
+    def next(self):
+        self.pos += 1
+        return self.toks[self.pos - 1]
 
     def parse(self) -> Poly:
         p = self.expr()
-        kind, text, pos = self.toks.peek()
+        kind, text, pos = self.peek()
         if kind != "END":
             raise ParseError(f"unexpected {text!r}", pos)
         return p
 
     def expr(self) -> Poly:
-        kind, text, _ = self.toks.peek()
+        """The next sum as a Poly: its terms of scalars and variables summed as
+        raw coefficients, one Scalar formed for each sum, and its other terms
+        added to them."""
+        kind, text, _ = self.peek()
         negate = False
         if kind == "OP" and text in "+-":
-            self.toks.next()
+            self.next()
             negate = text == "-"
-        p = self.term()
-        if negate:
-            p = -p
-        kind, text, _ = self.toks.peek()
-        if not (kind == "OP" and text in "+-"):
-            return p
-        # from the second term on, add into one term dict: linear in the terms
-        terms = dict(p.terms)
-        while kind == "OP" and text in "+-":
-            self.toks.next()
-            q = self.term()
-            add_into(terms, (-q if text == "-" else q).terms)
-            kind, text, _ = self.toks.peek()
-        return Poly(self.field, terms)
-
-    def term(self) -> Poly:
-        p, tops = self.factor()
+        sums, polys = {}, []
         while True:
-            kind, text, _ = self.toks.peek()
+            c, tops, rest = self.term()
+            if negate:
+                c = -c
+            if rest is None:
+                sums[tops] = sums.get(tops, 0) + c
+            elif c:  # c times the monomial that shifts the tops of rest to tops
+                m = tuple([a - b for a, b in zip(tops, _tops(rest))])
+                polys.append(rest if c == 1 and m == ZERO_MONO else
+                             rest * Poly(self.field, {m: self.field.scalar(c)}))
+            kind, text, _ = self.peek()
+            if not (kind == "OP" and text in "+-"):
+                break
+            self.next()
+            negate = text == "-"
+        p, field = self.p, self.field
+        if p:
+            terms = {m: Scalar(field, c % p) for m, c in sums.items() if c % p}
+        else:
+            terms = {m: Scalar(field, rational(c)) for m, c in sums.items() if c}
+        if polys:
+            if len(polys) == 1 and not terms:
+                return polys[0]
+            raw, terms = terms, dict(polys[0].terms)
+            for q in polys[1:]:
+                add_into(terms, q.terms)
+            add_into(terms, raw)
+        return Poly(field, terms)
+
+    def term(self):
+        """The next product as (c, tops, rest): rest is the Poly product of its
+        parenthesized sums (None if it has none), c the product of the other
+        factors' raw coefficients, and tops the largest exponent of each
+        variable in the product: without rest, it is c*x^tops."""
+        c, tops, rest = self.factor()
+        p = self.p
+        while True:
+            kind, text, _ = self.peek()
             if not (kind == "OP" and text == "*"):
-                return p
-            self.toks.next()
-            pos = self.toks.peek()[2]
-            q, q_tops = self.factor()
+                return c, tops, rest
+            self.next()
+            pos = self.peek()[2]
+            qc, q_tops, q = self.factor()
             # a product's top exponent in a variable is the sum of its factors'
             # tops there: their leading terms multiply to a nonzero term
             (a0, a1, a2, a3, a4, a5), (b0, b1, b2, b3, b4, b5) = tops, q_tops
@@ -126,16 +146,20 @@ class _PolyParser:
                 a, b = next((a, b) for a, b in zip(tops, q_tops) if a + b > MAX_EXPONENT)
                 raise ParseError(f"product has exponent {a} + {b}, which exceeds "
                                  f"{MAX_EXPONENT}", pos)
-            p = p * q
-            tops = summed if p.terms else ZERO_MONO
+            c = c * qc % p if p else c * qc
+            if q is not None:
+                rest = q if rest is None else rest * q
+            # every Poly factor is nonzero, so the product is zero when c is
+            tops = summed if c else ZERO_MONO
 
     def factor(self):
-        """The next factor and the largest exponent of each variable in it."""
-        p, tops = self.base()
-        kind, text, _ = self.toks.peek()
+        """The next factor as (c, tops, q): c*x^tops when q is None, else the
+        Poly q (c = 1) and the largest exponent of each variable in it."""
+        c, tops, q = self.base()
+        kind, text, _ = self.peek()
         if kind == "OP" and text == "^":
-            self.toks.next()
-            kind, text, pos = self.toks.next()
+            self.next()
+            kind, text, pos = self.next()
             if kind != "INT":
                 raise ParseError("expected a natural-number exponent", pos)
             e = read_exponent(text, pos, "exponent")
@@ -143,46 +167,55 @@ class _PolyParser:
             if top * e > MAX_EXPONENT:
                 raise ParseError(f"power has exponent {top} * {e}, which exceeds {MAX_EXPONENT}",
                                  pos)
-            p = p**e
+            if q is None:
+                c = pow(c, e, self.p) if self.p else c**e
+            else:
+                q = q**e
             a0, a1, a2, a3, a4, a5 = tops
             tops = (a0 * e, a1 * e, a2 * e, a3 * e, a4 * e, a5 * e)
-        return p, tops
+        return c, tops, q
 
     def base(self):
-        """The next base and the largest exponent of each variable in it."""
-        kind, text, pos = self.toks.next()
+        """The next base, as factor() returns it."""
+        kind, text, pos = self.next()
         if kind == "INT":
             value = digits_to_int(text)
-            k2, t2, _ = self.toks.peek()
+            k2, t2, _ = self.peek()
             if k2 == "OP" and t2 == "/":
-                self.toks.next()
-                k3, t3, p3 = self.toks.next()
+                self.next()
+                k3, t3, p3 = self.next()
                 if k3 != "INT":
                     raise ParseError("expected an integer denominator", p3)
                 den = digits_to_int(t3)
                 if den == 0:
                     raise ParseError("zero denominator", p3)
                 try:
-                    return Poly.const(self.field, Fraction(value, den)), ZERO_MONO
+                    value = self.field.scalar(Fraction(value, den)).value
                 except InputError as exc:
                     raise ParseError(str(exc), pos) from None
-            return Poly.const(self.field, value), ZERO_MONO
+            elif self.p:
+                value %= self.p
+            return value, ZERO_MONO, None
         if kind == "NAME":
             name = ALIASES.get(text, text)
             if name not in KNOWN_VARS:
                 raise ParseError(f"unknown variable {text!r}", pos)
-            m = VAR_MONO[name]
-            return Poly(self.field, {m: self.one}), m
+            return 1, VAR_MONO[name], None
         if kind == "OP" and text == "(":
             if self.depth == MAX_NESTING:
                 raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
             self.depth += 1
-            p = self.expr()
+            q = self.expr()
             self.depth -= 1
-            kind, text, pos = self.toks.next()
+            kind, text, pos = self.next()
             if not (kind == "OP" and text == ")"):
                 raise ParseError("expected ')'", pos)
-            return p, _tops(p)
+            if len(q.terms) > 1:
+                return 1, _tops(q), q
+            if not q.terms:
+                return 0, ZERO_MONO, None
+            (m, v), = q.terms.items()
+            return v.value, m, None
         raise ParseError(f"unexpected {text!r}" if text else "unexpected end of input", pos)
 
 
@@ -199,9 +232,9 @@ def read_exponent(text: str, at: int, what: str) -> int:
     return e
 
 
-def _tops(p: Poly) -> list:
+def _tops(p: Poly) -> tuple:
     """The largest exponent of each variable in p (0 for the zero polynomial)."""
-    return list(map(max, zip(*p.terms))) if p.terms else [0] * 6
+    return tuple(map(max, zip(*p.terms))) if p.terms else ZERO_MONO
 
 
 def parse_poly(text: str, field: FieldSpec) -> Poly:

@@ -51,9 +51,11 @@ def format_mono(m: tuple) -> str:
 
 
 class WeightVector:
-    """Rational weights on a subset of the variables."""
+    """Rational weights on a subset of the variables.  Monomial weights are
+    summed in ints: each weight as a numerator over the weights' common
+    denominator, None for an unweighted variable."""
 
-    __slots__ = ("weights",)
+    __slots__ = ("weights", "_den", "_nums")
 
     def __init__(self, weights: dict):
         w = {}
@@ -62,18 +64,21 @@ class WeightVector:
                 raise InputError(f"unknown variable {var!r} in weight vector")
             w[var] = Fraction(val)
         self.weights = w
+        self._den = lcm(*[v.denominator for v in w.values()])
+        self._nums = [int(w[v] * self._den) if v in w else None for v in VARS]
 
     def weight(self, var: str) -> Fraction:
         if var not in self.weights:
             raise InputError(f"weight vector does not assign a weight to {var!r}")
         return self.weights[var]
 
-    def mono_weight(self, m: tuple) -> Fraction:
-        total = Fraction(0)
-        for i, e in enumerate(m):
-            if e:
-                total += e * self.weight(VARS[i])
-        return total
+    def mono_weight(self, m: tuple):
+        """The weight of m: an int when the weights are integral, else a Fraction."""
+        total = 0
+        for var, e, num in zip(VARS, m, self._nums):
+            if e:  # an unweighted var raises in weight(), which names it
+                total += e * (self.weight(var) if num is None else num)
+        return total if self._den == 1 else Fraction(total, self._den)
 
     def __eq__(self, other):
         return isinstance(other, WeightVector) and self.weights == other.weights
@@ -474,7 +479,7 @@ def power(memo: dict, e: int):
     return memo[e]
 
 
-def _is_variable(img, var: str) -> bool:
+def is_variable(img, var: str) -> bool:
     """Whether the Poly or RElem img is the variable var itself, read from
     its integer view."""
     d, items = img.ints()
@@ -495,7 +500,7 @@ def substitute_terms(p: Poly, images: dict, fold_z_squared=None) -> tuple:
     A variable whose image is itself stays free, except z, so that an RElem
     image's product reduces every power of z."""
     bound = sorted((VAR_INDEX[var], {1: img}) for var, img in images.items()
-                   if var == "z" or not _is_variable(img, var))
+                   if var == "z" or not is_variable(img, var))
     dense = [(i, memo, set()) for i, memo in bound if memo[1].dense_over_q()]
     den, items = p.ints()
     groups = {}

@@ -18,8 +18,8 @@ from __future__ import annotations
 from functools import cached_property
 
 from .errors import InputError
-from .polyring import (Accumulator, Poly, WeightVector, fold_product, format_poly, power,
-                       reduce_view, substitute_terms, view_terms)
+from .polyring import (VAR_INDEX, Accumulator, Poly, WeightVector, fold_product, format_poly,
+                       is_variable, power, reduce_view, substitute_terms, view_terms)
 from .records import Record
 from .scalars import FieldSpec, Scalar, int_to_str
 
@@ -325,14 +325,31 @@ def reduce_presentation(field: FieldSpec, n: int, h_raw: Poly):
     return RingSpec(field, n, h), g
 
 
+def _unmoved(p: Poly, moved: list) -> bool:
+    """Whether p has z-degree at most 1 and no positive exponent at the
+    indices `moved`: one scan of its terms, which stops at the first that
+    fails."""
+    for m in p.terms:
+        if m[0] > 1:
+            return False
+        for i in moved:
+            if m[i]:
+                return False
+    return True
+
+
 def substitute_poly(spec: RingSpec, p: Poly, images: dict) -> RElem:
     """Evaluate a polynomial on ring elements: the homomorphism sending each
-    variable to its image (variables absent from `images` map to themselves)."""
+    variable to its image (variables absent from `images` map to themselves).
+    A p of z-degree at most 1 in no variable whose image moves is its own
+    image, read in spec without substituting."""
     if p.field is not spec.field and p.field != spec.field:
         raise InputError("polynomial over a different field")
     for img in images.values():
         if img.spec is not spec and img.spec != spec:
             raise InputError("elements of different rings")
+    if _unmoved(p, [VAR_INDEX[var] for var, img in images.items() if not is_variable(img, var)]):
+        return p if type(p) is RElem and p.spec is spec else RElem._trusted(spec, p.terms, p._ints)
     # z stays bound, so its powers come reduced and every free part is z-free.
     bound = {"z": spec.z, **images}
     view = substitute_terms(p, bound, spec.fold_z_squared)

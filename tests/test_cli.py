@@ -10,6 +10,7 @@ import pytest
 
 import dansurf
 from dansurf.cli import dispatch, main
+from dansurf.scalars import digits_to_int
 
 
 def test_normal_form_documented_output():
@@ -691,8 +692,9 @@ def test_help_is_returned_not_printed(argv, capsys):
 @pytest.mark.parametrize("argv", [argv for argv, *_ in GOLDEN], ids=lambda argv: argv[0])
 def test_dispatch_leaves_no_cyclic_garbage(argv):
     # a spec keeps no element and a field no scalar that points back at it,
-    # so every command's objects are freed by reference counts alone
-    for args in (argv, argv + ["--json"]):
+    # and a help formatter unlinks its sections, so every command's objects
+    # are freed by reference counts alone
+    for args in (argv, argv + ["--json"], [argv[0], "-h"], [argv[0], "--help"]):
         dispatch(args)
         gc.collect()
         gc.disable()
@@ -773,6 +775,19 @@ def test_integers_past_the_str_digit_limit_in_every_message(argv, code, expected
     result = dispatch(argv)
     assert result[0] == code, result[1][:200]
     assert expected in result[1]
+
+
+def test_derive_json_echoes_an_order_past_the_str_digit_limit():
+    # the envelope carries the order's exact digits as a JSON number, and the
+    # interpreter-wide digit limit stays as it is
+    limit = sys.get_int_max_str_digits()
+    argv = ["derive", "--ring", _Q2, "--map", _MAP, "--expr", "y", "--order", _HUGE]
+    assert dispatch(argv) == (0, "0")
+    code, out = dispatch(argv + ["--json"])
+    assert code == 0 and f'"order": {_HUGE}}}, "result": "0"' in out
+    envelope = json.loads(out, parse_int=digits_to_int)
+    assert envelope["inputs"]["order"] == digits_to_int(_HUGE)
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_long_exponents_are_refused_before_conversion(monkeypatch):

@@ -1,0 +1,242 @@
+"""Each direct path of the exponential-map commands against the simple path.
+
+The parser keeps a product of scalars and variables raw; axiom_i reads the
+U-free part of an image and axiom_ii renames U to S instead of
+substituting; `substitute_poly` returns an unmoved polynomial as it is; and
+`WeightVector.mono_weight` sums in ints.  Each is checked here against the
+computation it replaces, over Q, F2, F3 and F5.  A work count pins the
+number of substitutions the map commands make.
+"""
+
+import re
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from dansurf import InputError, ParseError, Poly, RElem, WeightVector, parse_poly
+from dansurf import polyring, surface
+from dansurf.cli import dispatch
+from dansurf.expmaps import at_u_zero, u_renamed_s
+from dansurf.ioformats import MAX_EXPONENT
+from dansurf.polyring import VARS, mono, substitute_terms, view_terms
+from dansurf.surface import RingSpec, substitute_poly
+
+from conftest import F2, F3, F5, Q, random_poly, random_relem, rng
+from test_fuzz import expressions
+
+FIELDS = (Q, F2, F3, F5)
+IDS = [f.label for f in FIELDS]
+_TOKEN = re.compile(r"\s*(?:([0-9]+)|([A-Za-z]+)|(\S))")
+
+
+class _Refused(Exception):
+    """The reference's bound on exponents was passed."""
+
+
+def _tops(p: Poly) -> list:
+    return [max((m[i] for m in p.terms), default=0) for i in range(6)]
+
+
+def reference_parse(text: str, field) -> Poly:
+    """The grammar evaluated with Poly arithmetic at every step: each scalar
+    and variable a Poly, each product and power formed; _Refused where a
+    product's or a power's top exponent passes MAX_EXPONENT."""
+    toks = [(mt.lastindex, mt.group(mt.lastindex)) for mt in _TOKEN.finditer(text)]
+    toks.append((None, ""))
+    pos = 0
+
+    def peek():
+        return toks[pos][1]
+
+    def take():
+        nonlocal pos
+        pos += 1
+        return toks[pos - 1]
+
+    def expr():
+        sign = take()[1] if peek() in ("+", "-") else "+"
+        total = Poly.zero(field)
+        while True:
+            t = term()
+            total = total + t if sign == "+" else total - t
+            if peek() not in ("+", "-"):
+                return total
+            sign = take()[1]
+
+    def term():
+        p = factor()
+        while peek() == "*":
+            take()
+            q = factor()
+            if max(a + b for a, b in zip(_tops(p), _tops(q))) > MAX_EXPONENT:
+                raise _Refused
+            p = p * q
+        return p
+
+    def factor():
+        p = base()
+        if peek() == "^":
+            take()
+            e = int(take()[1])
+            if max(_tops(p)) * e > MAX_EXPONENT:
+                raise _Refused
+            p = p**e
+        return p
+
+    def base():
+        kind, tok = take()
+        if kind == 1:
+            if peek() == "/":
+                take()
+                return Poly.const(field, Fraction(int(tok), int(take()[1])))
+            return Poly.const(field, int(tok))
+        if kind == 2:
+            return Poly.variable(field, tok.lower() if tok in "XYZ" else tok)
+        p = expr()
+        assert take()[1] == ")"
+        return p
+
+    p = expr()
+    assert peek() == ""
+    return p
+
+
+def _canonical(p: Poly) -> bool:
+    """Every coefficient nonzero, and a residue in [0, p) or over Q an int
+    when integral."""
+    q = p.field.characteristic
+    for c in p.terms.values():
+        v = c.value
+        if not v or (q and not (type(v) is int and 0 <= v < q)):
+            return False
+        if not q and type(v) is not int and v.denominator == 1:
+            return False
+    return True
+
+
+@settings(max_examples=150)
+@given(expressions(), st.sampled_from(FIELDS))
+def test_parser_matches_poly_arithmetic(drawn, field):
+    text = drawn[0]
+    try:
+        expected = reference_parse(text, field)
+    except _Refused:
+        with pytest.raises(ParseError, match="exceeds"):
+            parse_poly(text, field)
+        return
+    except InputError:  # a scalar a/b with p dividing b
+        with pytest.raises(ParseError, match="is 0 in"):
+            parse_poly(text, field)
+        return
+    got = parse_poly(text, field)
+    assert got == expected and _canonical(got), text
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+def test_parser_on_sums_that_cancel_and_rational_products(field):
+    for text in ("x - x", "2*x*y - 4/2*x*y", "1/3*x*3*y - (x*y)", "(x - x)^0",
+                 "0*x^1000000*x^1000000", "(0*x)^3*y", "-(x + 1)*(x - 1) + x^2",
+                 "((1/5)*(x + y))^2*5", "((x))^2 - x*x", "5*x + 0", "-(-(x))", "2*3*x - x"):
+        try:
+            expected = reference_parse(text, field)
+        except InputError:  # a denominator that p divides
+            with pytest.raises(ParseError, match="is 0 in"):
+                parse_poly(text, field)
+            continue
+        got = parse_poly(text, field)
+        assert got == expected and _canonical(got), (text, field)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+def test_axiom_reads_match_substitutions(field):
+    r = rng(71 + field.characteristic)
+    spec = RingSpec(field, 2, Poly.const(field, 1) + Poly.variable(field, "x"))
+    s = Poly.variable(field, "S")
+    for _ in range(40):
+        img = random_relem(r, spec, variables=("x", "y", "T", "U"), max_terms=4, max_exp=3)
+        assert at_u_zero(img) == img.substitute_params({"U": 0})
+        assert u_renamed_s(img) == img.substitute_params({"U": s})
+
+
+def _substituted(spec, p, images):
+    """substitute_poly without its return of an unmoved p: the substitution
+    itself, which binds z (and every image) and folds."""
+    view = substitute_terms(p, {"z": spec.z, **images}, spec.fold_z_squared)
+    return RElem._trusted(spec, view_terms(spec.field, view), view)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+def test_unmoved_polynomials_match_the_substitution(field):
+    r = rng(89 + field.characteristic)
+    spec = RingSpec(field, 3, Poly.const(field, 1) + Poly.variable(field, "x", 2))
+    x, y, u = (RElem.var(spec, v) for v in "xyU")
+    unmoved = 0
+    for _ in range(60):
+        # images that move some variables and fix others (x -> x among them)
+        images = r.choice(({}, {"x": x}, {"x": x, "U": u + y}, {"y": y + x * u},
+                           {"x": x, "y": y, "z": RElem.var(spec, "z")},
+                           {"x": x + u, "y": y, "z": RElem.var(spec, "z") + x * u}))
+        p = random_poly(r, field, variables=r.choice((("x", "U"), ("x", "y", "z", "U"))),
+                        max_terms=4, max_exp=r.choice((1, 3)))
+        got = substitute_poly(spec, p, images)
+        assert got == _substituted(spec, p, images), (p, images)
+        unmoved += got.terms is p.terms
+    assert unmoved  # the draw reaches the direct path
+
+
+def _fraction_weight(w: WeightVector, m: tuple) -> Fraction:
+    total = Fraction(0)
+    for var, e in zip(VARS, m):
+        if e:
+            total += e * w.weight(var)
+    return total
+
+
+def test_integer_weights_match_the_fraction_sum():
+    r = rng(97)
+    values = (0, 1, 2, -1, 3, Fraction(1, 2), Fraction(-3, 5), Fraction(7, 4))
+    for _ in range(200):
+        names = r.sample(VARS, r.randint(1, 6))
+        pool = values if r.random() < 0.7 else values[:5]  # integral weights too
+        w = WeightVector({v: r.choice(pool) for v in names})
+        m = tuple(r.randint(0, 4) if VARS[i] in names or r.random() < 0.1 else 0
+                  for i in range(6))
+        try:
+            expected = _fraction_weight(w, m)
+        except InputError as exc:
+            with pytest.raises(InputError) as got:
+                w.mono_weight(m)
+            assert str(got.value) == str(exc)
+            assert re.fullmatch(r"weight vector does not assign a weight to '\w'", str(exc))
+            continue
+        assert w.mono_weight(m) == expected
+    with pytest.raises(InputError, match="does not assign a weight to 'z'"):
+        WeightVector({"x": Fraction(1, 2)}).mono_weight(mono(x=1, z=1))
+
+
+_R = "R(n=2,h=1,field=Q)"
+_MAP = "x->x; z->z+x^2*U; y->y+(2*z+1)*U+x^2*U^2"
+
+
+@pytest.mark.parametrize("argv, count", [
+    # the relation and phi_S(phi_U(g)) for y and z (x is unmoved), and
+    # phi_(S+U)(g) for x, y and z
+    (["exp-verify", "--ring", _R, "--map", _MAP], 6),
+    # the same verification, then phi(y)
+    (["derive", "--ring", _R, "--map", _MAP, "--expr", "y", "--order", "2"], 7),
+    # the verification of phi and of the bar map; the sampled invariants
+    # lie in k[x], which neither map moves
+    (["homogenize", "--ring", _R, "--map", _MAP, "--weights", "w{x:0, y:2, z:1}"], 12),
+], ids=lambda v: v[0] if isinstance(v, list) else str(v))
+def test_substitution_count(argv, count, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return substitute_terms(*args, **kwargs)
+
+    monkeypatch.setattr(polyring, "substitute_terms", counting)
+    monkeypatch.setattr(surface, "substitute_terms", counting)
+    assert dispatch(argv)[0] == 0
+    assert len(calls) == count, argv
