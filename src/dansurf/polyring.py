@@ -313,6 +313,8 @@ class Poly:
             elif val.field != self.field:
                 raise InputError("substitution value over a different field")
             images[var] = val
+        if unmoved(self, images):
+            return Poly(self.field, self.terms)
         return Poly._of_view(self.field, substitute_terms(self, images))
 
     def weighted_degree(self, w: WeightVector):
@@ -445,9 +447,7 @@ def power(memo: dict, e: int):
     base^e.  In characteristic p, from e = 2p on, base^e =
     frobenius(base^(e // p)) * base^(e % p): the p-th power of a sum is the
     sum of the p-th powers, so (S + U)^(p^k) = S^(p^k) + U^(p^k) costs no
-    product at all.  Below 2p the other chains run, so RingSpec.z_to_p,
-    which RElem.frobenius() needs, forms z^p without recursing into
-    frobenius().
+    product at all.  Below 2p the other chains run.
     Powers of a base that is dense_over_q() are dense, and a product by the
     small base costs less than a square (Fateman, Stud. Appl. Math. 53,
     1974), so it steps up from its largest memoised power below e and keeps
@@ -486,7 +486,22 @@ def is_variable(img, var: str) -> bool:
     return d == 1 and len(items) == 1 and items[0] == (VAR_MONO[var], 1)
 
 
-def substitute_terms(p: Poly, images: dict, fold_z_squared=None) -> tuple:
+def unmoved(p: Poly, images: dict, z_top: float = float("inf")) -> bool:
+    """Whether p is its own image under the Poly or RElem `images`: no term
+    has a positive exponent in a variable whose image is not itself, nor a
+    z-exponent above z_top.  One scan of p's terms, which stops at the
+    first that fails."""
+    moved = [VAR_INDEX[var] for var, img in images.items() if not is_variable(img, var)]
+    for m in p.terms:
+        if m[0] > z_top:
+            return False
+        for i in moved:
+            if m[i]:
+                return False
+    return True
+
+
+def substitute_terms(p: Poly, images: dict, fold_relation=None) -> tuple:
     """The reduced integer view of p with the Poly or RElem `images`
     substituted, which the caller builds its value from.  The terms of p's
     view are grouped by their exponents in the bound variables, and the
@@ -494,7 +509,7 @@ def substitute_terms(p: Poly, images: dict, fold_z_squared=None) -> tuple:
     powers are formed first, in ascending order, and no stepping chain is
     walked twice.  Each group's memoised bound powers are multiplied together
     on views, each partial product reduced by reduce_view() (after
-    `fold_z_squared` rewrites the z^2 sums where the images are ring
+    `fold_relation` rewrites the z^2 sums where the images are ring
     elements), and the group's free part (over p's denominator) times that
     product is folded into one accumulator, which reduce_view() reduces too.
     A variable whose image is itself stays free, except z, so that an RElem
@@ -527,8 +542,8 @@ def substitute_terms(p: Poly, images: dict, fold_z_squared=None) -> tuple:
                 else:
                     part = Accumulator()
                     fold_product(part, view, pe)
-                    if fold_z_squared is not None:
-                        fold_z_squared(part)
+                    if fold_relation is not None:
+                        fold_relation(part)
                     view = reduce_view(field, part)
         # the group of terms free of the bound variables folds with 1
         fold_product(acc, (den, free), UNIT_VIEW if view is None else view)

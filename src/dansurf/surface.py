@@ -3,10 +3,10 @@
 Because the defining relation is monic and quadratic in z, the set {1, z}
 is a free basis for R over k[x, y], and every element has a unique normal
 form f1 + z*f2 with f1, f2 free of z: a polynomial of z-degree at most 1.
-An element, RElem, is that Poly plus its ring.  Only products (and Frobenius powers)
-rewrite z^2 = x^n*y - h*z.  Polynomial extensions R[T], R[U], R[S,U] reuse
-the same element type: the parameters T, U, S simply appear in the
-polynomial.
+An element, RElem, is that Poly plus its ring.  Only products and Frobenius
+powers reduce by z^2 = x^n*y - h*z, through the spec's one relation step.
+Polynomial extensions R[T], R[U], R[S,U] reuse the same element type: the
+parameters T, U, S simply appear in the polynomial.
 
 Two spec variants widen the reach of the type: `graded` drops h (the ring
 k[x,y,z]/(x^n y - z^2), the homogenization target), and `free` drops the
@@ -18,8 +18,8 @@ from __future__ import annotations
 from functools import cached_property
 
 from .errors import InputError
-from .polyring import (VAR_INDEX, Accumulator, Poly, WeightVector, fold_product, format_poly,
-                       is_variable, power, reduce_view, substitute_terms, view_terms)
+from .polyring import (Accumulator, Poly, WeightVector, fold_product, format_poly, power,
+                       reduce_view, substitute_terms, unmoved, view_terms)
 from .records import Record
 from .scalars import FieldSpec, Scalar, int_to_str
 
@@ -44,9 +44,8 @@ def _require_hypotheses(field: FieldSpec, n: int, h: Poly, standard: bool = True
 class RingSpec(Record):
     """Defining data (field, n, h) of a surface ring, plus variant flags.
 
-    The spec caches only data that does not point back at it (the integer
-    view of z^2, the terms and views of z and z^p); its elements z and z^p
-    are formed on access, so that no spec is part of a reference cycle."""
+    The spec caches only the integer views of z^2 and z^p, which point
+    nowhere back at it, so that no spec is part of a reference cycle."""
 
     _fields = ("field", "n", "h", "graded", "free")
 
@@ -87,40 +86,32 @@ class RingSpec(Record):
         per spec; a free spec has no relation, so products never read it."""
         return (self.relation() + Poly.variable(self.field, "z", 2)).ints()
 
-    def fold_z_squared(self, acc: Accumulator) -> None:
-        """The one z^2 step of a product of normal forms: move the z^2 sums
-        (z*f2 times z*g2) out of acc and fold them with z^2 into acc.  A free
-        spec has no relation to rewrite them by."""
+    @cached_property
+    def _z_to_p_view(self) -> tuple:
+        """The integer view of z^p in normal form in characteristic p, formed
+        once per spec by p - 1 products by z, each taking the z^2 step."""
+        view = z_view = Poly.variable(self.field, "z").ints()
+        for _ in range(self.field.characteristic - 1):
+            acc = Accumulator()
+            fold_product(acc, view, z_view)
+            self.fold_relation(acc)
+            view = reduce_view(self.field, acc)
+        return view
+
+    def fold_relation(self, acc: Accumulator, k: int = 2) -> None:
+        """The one relation step: move the z^k sums out of acc and fold them
+        with z^k in normal form into acc.  A product of normal forms takes
+        it with k = 2 (z*f2 times z*g2), a Frobenius power with k = p, the
+        only z-exponent above 1 that it has; over F2 the two are one.  A
+        free spec has no relation to rewrite them by."""
         sums = acc.sums
-        zz = [m for m in sums if m[0] == 2]
-        if zz:
+        high = [m for m in sums if m[0] == k]
+        if high:
             if self.free:
                 raise InputError("product needs z^2, which a free spec cannot reduce")
-            items = [((0,) + m[1:], sums.pop(m)) for m in zz]
-            fold_product(acc, (acc.den, items), self._z_squared_view)
-
-    @cached_property
-    def _z(self) -> tuple:
-        z = Poly.variable(self.field, "z")
-        return z.terms, z.ints()
-
-    @property
-    def z(self) -> "RElem":
-        """The generator z, formed on each access from terms formed once."""
-        return RElem._trusted(self, *self._z)
-
-    @cached_property
-    def _z_to_p(self) -> tuple:
-        """The terms and integer view of z^p in characteristic p, formed
-        once per spec by the chains that power() takes below 2p, so
-        RElem.frobenius() does not recurse."""
-        zp = power({1: self.z}, self.field.characteristic)
-        return zp.terms, zp.ints()
-
-    @property
-    def z_to_p(self) -> "RElem":
-        """z^p in characteristic p, formed on each access from terms formed once."""
-        return RElem._trusted(self, *self._z_to_p)
+            items = [((0,) + m[1:], sums.pop(m)) for m in high]
+            fold_product(acc, (acc.den, items),
+                         self._z_squared_view if k == 2 else self._z_to_p_view)
 
     def __str__(self):
         flags = ", graded" if self.graded else (", free" if self.free else "")
@@ -131,8 +122,8 @@ class RingSpec(Record):
 class RElem(Poly):
     """An element of R (or of R[T], R[U], R[S,U]): its normal form, a
     polynomial f1 + z*f2 of z-degree at most 1, that knows its ring `spec`.
-    The polynomial operations carry the spec along; only products (and
-    Frobenius powers) rewrite z^2."""
+    The polynomial operations carry the spec along; only products and
+    Frobenius powers reduce by the relation."""
 
     __slots__ = ("spec",)
 
@@ -162,9 +153,10 @@ class RElem(Poly):
     def _like(self, terms: dict) -> "RElem":
         return RElem._trusted(self.spec, terms)
 
+    # Generators and constants are normal forms, so they skip the checks.
     @classmethod
     def zero(cls, spec: RingSpec) -> "RElem":
-        return cls(spec, Poly.zero(spec.field), Poly.zero(spec.field))
+        return cls._trusted(spec, {})
 
     @classmethod
     def one(cls, spec: RingSpec) -> "RElem":
@@ -172,13 +164,11 @@ class RElem(Poly):
 
     @classmethod
     def const(cls, spec: RingSpec, value) -> "RElem":
-        return cls(spec, Poly.const(spec.field, value), Poly.zero(spec.field))
+        return cls._trusted(spec, Poly.const(spec.field, value).terms)
 
     @classmethod
     def var(cls, spec: RingSpec, name: str) -> "RElem":
-        if name == "z":
-            return cls(spec, Poly.zero(spec.field), Poly.const(spec.field, 1))
-        return cls(spec, Poly.variable(spec.field, name), Poly.zero(spec.field))
+        return cls._trusted(spec, Poly.variable(spec.field, name).terms)
 
     @property
     def f1(self) -> Poly:
@@ -208,7 +198,7 @@ class RElem(Poly):
         spec = self.spec
         acc = Accumulator()
         fold_product(acc, self.ints(), o.ints())
-        spec.fold_z_squared(acc)
+        spec.fold_relation(acc)
         view = reduce_view(spec.field, acc)
         return RElem._trusted(spec, view_terms(spec.field, view), view)
 
@@ -231,14 +221,17 @@ class RElem(Poly):
         return len(self.terms) <= 1 and not self._has_z()
 
     def frobenius(self) -> "RElem":
-        """self^p over F_p: the Frobenius image of the polynomial, whose z^p
-        part is multiplied by the spec's z^p.  That z^p is formed only for a
-        nonzero z-part; a free spec cannot form z^2."""
-        spec, f = self.spec, Poly.frobenius(self)
-        high = f.coeff_of("z", spec.field.characteristic)
-        if not high:
-            return f
-        return self._like(f.coeff_of("z", 0).terms) + self._like(high.terms) * spec.z_to_p
+        """self^p over F_p: every exponent of the integer view times p (c^p =
+        c), the z^p sums folded by the spec's relation step and reduced once.
+        z^p is formed only for a nonzero z-part; a free spec cannot form z^2."""
+        spec = self.spec
+        p = spec.field.characteristic
+        acc = Accumulator()
+        acc.sums = {(a0 * p, a1 * p, a2 * p, a3 * p, a4 * p, a5 * p): v
+                    for (a0, a1, a2, a3, a4, a5), v in self.ints()[1]}
+        spec.fold_relation(acc, p)
+        view = reduce_view(spec.field, acc)
+        return RElem._trusted(spec, view_terms(spec.field, view), view)
 
     def __eq__(self, other):
         if not isinstance(other, RElem):
@@ -325,19 +318,6 @@ def reduce_presentation(field: FieldSpec, n: int, h_raw: Poly):
     return RingSpec(field, n, h), g
 
 
-def _unmoved(p: Poly, moved: list) -> bool:
-    """Whether p has z-degree at most 1 and no positive exponent at the
-    indices `moved`: one scan of its terms, which stops at the first that
-    fails."""
-    for m in p.terms:
-        if m[0] > 1:
-            return False
-        for i in moved:
-            if m[i]:
-                return False
-    return True
-
-
 def substitute_poly(spec: RingSpec, p: Poly, images: dict) -> RElem:
     """Evaluate a polynomial on ring elements: the homomorphism sending each
     variable to its image (variables absent from `images` map to themselves).
@@ -348,9 +328,9 @@ def substitute_poly(spec: RingSpec, p: Poly, images: dict) -> RElem:
     for img in images.values():
         if img.spec is not spec and img.spec != spec:
             raise InputError("elements of different rings")
-    if _unmoved(p, [VAR_INDEX[var] for var, img in images.items() if not is_variable(img, var)]):
+    if unmoved(p, images, z_top=1):
         return p if type(p) is RElem and p.spec is spec else RElem._trusted(spec, p.terms, p._ints)
     # z stays bound, so its powers come reduced and every free part is z-free.
-    bound = {"z": spec.z, **images}
-    view = substitute_terms(p, bound, spec.fold_z_squared)
+    bound = {"z": RElem.var(spec, "z"), **images}
+    view = substitute_terms(p, bound, spec.fold_relation)
     return RElem._trusted(spec, view_terms(spec.field, view), view)

@@ -2,10 +2,11 @@
 
 The parser keeps a product of scalars and variables raw; axiom_i reads the
 U-free part of an image and axiom_ii renames U to S instead of
-substituting; `substitute_poly` returns an unmoved polynomial as it is; and
-`WeightVector.mono_weight` sums in ints.  Each is checked here against the
-computation it replaces, over Q, F2, F3 and F5.  A work count pins the
-number of substitutions the map commands make.
+substituting; `substitute_poly` and `Poly.substitute` return an unmoved
+polynomial as it is; and `WeightVector.mono_weight` sums in ints.  Each is
+checked here against the computation it replaces, over Q, F2, F3 and F5.
+Work counts pin the number of substitutions the map, automorphism and
+cancellation commands make, and the products of a Frobenius power.
 """
 
 import re
@@ -162,7 +163,7 @@ def test_axiom_reads_match_substitutions(field):
 def _substituted(spec, p, images):
     """substitute_poly without its return of an unmoved p: the substitution
     itself, which binds z (and every image) and folds."""
-    view = substitute_terms(p, {"z": spec.z, **images}, spec.fold_z_squared)
+    view = substitute_terms(p, {"z": RElem.var(spec, "z"), **images}, spec.fold_relation)
     return RElem._trusted(spec, view_terms(spec.field, view), view)
 
 
@@ -171,7 +172,7 @@ def test_unmoved_polynomials_match_the_substitution(field):
     r = rng(89 + field.characteristic)
     spec = RingSpec(field, 3, Poly.const(field, 1) + Poly.variable(field, "x", 2))
     x, y, u = (RElem.var(spec, v) for v in "xyU")
-    unmoved = 0
+    unmoved = poly_unmoved = 0
     for _ in range(60):
         # images that move some variables and fix others (x -> x among them)
         images = r.choice(({}, {"x": x}, {"x": x, "U": u + y}, {"y": y + x * u},
@@ -182,7 +183,12 @@ def test_unmoved_polynomials_match_the_substitution(field):
         got = substitute_poly(spec, p, images)
         assert got == _substituted(spec, p, images), (p, images)
         unmoved += got.terms is p.terms
-    assert unmoved  # the draw reaches the direct path
+        # Poly.substitute shares the unmoved test, without the z-degree bound
+        polys = {v: img.to_poly() for v, img in images.items()}
+        got = p.substitute(polys)
+        assert got == Poly._of_view(field, substitute_terms(p, polys)), (p, images)
+        poly_unmoved += got.terms is p.terms
+    assert unmoved and poly_unmoved  # the draw reaches the direct paths
 
 
 def _fraction_weight(w: WeightVector, m: tuple) -> Fraction:
@@ -219,16 +225,27 @@ _R = "R(n=2,h=1,field=Q)"
 _MAP = "x->x; z->z+x^2*U; y->y+(2*z+1)*U+x^2*U^2"
 
 
-@pytest.mark.parametrize("argv, count", [
-    # the relation and phi_S(phi_U(g)) for y and z (x is unmoved), and
-    # phi_(S+U)(g) for x, y and z
-    (["exp-verify", "--ring", _R, "--map", _MAP], 6),
+_SUBSTITUTIONS = [
+    # the relation and phi_S(phi_U(g)) for y and z, and phi_(S+U)(g) for y
+    # and z (x is unmoved, and phi(x) = x has no U)
+    (["exp-verify", "--ring", _R, "--map", _MAP], 5),
     # the same verification, then phi(y)
-    (["derive", "--ring", _R, "--map", _MAP, "--expr", "y", "--order", "2"], 7),
+    (["derive", "--ring", _R, "--map", _MAP, "--expr", "y", "--order", "2"], 6),
     # the verification of phi and of the bar map; the sampled invariants
     # lie in k[x], which neither map moves
-    (["homogenize", "--ring", _R, "--map", _MAP, "--weights", "w{x:0, y:2, z:1}"], 12),
-], ids=lambda v: v[0] if isinstance(v, list) else str(v))
+    (["homogenize", "--ring", _R, "--map", _MAP, "--weights", "w{x:0, y:2, z:1}"], 10),
+    # the composite applied to y: building the shear and the involution,
+    # whose forced y-images substitute x -> 1*x into h, substitutes nothing
+    (["aut-apply", "--ring", _R, "--word", "E(x) * T", "--expr", "y"], 1),
+    # L(-1) moves x in the coefficients of E(x) and E(1+x); nothing else does
+    (["aut-compose", "--ring", _R, "--word", "L(-1) * E(x) * T * E(1+x)"], 2),
+    (["aut-decompose", "--ring", _R, "--word", "E(1) * T"], 0),
+    # the witness's exponential map verified, applied and expanded in the slice
+    (["cancel-verify", "--n1", "2", "--n2", "3", "--field", "Q"], 34),
+]
+
+
+@pytest.mark.parametrize("argv, count", _SUBSTITUTIONS, ids=[a[0] for a, _ in _SUBSTITUTIONS])
 def test_substitution_count(argv, count, monkeypatch):
     calls = []
 
@@ -238,5 +255,17 @@ def test_substitution_count(argv, count, monkeypatch):
 
     monkeypatch.setattr(polyring, "substitute_terms", counting)
     monkeypatch.setattr(surface, "substitute_terms", counting)
+    assert dispatch(argv)[0] == 0
+    assert len(calls) == count, argv
+
+
+@pytest.mark.parametrize("field, count", [("F3", 2), ("F2", 3)])
+def test_relem_product_count_of_frobenius_powers(field, count, monkeypatch):
+    # z^81 multiplies only below 2p: z^2 and z^3 over F3, z^2, z^5 and z^81
+    # over F2; each Frobenius step folds by the relation step instead
+    calls = []
+    mul = RElem.__mul__
+    monkeypatch.setattr(RElem, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    argv = ["normal-form", "--ring", f"R(n=2,h=1,field={field})", "--expr", "z^81"]
     assert dispatch(argv)[0] == 0
     assert len(calls) == count, argv

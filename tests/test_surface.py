@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -386,16 +387,50 @@ def test_free_spec_frobenius_needs_no_z():
 def test_z_to_p_is_formed_once_per_spec():
     spec = standard_spec(F3, 2, "1 + x")
     z = RElem.var(spec, "z")
-    # the spec caches the terms of z^p (an element would point back at it)
-    assert "_z_to_p" not in vars(spec)
-    assert (z**27).f1 and spec.z_to_p == NF(spec, "z^2") * z
-    first = spec.z_to_p
+    # the spec caches the integer view of z^p (an element would point back at it)
+    assert "_z_to_p_view" not in vars(spec)
+    assert (z**27).f1
+    first = spec._z_to_p_view
+    d, items = (NF(spec, "z^2") * z).ints()
+    assert first[0] == d and dict(first[1]) == dict(items)
     z**81
-    assert spec.z_to_p.terms is first.terms
+    assert spec._z_to_p_view is first
     # an element without a z-part leaves it unformed
     other = standard_spec(F3, 2, "1 + x")
     RElem.var(other, "x") ** 81
-    assert "_z_to_p" not in vars(other)
+    assert "_z_to_p_view" not in vars(other)
+
+
+@pytest.mark.parametrize("field", [Q, F2, F3, F5], ids=lambda f: f.label)
+def test_generators_and_constants_match_the_checking_constructor(field):
+    # var, const, zero and one skip the checks; they build what the public
+    # constructor builds from (f1, f2)
+    zero = Poly.zero(field)
+    fractions = () if field.characteristic else (Fraction(1, 2), Fraction(-3, 4))
+    for spec in (standard_spec(field, 2, "1"), RingSpec(field, 3, zero, graded=True),
+                 RingSpec(field, 2, zero, free=True)):
+        for name in VARS:
+            split = ((zero, Poly.const(field, 1)) if name == "z"
+                     else (Poly.variable(field, name), zero))
+            assert RElem.var(spec, name) == RElem(spec, *split)
+        for value in (0, 1, -1, 2, 7, 10**20, field.scalar(3)) + fractions:
+            assert RElem.const(spec, value) == RElem(spec, Poly.const(field, value), zero)
+        assert RElem.zero(spec) == RElem(spec, zero, zero)
+        assert RElem.one(spec) == RElem(spec, Poly.const(field, 1), zero)
+
+
+def test_specs_hold_no_elements():
+    # a spec caches integer views only: an element or a terms dict in it
+    # would point back at the spec or hold what arithmetic made
+    for field, text, p in ((F3, "z^81", 3), (F5, "(z + x)^25", 5)):
+        spec = standard_spec(field, 2, "1 + x")
+        a = NF(spec, text)
+        z, x = RElem.var(spec, "z"), RElem.var(spec, "x")
+        assert a == (z**81 if p == 3 else (z + x) ** 25)
+        substitute_poly(spec, parse_poly("y*z^2 + x*U", field), {"x": x + z, "U": z})
+        assert "_z_to_p_view" in vars(spec)
+        for key, value in vars(spec).items():
+            assert not isinstance(value, (RElem, dict)), key
 
 
 def test_public_constructor_checks_components():
@@ -525,7 +560,7 @@ def per_group_reference(spec, p, images):
     z, y, x, each group's bound powers multiplied as RElems (the images of
     z, y and x, in that order), and the group's free part times that
     product summed."""
-    bound = {"z": spec.z, **images}
+    bound = {"z": RElem.var(spec, "z"), **images}
     groups = {}
     for (z, y, x, t, u, s), c in p.terms.items():
         groups.setdefault((z, y, x), []).append(((0, 0, 0, t, u, s), c))
