@@ -51,17 +51,18 @@ class VerificationReport(Record):
         return "; ".join(f"{c.name}: {c.detail}" for c in self.failures())
 
 
-class ExponentialMap:
-    """Generator images in R[U], with a flag recording a passed verification.
+class ExponentialMap(Record):
+    """Generator images in R[U]; `verified` is True only for the maps that
+    make_exponential returns, whose images passed verify_exponential.
 
     Images are stored for every ring generator and, when the map acts on a
     polynomial extension R[T], for the parameter T as well.  The parameter S
     is reserved for the coaction check and never carries an image.
     """
 
-    __slots__ = ("spec", "images", "verified")
+    _fields = ("spec", "images", "verified")
 
-    def __init__(self, spec: RingSpec, images: dict, verified: bool = False):
+    def __init__(self, spec: RingSpec, images: dict):
         full = {}
         for var in spec.generators():
             full[var] = images.get(var, RElem.var(spec, var))
@@ -75,9 +76,7 @@ class ExponentialMap:
                 raise InputError(f"image of {var} is not an element of the ring")
             if img.degree_in("S") > 0:
                 raise InputError("images must not involve the reserved parameter S")
-        self.spec = spec
-        self.images = full
-        self.verified = verified
+        vars(self).update(spec=spec, images=full, verified=False)
 
     def carriers(self) -> tuple:
         """The variables whose images determine the map."""
@@ -98,6 +97,7 @@ class ExponentialMap:
         return all(img == RElem.var(self.spec, v) for v, img in self.images.items())
 
     def __eq__(self, other):
+        """The same ring and images, verified or not."""
         if not isinstance(other, ExponentialMap):
             return NotImplemented
         return self.spec == other.spec and self.images == other.images
@@ -108,7 +108,7 @@ class ExponentialMap:
 
     @classmethod
     def trivial(cls, spec: RingSpec) -> "ExponentialMap":
-        return cls(spec, {}, verified=True)
+        return make_exponential(spec, {})
 
 
 def _legal_exponent(e: int, p: int) -> bool:
@@ -140,7 +140,7 @@ def build_exponential(spec: RingSpec, coeffs) -> ExponentialMap:
     `coeffs` lists pairs (e, f_e) with F = sum f_e(x) U^e.  In characteristic
     zero only e = 1 is allowed; in characteristic p the exponents must be 1
     or powers of p.  The y-image is derived from the relation (never assumed),
-    and the result is verified before being returned.
+    and make_exponential verifies the result.
     """
     field = spec.field
     p = field.characteristic
@@ -157,24 +157,21 @@ def build_exponential(spec: RingSpec, coeffs) -> ExponentialMap:
         F = F + f_e * Poly.variable(field, "U", e)
     xnF = Poly.variable(field, "x", spec.n) * F
     image_z = RElem(spec, xnF, Poly.const(field, 1))
-    images = solve_generator_images(spec, image_z)
-    report = verify_exponential(spec, images)
-    if not report.passed:
-        raise AlgebraError(
-            "internal error: a coefficient-family map failed verification: "
-            + report.summary()
-        )
-    return ExponentialMap(spec, images, verified=True)
+    return make_exponential(spec, solve_generator_images(spec, image_z))
 
 
 def make_exponential(spec: RingSpec, images: dict) -> ExponentialMap:
-    """Wrap candidate images into a verified map; raise if verification fails."""
+    """Wrap candidate images into a verified map; raise if verification fails.
+
+    The only code that marks a map verified."""
     report = verify_exponential(spec, images)
     if not report.passed:
         raise AlgebraError(
             "candidate images are not an exponential map: " + report.summary()
         )
-    return ExponentialMap(spec, images, verified=True)
+    phi = ExponentialMap(spec, images)
+    vars(phi)["verified"] = True
+    return phi
 
 
 def at_u_zero(a: RElem) -> RElem:

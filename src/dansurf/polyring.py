@@ -248,10 +248,17 @@ class Poly:
 
     def frobenius(self) -> "Poly":
         """self^p over F_p: every exponent times p, the coefficients kept, as
-        (sum c*m)^p = sum c^p*m^p and c^p = c."""
+        (sum c*m)^p = sum c^p*m^p and c^p = c.  It keeps the integer view
+        (1, [(m, c.value)]) of its terms, as a fold's result does."""
         p = self.field.characteristic
-        return self._like({(a0 * p, a1 * p, a2 * p, a3 * p, a4 * p, a5 * p): c
-                           for (a0, a1, a2, a3, a4, a5), c in self.terms.items()})
+        terms, items = {}, []
+        for (a0, a1, a2, a3, a4, a5), c in self.terms.items():
+            m = (a0 * p, a1 * p, a2 * p, a3 * p, a4 * p, a5 * p)
+            terms[m] = c
+            items.append((m, c.value))
+        frob = self._like(terms)
+        frob._ints = (1, items)
+        return frob
 
     def scale(self, c) -> "Poly":
         c = self.field.scalar(c)
@@ -444,10 +451,10 @@ def power(memo: dict, e: int):
     """base^e (e >= 1) for memo = {1: base, ...}, memoised.
 
     A base of at most one term gets c^e*m^e in one step and keeps only
-    base^e.  In characteristic p, from e = 2p on, base^e =
+    base^e.  In characteristic p, from e = p on, base^e =
     frobenius(base^(e // p)) * base^(e % p): the p-th power of a sum is the
     sum of the p-th powers, so (S + U)^(p^k) = S^(p^k) + U^(p^k) costs no
-    product at all.  Below 2p the other chains run.
+    product at all.
     Powers of a base that is dense_over_q() are dense, and a product by the
     small base costs less than a square (Fateman, Stud. Appl. Math. 53,
     1974), so it steps up from its largest memoised power below e and keeps
@@ -459,7 +466,7 @@ def power(memo: dict, e: int):
         p = base.field.characteristic
         if base.is_monomial():
             memo[e] = base.monomial_power(e)
-        elif p and e >= 2 * p:
+        elif p and e >= p:
             q, r = divmod(e, p)
             frob = power(memo, q).frobenius()
             memo[e] = frob * power(memo, r) if r else frob

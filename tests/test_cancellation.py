@@ -15,7 +15,7 @@ from dansurf import (
     verify_witness,
 )
 from dansurf.cancellation import CancellationWitness
-from dansurf.expmaps import ExponentialMap
+from dansurf.expmaps import CheckResult, ExponentialMap
 from conftest import F2, F3, F5, Q
 
 
@@ -43,6 +43,20 @@ def test_all_checks_pass_23_over_q():
         "linear_form",
         "slice_generates",
     ]
+
+
+def test_witness_is_an_immutable_record():
+    # its map is built unverified; the witness's own "exponential" check
+    # verifies it, and the passing report is a field like the others
+    w = build_witness(Q, 2, 3)
+    assert not w.phi.verified
+    assert w.report.check("exponential") == CheckResult("exponential", True, "")
+    for name in CancellationWitness._fields:
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(w, name, None)
+    assert w == build_witness(Q, 2, 3)
+    with pytest.raises(TypeError):
+        hash(w)  # its map holds a dict
 
 
 def test_explicit_slice_23():

@@ -689,21 +689,45 @@ def test_help_is_returned_not_printed(argv, capsys):
     assert capsys.readouterr().out == text + "\n"
 
 
+def _assert_no_cyclic_garbage(args):
+    dispatch(args)
+    gc.collect()
+    gc.disable()
+    try:
+        dispatch(args)
+        dispatch(args)
+        assert gc.collect() == 0, args
+    finally:
+        gc.enable()
+
+
 @pytest.mark.parametrize("argv", [argv for argv, *_ in GOLDEN], ids=lambda argv: argv[0])
 def test_dispatch_leaves_no_cyclic_garbage(argv):
     # a spec keeps no element and a field no scalar that points back at it,
     # and a help formatter unlinks its sections, so every command's objects
     # are freed by reference counts alone
     for args in (argv, argv + ["--json"], [argv[0], "-h"], [argv[0], "--help"]):
-        dispatch(args)
-        gc.collect()
-        gc.disable()
-        try:
-            dispatch(args)
-            dispatch(args)
-            assert gc.collect() == 0, args
-        finally:
-            gc.enable()
+        _assert_no_cyclic_garbage(args)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["normal-form", "--ring", "R(n=2,h=1,field=Q)"],
+     "usage error: the following arguments are required: --expr"),
+    (["no-such-command"], "usage error: argument command: invalid choice: 'no-such-command'"),
+    (["derive", "--ring", "R(n=2,h=1,field=Q)", "--map", _MAP, "--expr", "y", "--order", "1.5"],
+     "usage error: argument --order: invalid int value: '1.5'"),
+    (["normal-form", "--ring", "R(n=2,h=1,field=Q)", "--expr", "x^"],
+     "input error: expected a natural-number exponent (offset 2)"),
+    (["normal-form", "--ring", "R(n=1,h=1,field=Q)", "--expr", "z^2"],
+     "input error: n must be at least 2, got 1 (offset 4)"),
+], ids=["missing-argument", "unknown-command", "order-1.5", "expr-x^", "ring-n=1"])
+def test_refusals_leave_no_cyclic_garbage(argv, message):
+    # a usage or input error unwinds through the parser and the argument
+    # parser without leaving a cycle (an exception's traceback holds frames)
+    code, text = dispatch(argv)
+    assert code == 2 and text.startswith(message), text
+    for args in (argv, argv + ["--json"]):
+        _assert_no_cyclic_garbage(args)
 
 
 _NORMAL_FORM = ["normal-form", "--ring", "R(n=2,h=1+x,field=F3)", "--expr", "z^2 - x"]

@@ -259,13 +259,36 @@ def test_substitution_count(argv, count, monkeypatch):
     assert len(calls) == count, argv
 
 
-@pytest.mark.parametrize("field, count", [("F3", 2), ("F2", 3)])
-def test_relem_product_count_of_frobenius_powers(field, count, monkeypatch):
-    # z^81 multiplies only below 2p: z^2 and z^3 over F3, z^2, z^5 and z^81
-    # over F2; each Frobenius step folds by the relation step instead
+def _relem_products(argv, monkeypatch) -> int:
+    """The RElem products (int * RElem too) that dispatch(argv) makes."""
     calls = []
     mul = RElem.__mul__
-    monkeypatch.setattr(RElem, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
-    argv = ["normal-form", "--ring", f"R(n=2,h=1,field={field})", "--expr", "z^81"]
+
+    def counting(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(RElem, "__mul__", counting)
+    monkeypatch.setattr(RElem, "__rmul__", counting)
     assert dispatch(argv)[0] == 0
-    assert len(calls) == count, argv
+    return len(calls)
+
+
+@pytest.mark.parametrize("field, count", [("F3", 0), ("F2", 2)], ids=["F3", "F2"])
+def test_relem_product_count_of_frobenius_powers(field, count, monkeypatch):
+    # z^81 multiplies only for a remainder below p: none over F3 (81 = 3^4),
+    # z^5 = frobenius(z^2) * z and z^81 = frobenius(z^40) * z over F2; each
+    # Frobenius step folds by the relation step instead
+    argv = ["normal-form", "--ring", f"R(n=2,h=1,field={field})", "--expr", "z^81"]
+    assert _relem_products(argv, monkeypatch) == count, argv
+
+
+@pytest.mark.parametrize("n1, n2, field, count", [(2, 3, "Q", 105), (3, 5, "F3", 55)],
+                         ids=["Q", "F3"])
+def test_relem_product_count_of_cancel_verify(n1, n2, field, count, monkeypatch):
+    # the slice_generates check forms each power of s once for its five
+    # elements, and over F3 the powers of s from s^3 on are Frobenius steps:
+    # a power of s formed again per element, or a product chain up to 2p,
+    # makes more products
+    argv = ["cancel-verify", "--n1", str(n1), "--n2", str(n2), "--field", field]
+    assert _relem_products(argv, monkeypatch) == count, argv

@@ -13,11 +13,13 @@ from dansurf import (
     evaluate_at_one,
     expand_in_slice,
     is_invariant,
+    make_exponential,
     normal_form,
     parse_poly,
     solve_generator_images,
     verify_exponential,
 )
+from dansurf import expmaps
 from dansurf.expmaps import ExponentialMap
 from conftest import F2, F3, F5, Q, random_poly, random_relem, rng, standard_spec
 
@@ -66,6 +68,48 @@ def test_trivial_map_is_exponential():
     triv = ExponentialMap.trivial(SPEC21)
     assert triv.is_trivial()
     assert verify_exponential(SPEC21, triv.images).passed
+
+
+def test_only_make_exponential_marks_a_map_verified():
+    # the constructor takes images only and gives an unverified map; the
+    # producers all return through make_exponential, which verifies
+    raw = ExponentialMap(SPEC21, PHI.images)
+    assert not raw.verified
+    with pytest.raises(TypeError):
+        ExponentialMap(SPEC21, PHI.images, verified=True)
+    spec3 = standard_spec(F3, 3, "2 + x")
+    for phi in (PHI, make_exponential(SPEC21, PHI.images), ExponentialMap.trivial(SPEC21),
+                build_exponential(spec3, [(1, parse_poly("1 + x^2", F3)), (3, 1)])):
+        assert phi.verified is True, phi
+    # equality reads the ring and the images, verified or not
+    assert raw == PHI and PHI == raw and not raw != PHI
+    assert ExponentialMap(SPEC21, {}) == ExponentialMap.trivial(SPEC21)
+    assert raw != ExponentialMap(SPEC21, {}) and raw.__eq__(PHI.images) is NotImplemented
+    with pytest.raises(TypeError):
+        hash(raw)  # its images are a dict
+
+
+@pytest.mark.parametrize("name", ["spec", "images", "verified", "extra"])
+def test_exponential_maps_refuse_assignment(name):
+    for phi in (ExponentialMap(SPEC21, PHI.images), PHI):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(phi, name, True)
+        if name != "extra":
+            with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+                delattr(phi, name)
+    assert PHI.verified and not ExponentialMap(SPEC21, PHI.images).verified
+
+
+def test_build_exponential_fails_as_make_exponential_does(monkeypatch):
+    # a wrong y-image, as only a fault in the relation solving could give,
+    # fails the one verification with make_exponential's message
+    def wrong_y(spec, image_z):
+        return {"x": RElem.var(spec, "x"), "y": RElem.var(spec, "y"), "z": image_z}
+
+    monkeypatch.setattr(expmaps, "solve_generator_images", wrong_y)
+    with pytest.raises(AlgebraError, match="^candidate images are not an exponential map: "
+                                           "relation: image of the relation is "):
+        build_exponential(SPEC21, [(1, 1)])
 
 
 def test_negative_control_z_plus_xu():

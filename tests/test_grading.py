@@ -94,6 +94,18 @@ def test_homogenize_surface_to_graded():
     assert res.bar.verified
 
 
+def test_homogenize_refuses_an_unverified_map():
+    # the same images, verified by make_exponential, are accepted
+    spec = standard_spec(Q, 2, "1")
+    phi = build_exponential(spec, [(1, 1)])
+    raw = ExponentialMap(spec, phi.images)
+    assert raw == phi and not raw.verified
+    for call in (homogenize, parameter_weight):
+        with pytest.raises(InputError, match="^homogenization requires a verified map$"):
+            call(raw, W1)
+    assert homogenize(make_exponential(spec, raw.images), W1) == homogenize(phi, W1)
+
+
 def test_homogenize_rejects_inhomogeneous_target():
     # the top part x^2*y of x^2*y - z^2 - z defines no ring of the package
     spec = standard_spec(Q, 2, "1")

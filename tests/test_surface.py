@@ -253,7 +253,7 @@ def test_power_memo_matches_repeated_multiplication(field, text):
         # one step, and a dense base over Q steps from 1: both keep only the
         # power asked for; the squaring chain reaches 40 through a handful
         # of powers; over F_p, base^e = frobenius(base^(e // p)) *
-        # base^(e % p) from e = 2p on
+        # base^(e % p) from e = p on
         one_term = text == "-x^2*U" or (field == F2 and text == "x - 2*y*T")
         assert base.is_monomial() == one_term
         fresh = {1: base}
@@ -286,11 +286,12 @@ def test_zero_and_constant_bases_power_in_one_step(field):
 
 
 # The memo keys of a fresh e = 40 chain: squaring over Q; over F2 40 is
-# frobenius of 20, of 10, of 5 = frobenius(2) * 1, and 2 is below 2p = 4;
-# over F3 40 = frobenius(13) * 1 and 13 = frobenius(4) * 1; over F5 40 =
-# frobenius(8), and 8 is below 2p = 10.
+# frobenius of 20, of 10, of 5 = frobenius(2) * 1, and 2 = frobenius(1);
+# over F3 40 = frobenius(13) * 1, 13 = frobenius(4) * 1 and 4 =
+# frobenius(1) * 1; over F5 40 = frobenius(8), 8 = frobenius(1) * 3, and 3
+# is below p = 5, so 3 = 2 * 1 and 2 = 1 * 1.
 FRESH_40_KEYS = {0: [1, 2, 4, 5, 10, 20, 40], 2: [1, 2, 5, 10, 20, 40],
-                 3: [1, 2, 4, 13, 40], 5: [1, 2, 4, 8, 40]}
+                 3: [1, 4, 13, 40], 5: [1, 2, 3, 8, 40]}
 
 
 @pytest.mark.parametrize("field", [Q, F2, F3, F5], ids=lambda f: f.label)
