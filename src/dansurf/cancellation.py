@@ -108,7 +108,7 @@ def verify_witness(w: CancellationWitness) -> VerificationReport:
     u = RElem.var(spec2, "U")
     checks = []
 
-    report = verify_exponential(spec2, w.phi.images)
+    report = verify_exponential(w.phi)
     checks.append(CheckResult("exponential", report.passed, report.summary()))
 
     emb = x**w.n1 * w.y1 - (w.z1 * w.z1 + w.z1)

@@ -21,6 +21,7 @@ from .cancellation import build_witness
 from .errors import AlgebraError, InputError, ParseError
 from .expmaps import (
     CheckResult,
+    ExponentialMap,
     VerificationReport,
     build_exponential,
     degree,
@@ -155,7 +156,7 @@ def _cmd_exp_build(args):
 
 def _cmd_exp_verify(args):
     spec = parse_ring_spec(args.ring)
-    report = verify_exponential(spec, parse_generator_map(args.map, spec))
+    report = verify_exponential(ExponentialMap(spec, parse_generator_map(args.map, spec)))
     verdict = "verified" if report.passed else "failed"
     return _Outcome({"ring": spec, "map": args.map}, verdict,
                     "\n".join(_check_lines(report) + [verdict]), report)

@@ -13,8 +13,10 @@ extraction, and the degree deg_phi(a) = deg_U(phi(a)) is a degree function.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .errors import AlgebraError, InputError
-from .polyring import Poly
+from .polyring import Poly, SubstitutionMemo
 from .records import Record
 from .scalars import int_to_str
 from .surface import RElem, RingSpec, forced_y, substitute_poly
@@ -58,6 +60,11 @@ class ExponentialMap(Record):
     Images are stored for every ring generator and, when the map acts on a
     polynomial extension R[T], for the parameter T as well.  The parameter S
     is reserved for the coaction check and never carries an image.
+
+    Substitution through the images keeps its powers and group products in
+    the map's memo, formed on first use and shared by every later apply and
+    the relation check.  It is not a field: equality, hash and repr ignore
+    it, and it points nowhere back at the map.
     """
 
     _fields = ("spec", "images", "verified")
@@ -78,6 +85,10 @@ class ExponentialMap(Record):
                 raise InputError("images must not involve the reserved parameter S")
         vars(self).update(spec=spec, images=full, verified=False)
 
+    @cached_property
+    def _memo(self) -> SubstitutionMemo:
+        return SubstitutionMemo()
+
     def carriers(self) -> tuple:
         """The variables whose images determine the map."""
         return tuple(sorted(self.images))
@@ -91,7 +102,7 @@ class ExponentialMap(Record):
             raise InputError("element of a different ring")
         if a.degree_in("U") > 0:
             raise InputError("apply expects a U-free element")
-        return substitute_poly(self.spec, a, self.images)
+        return substitute_poly(self.spec, a, self.images, self._memo)
 
     def is_trivial(self) -> bool:
         return all(img == RElem.var(self.spec, v) for v, img in self.images.items())
@@ -161,15 +172,16 @@ def build_exponential(spec: RingSpec, coeffs) -> ExponentialMap:
 
 
 def make_exponential(spec: RingSpec, images: dict) -> ExponentialMap:
-    """Wrap candidate images into a verified map; raise if verification fails.
+    """Build the map of candidate images once, verify it and mark it
+    verified; raise if verification fails.
 
     The only code that marks a map verified."""
-    report = verify_exponential(spec, images)
+    phi = ExponentialMap(spec, images)
+    report = verify_exponential(phi)
     if not report.passed:
         raise AlgebraError(
             "candidate images are not an exponential map: " + report.summary()
         )
-    phi = ExponentialMap(spec, images)
     vars(phi)["verified"] = True
     return phi
 
@@ -185,22 +197,22 @@ def u_renamed_s(a: RElem) -> RElem:
     return a._like({(a0, a1, a2, a3, 0, a4): c for (a0, a1, a2, a3, a4, _), c in a.terms.items()})
 
 
-def verify_exponential(spec: RingSpec, images: dict) -> VerificationReport:
-    """Run the three checks on candidate generator images.
+def verify_exponential(phi: ExponentialMap) -> VerificationReport:
+    """Run the three checks on the generator images of a built map.
 
     (relation)  the images satisfy the defining relation in R[U], so the
                 candidate is a well-defined homomorphism;
     (axiom_i)   setting U = 0 in each image returns the generator;
     (axiom_ii)  phi_S(phi_U(g)) = phi_{S+U}(g) for every carrier g.
     """
-    phi = ExponentialMap(spec, images)
+    spec = phi.spec
     checks = []
 
     rel = spec.relation()
     if rel is None:
         checks.append(CheckResult("relation", True, "free ring, nothing to preserve"))
     else:
-        image_rel = substitute_poly(spec, rel, phi.images)
+        image_rel = substitute_poly(spec, rel, phi.images, phi._memo)
         if image_rel.is_zero():
             checks.append(CheckResult("relation", True))
         else:

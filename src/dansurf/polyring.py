@@ -471,7 +471,8 @@ def power(memo: dict, e: int):
             frob = power(memo, q).frobenius()
             memo[e] = frob * power(memo, r) if r else frob
         elif base.dense_over_q():
-            k = max(k for k in memo if k < e)
+            # the keys copied: a memo that a map shares may grow meanwhile
+            k = max([k for k in list(memo) if k < e])
             acc = memo[k]
             for _ in range(k, e):
                 acc = acc * base
@@ -508,52 +509,103 @@ def unmoved(p: Poly, images: dict, z_top: float = float("inf")) -> bool:
     return True
 
 
-def substitute_terms(p: Poly, images: dict, fold_relation=None) -> tuple:
+class SubstitutionMemo:
+    """What substitution through one fixed set of images forms: the memoised
+    powers (power()) of each bound image, by variable index, and the product
+    of each group's bound powers as a reduced view, by the group's exponent
+    tuple.  A caller that substitutes through the same images again keeps
+    one, as an exponential map does, so that each is formed once."""
+
+    __slots__ = ("powers", "products")
+
+    def __init__(self):
+        self.powers = {}
+        self.products = {}
+
+
+def substitute_terms(p: Poly, images: dict, fold_relation=None,
+                     memo: SubstitutionMemo = None) -> tuple:
     """The reduced integer view of p with the Poly or RElem `images`
-    substituted, which the caller builds its value from.  The terms of p's
-    view are grouped by their exponents in the bound variables, and the
-    exponents of each dense_over_q() image collected on the way, so that its
-    powers are formed first, in ascending order, and no stepping chain is
-    walked twice.  Each group's memoised bound powers are multiplied together
-    on views, each partial product reduced by reduce_view() (after
-    `fold_relation` rewrites the z^2 sums where the images are ring
-    elements), and the group's free part (over p's denominator) times that
-    product is folded into one accumulator, which reduce_view() reduces too.
+    substituted, which the caller builds its value from.
+
     A variable whose image is itself stays free, except z, so that an RElem
-    image's product reduces every power of z."""
-    bound = sorted((VAR_INDEX[var], {1: img}) for var, img in images.items()
-                   if var == "z" or not is_variable(img, var))
-    dense = [(i, memo, set()) for i, memo in bound if memo[1].dense_over_q()]
+    image's product reduces every power of z.  Any other image of at most
+    one term (is_monomial()) acts in place: each term's free part takes
+    exponent + e*m and coefficient times c^e (pow(c, e, p) over F_p; over Q
+    the image's denominator joins the view's common one), and a zero image
+    drops the terms with e > 0.  The remaining images are bound.
+    The terms of p's view are grouped by their exponents in the bound
+    variables, and the exponents of each dense_over_q() image collected on
+    the way, so that its powers are formed first, in ascending order, and no
+    stepping chain is walked twice.  Each group's memoised bound powers are
+    multiplied together on views, each partial product reduced by
+    reduce_view() (after `fold_relation` rewrites the z^2 sums where the
+    images are ring elements), and the group's free part times that product
+    is folded into one accumulator, which reduce_view() reduces too.  The
+    powers and group products live in `memo` where the caller keeps one for
+    these images, else for this call only."""
+    powers, products = ({}, {}) if memo is None else (memo.powers, memo.products)
+    field = p.field
+    q = field.characteristic
     den, items = p.ints()
+    bound, acts, cleared = [], [], []
+    for var, img in images.items():
+        if var != "z" and is_variable(img, var):
+            continue
+        i = VAR_INDEX[var]
+        if var == "z" or not img.is_monomial():
+            bound.append((i, powers.setdefault(i, {1: img})))
+        else:
+            d, its = img.ints()
+            (m_img, c), = its or ((ZERO_MONO, 0),)
+            top = 0
+            if d != 1:  # over Q: (c/d)^e = c^e*d^(top - e)/d^top
+                top = max((m[i] for m, _ in items), default=0)
+                den *= d**top
+            acts.append((i, m_img, c, d, top))
+        cleared.append(i)
+    bound.sort()
+    dense = [(i, pw, set()) for i, pw in bound if pw[1].dense_over_q()]
     groups = {}
     for m, v in items:
         free = list(m)
-        for i, _ in bound:
+        for i in cleared:
             free[i] = 0
-        for i, _, seen in dense:
-            seen.add(m[i])
-        groups.setdefault(tuple([m[i] for i, _ in bound]), []).append((tuple(free), v))
-    for _, memo, seen in dense:
+        for i, m_img, c, d, top in acts:
+            e = m[i]
+            if e:
+                if not c:
+                    break  # a zero image
+                free = [a + e * b for a, b in zip(free, m_img)]
+                v = v * pow(c, e, q) % q if q else v * c**e
+            if d != 1:
+                v *= d ** (top - e)
+        else:
+            for i, _, seen in dense:
+                seen.add(m[i])
+            groups.setdefault(tuple([m[i] for i, _ in bound]), []).append((tuple(free), v))
+    for _, pw, seen in dense:
         for e in sorted(seen):
             if e:
-                power(memo, e)
-    field = p.field
+                power(pw, e)
     acc = Accumulator()
     for exps, free in groups.items():
-        view = None
-        for (_, memo), e in zip(bound, exps):
-            if e:
-                pe = power(memo, e).ints()
-                if view is None:
-                    view = pe
-                else:
-                    part = Accumulator()
-                    fold_product(part, view, pe)
-                    if fold_relation is not None:
-                        fold_relation(part)
-                    view = reduce_view(field, part)
-        # the group of terms free of the bound variables folds with 1
-        fold_product(acc, (den, free), UNIT_VIEW if view is None else view)
+        view = products.get(exps)
+        if view is None:
+            for (_, pw), e in zip(bound, exps):
+                if e:
+                    pe = power(pw, e).ints()
+                    if view is None:
+                        view = pe
+                    else:
+                        part = Accumulator()
+                        fold_product(part, view, pe)
+                        if fold_relation is not None:
+                            fold_relation(part)
+                        view = reduce_view(field, part)
+            # the group of terms free of the bound variables folds with 1
+            products[exps] = view = UNIT_VIEW if view is None else view
+        fold_product(acc, (den, free), view)
     return reduce_view(field, acc)
 
 

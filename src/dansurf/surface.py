@@ -18,8 +18,9 @@ from __future__ import annotations
 from functools import cached_property
 
 from .errors import InputError
-from .polyring import (Accumulator, Poly, WeightVector, fold_product, format_poly, power,
-                       reduce_view, substitute_terms, unmoved, view_terms)
+from .polyring import (Accumulator, Poly, SubstitutionMemo, WeightVector, fold_product,
+                       format_poly, power, reduce_view, substitute_terms, unmoved,
+                       view_terms)
 from .records import Record
 from .scalars import FieldSpec, Scalar, int_to_str
 
@@ -318,11 +319,13 @@ def reduce_presentation(field: FieldSpec, n: int, h_raw: Poly):
     return RingSpec(field, n, h), g
 
 
-def substitute_poly(spec: RingSpec, p: Poly, images: dict) -> RElem:
+def substitute_poly(spec: RingSpec, p: Poly, images: dict,
+                    memo: SubstitutionMemo = None) -> RElem:
     """Evaluate a polynomial on ring elements: the homomorphism sending each
     variable to its image (variables absent from `images` map to themselves).
     A p of z-degree at most 1 in no variable whose image moves is its own
-    image, read in spec without substituting."""
+    image, read in spec without substituting.  `memo`, if given, is the one
+    that the caller keeps for these images (polyring.substitute_terms)."""
     if p.field is not spec.field and p.field != spec.field:
         raise InputError("polynomial over a different field")
     for img in images.values():
@@ -332,5 +335,5 @@ def substitute_poly(spec: RingSpec, p: Poly, images: dict) -> RElem:
         return p if type(p) is RElem and p.spec is spec else RElem._trusted(spec, p.terms, p._ints)
     # z stays bound, so its powers come reduced and every free part is z-free.
     bound = {"z": RElem.var(spec, "z"), **images}
-    view = substitute_terms(p, bound, spec.fold_relation)
+    view = substitute_terms(p, bound, spec.fold_relation, memo)
     return RElem._trusted(spec, view_terms(spec.field, view), view)

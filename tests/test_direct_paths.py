@@ -4,9 +4,12 @@ The parser keeps a product of scalars and variables raw; axiom_i reads the
 U-free part of an image and axiom_ii renames U to S instead of
 substituting; `substitute_poly` and `Poly.substitute` return an unmoved
 polynomial as it is; and `WeightVector.mono_weight` sums in ints.  Each is
-checked here against the computation it replaces, over Q, F2, F3 and F5.
-Work counts pin the number of substitutions the map, automorphism and
-cancellation commands make, and the products of a Frobenius power.
+checked here against the computation it replaces, over Q, F2, F3 and F5;
+monomial images, which act in place, against closed forms near the
+exponent bound.  Work counts pin the number of substitutions the map,
+automorphism and cancellation commands make, the products of a Frobenius
+power and of cancel-verify, and the term pairs that cancel-verify and a
+scaling's aut-apply fold.
 """
 
 import re
@@ -15,7 +18,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dansurf import InputError, ParseError, Poly, RElem, WeightVector, parse_poly
+from dansurf import FieldSpec, InputError, ParseError, Poly, RElem, WeightVector, parse_poly
 from dansurf import polyring, surface
 from dansurf.cli import dispatch
 from dansurf.expmaps import at_u_zero, u_renamed_s
@@ -283,12 +286,64 @@ def test_relem_product_count_of_frobenius_powers(field, count, monkeypatch):
     assert _relem_products(argv, monkeypatch) == count, argv
 
 
-@pytest.mark.parametrize("n1, n2, field, count", [(2, 3, "Q", 105), (3, 5, "F3", 55)],
+@pytest.mark.parametrize("n1, n2, field, count", [(2, 3, "Q", 60), (3, 5, "F3", 51)],
                          ids=["Q", "F3"])
 def test_relem_product_count_of_cancel_verify(n1, n2, field, count, monkeypatch):
     # the slice_generates check forms each power of s once for its five
-    # elements, and over F3 the powers of s from s^3 on are Frobenius steps:
-    # a power of s formed again per element, or a product chain up to 2p,
+    # elements, over F3 the powers of s from s^3 on are Frobenius steps, and
+    # the map's applies and relation check form each power of an image once
+    # in its memo: a power of s formed again per element, a product chain
+    # up to 2p, or a power of an image formed per apply (105 and 55 products)
     # makes more products
     argv = ["cancel-verify", "--n1", str(n1), "--n2", str(n2), "--field", field]
     assert _relem_products(argv, monkeypatch) == count, argv
+
+
+def _fold_pairs(argv, monkeypatch) -> int:
+    """The term pairs, the sum of |left|*|right| over the views that
+    polyring.fold_product folds, of dispatch(argv)."""
+    pairs = []
+    fold = polyring.fold_product
+
+    def counting(acc, left, right):
+        pairs.append(len(left[1]) * len(right[1]))
+        return fold(acc, left, right)
+
+    monkeypatch.setattr(polyring, "fold_product", counting)
+    monkeypatch.setattr(surface, "fold_product", counting)
+    assert dispatch(argv)[0] == 0
+    return sum(pairs)
+
+
+_FOLDS = [
+    # the witness map's 25 applies and its relation check share its memo of
+    # image powers and group products: 5917 pairs with a memo per apply
+    (["cancel-verify", "--n1", "2", "--n2", "3", "--field", "Q"], 4584),
+    # L(2) sends x -> 2*x and y -> y/8, which act on each term in place:
+    # 951 pairs with the two images bound
+    (["aut-apply", "--ring", "R(n=3,h=1,field=Q)", "--word", "L(2) * T * E(x)",
+      "--expr", "(1/2 + x - 2/3*y + 3*z)^4"], 680),
+]
+
+
+@pytest.mark.parametrize("argv, pairs", _FOLDS, ids=[a[0] for a, _ in _FOLDS])
+def test_fold_term_pairs(argv, pairs, monkeypatch):
+    assert _fold_pairs(argv, monkeypatch) == pairs, argv
+
+
+@pytest.mark.parametrize("field", [F2, F3, F5, FieldSpec(2147483647)], ids=lambda f: f.label)
+def test_monomial_images_with_exponents_near_a_million(field):
+    # x^999999*y^3 + 5*x*T under the swap x -> c*y, y -> d*x, in place with
+    # pow(c, e, p), against the closed form and the powers of the images
+    p, e = field.characteristic, 999_999
+    c, d = p - 1, (p + 1) // 2
+    poly = Poly.from_items(field, [(mono(x=e, y=3), 1), (mono(x=1, T=1), 5)])
+    expected = Poly.from_items(field, [(mono(x=3, y=e), pow(c, e, p) * d**3),
+                                       (mono(y=1, T=1), 5 * c)])
+    images = {"x": Poly.variable(field, "y").scale(c), "y": Poly.variable(field, "x").scale(d)}
+    t = Poly.variable(field, "T")
+    assert expected == images["x"] ** e * images["y"] ** 3 + 5 * images["x"] * t
+    assert poly.substitute(images) == expected
+    spec = RingSpec(field, 2, Poly.const(field, 1))
+    elems = {v: RElem._trusted(spec, img.terms) for v, img in images.items()}
+    assert substitute_poly(spec, poly, elems).to_poly() == expected

@@ -57,17 +57,17 @@ def test_illegal_exponents():
 
 
 def test_verify_passes_for_family_maps():
-    report = verify_exponential(SPEC21, PHI.images)
+    report = verify_exponential(PHI)
     assert report.passed
     spec = standard_spec(F3, 3, "2 + x")
     phi = build_exponential(spec, [(1, parse_poly("1 + x^2", F3)), (3, 1)])
-    assert verify_exponential(spec, phi.images).passed
+    assert verify_exponential(phi).passed
 
 
 def test_trivial_map_is_exponential():
     triv = ExponentialMap.trivial(SPEC21)
     assert triv.is_trivial()
-    assert verify_exponential(SPEC21, triv.images).passed
+    assert verify_exponential(triv).passed
 
 
 def test_only_make_exponential_marks_a_map_verified():
@@ -121,27 +121,27 @@ def test_negative_control_z_plus_xu():
         "y": RElem.var(SPEC21, "y"),
         "z": NF(SPEC21, "z + x*U"),
     }
-    report = verify_exponential(SPEC21, images)
+    report = verify_exponential(ExponentialMap(SPEC21, images))
     assert not report.check("relation").passed
 
 
 def test_negative_control_non_additive_u_part_char0():
     # z -> z + x^2 U^2 solves the relation but fails the coaction axiom in char 0
     images = solve_generator_images(SPEC21, NF(SPEC21, "z + x^2*U^2"))
-    report = verify_exponential(SPEC21, images)
+    report = verify_exponential(ExponentialMap(SPEC21, images))
     assert report.check("relation").passed
     assert report.check("axiom_i").passed
     assert not report.check("axiom_ii").passed
 
     images = solve_generator_images(SPEC21, NF(SPEC21, "z + x^2*U + x^2*U^2"))
-    report = verify_exponential(SPEC21, images)
+    report = verify_exponential(ExponentialMap(SPEC21, images))
     assert not report.check("axiom_ii").passed
 
 
 def test_same_image_is_exponential_in_char_2():
     spec = standard_spec(F2, 2, "1")
     images = solve_generator_images(spec, NF(spec, "z + x^2*U^2"))
-    assert verify_exponential(spec, images).passed
+    assert verify_exponential(ExponentialMap(spec, images)).passed
 
 
 def test_axiom_i_failure_detected():
@@ -150,7 +150,7 @@ def test_axiom_i_failure_detected():
         "y": RElem.var(SPEC21, "y"),
         "z": NF(SPEC21, "z + x^2 + x^2*U"),
     }
-    report = verify_exponential(SPEC21, images)
+    report = verify_exponential(ExponentialMap(SPEC21, images))
     assert not report.check("axiom_i").passed
 
 
@@ -348,3 +348,90 @@ def test_apply_multiplies_once_per_group(monkeypatch):
     monkeypatch.setattr(RElem, "__mul__", counting)
     assert PHI.apply(a) == expected
     assert len(calls) <= 8
+
+
+def _memo_maps(field):
+    """The cylinder witness's map and a build_exponential map with the
+    U-exponents 1 and p: maps whose applies share one memo."""
+    from dansurf import build_witness
+
+    p = field.characteristic
+    spec = standard_spec(field, 3, "1 + x^2")
+    coeffs = [(1, parse_poly("1 + x", field))] + ([(p, parse_poly("x", field))] if p else [])
+    return [build_witness(field, 2, 3).phi, build_exponential(spec, coeffs)]
+
+
+@pytest.mark.parametrize("field", [Q, F2, F3, F5], ids=lambda f: f.label)
+def test_applies_through_one_map_match_fresh_maps(field):
+    # the applies through one map share its memo of image powers and group
+    # products; in any order they equal the applies through a fresh map each
+    r = rng(41 + field.characteristic)
+    for phi in _memo_maps(field):
+        shared = ExponentialMap(phi.spec, phi.images)
+        elems = [random_relem(r, phi.spec, ("x", "y", "T"), max_terms=4, max_exp=3)
+                 for _ in range(8)]
+        for _ in range(2):
+            r.shuffle(elems)
+            for a in elems:
+                assert shared.apply(a) == ExponentialMap(phi.spec, phi.images).apply(a), a
+        assert verify_exponential(shared).passed
+
+
+def test_the_memo_is_no_field():
+    # applying fills the memo, which equality and repr ignore and which
+    # points nowhere back at the map: reference counts alone free the map
+    import gc
+    import weakref
+
+    a, b = ExponentialMap(SPEC21, PHI.images), ExponentialMap(SPEC21, PHI.images)
+    a.apply(NF(SPEC21, "y^2*z + x*y^3"))
+    assert "_memo" in vars(a) and "_memo" not in vars(b)
+    assert a == b and repr(a) == repr(b) and a._values() == b._values()
+    with pytest.raises(TypeError):
+        hash(a)  # its images are a dict, memo or not
+    gc.disable()
+    try:
+        ref = weakref.ref(a)
+        del a
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_threads_share_a_map():
+    # threads applying one map may form a power or a group product twice,
+    # and store equal values, so every result equals a fresh map's (power()
+    # reads a copy of a dense base's memo keys, as another thread may add one)
+    import sys
+    import threading
+
+    phi = _memo_maps(Q)[0]
+    r = rng(53)
+    elems = [random_relem(r, phi.spec, ("x", "y", "T"), max_terms=3, max_exp=8)
+             for _ in range(16)]
+    expected = [ExponentialMap(phi.spec, phi.images).apply(a) for a in elems]
+    wrong = []
+
+    def work(shared, k):
+        try:
+            for i in range(len(elems)):
+                j = (i * 5 + k) % len(elems)
+                if shared.apply(elems[j]) != expected[j]:
+                    wrong.append(j)
+        except Exception as exc:  # a race that raises fails the test too
+            wrong.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(6):
+            shared = ExponentialMap(phi.spec, phi.images)
+            threads = [threading.Thread(target=work, args=(shared, k)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []

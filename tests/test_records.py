@@ -66,7 +66,7 @@ def test_other_types_are_not_implemented(cls, args, kwargs):
 
 
 @pytest.mark.parametrize("cls, args, kwargs", RECORDS, ids=IDS)
-def test_only_the_witness_is_mutable(cls, args, kwargs):
+def test_records_refuse_assignment(cls, args, kwargs):
     # every record refuses assignment, CancellationWitness too
     a = cls(*args)
     name = next(iter(kwargs))

@@ -530,7 +530,11 @@ def term_by_term(p, images, one, var):
 
 
 # Images for the reference checks: identity images, images binding only some
-# variables, and images of the parameters T and U.
+# variables, and images of the parameters T and U.  Monomial images (zero and
+# constants too) act in place; the reference binds them like any other: the
+# scalings of L(mu), swapped images, z -> 2*x (z stays bound), x*z (in place
+# in a Poly, bound in an RElem), and x*y^2*T, whose x the 3-term x-image
+# must not substitute a second time.
 SUBSTITUTIONS = (
     {"x": "x", "y": "y", "z": "z"},
     {"x": "x", "y": "y + x^2*U", "z": "z + x^2*U"},
@@ -538,10 +542,16 @@ SUBSTITUTIONS = (
     {"z": "z", "T": "T + U"},
     {"x": "x*T", "U": "U^2 - x"},
     {"T": "1", "U": "0"},
+    {"x": "7/11*x", "y": "121/49*y"},
+    {"x": "3/7*y", "y": "-2*x"},
+    {"z": "2*x", "T": "-1", "U": "0*x"},
+    {"x": "-5/7*x", "y": "x*z"},
+    {"x": "x + y + T", "y": "x*y^2*T"},
 )
 
 
-@pytest.mark.parametrize("field", [Q, F2, F3], ids=lambda f: f.label)
+@pytest.mark.parametrize("field", [Q, F2, F3, F5, FieldSpec(2147483647)],
+                         ids=lambda f: f.label)
 def test_substitutions_match_term_by_term_reference(field):
     spec = standard_spec(field, 2, "1 + x")
     r = rng(field.characteristic + 13)
