@@ -34,7 +34,7 @@ from .expmaps import (
     expand_in_slice,
     verify_exponential,
 )
-from .polyring import Poly, power
+from .polyring import Poly, SubstitutionMemo, power
 from .records import Record
 from .scalars import FieldSpec, int_to_str
 from .surface import RElem, RingSpec
@@ -137,10 +137,11 @@ def verify_witness(w: CancellationWitness) -> VerificationReport:
     checks.append(_zero_check("linear_form", linear))
 
     bad = []
-    powers = {1: w.s}  # the powers of s, formed once for the five elements
+    # the powers of s and of U - s, formed once for the five elements
+    powers, shift = {1: w.s}, SubstitutionMemo()
     for name, a in (("T", t), ("y2", y), ("z2", z), ("T^2", t * t), ("y2*z2", y * z)):
         try:
-            parts = expand_in_slice(w.phi, w.s, a)
+            parts = expand_in_slice(w.phi, w.s, a, shift)
         except AlgebraError as exc:
             bad.append(f"{name}: {exc}")
             continue

@@ -12,9 +12,9 @@ All output is byte-deterministic for identical inputs.
 
 from __future__ import annotations
 
-import argparse
-import re
+import functools
 import sys
+from types import SimpleNamespace
 
 from .autgroup import decompose, group_structure, parse_aut_word
 from .cancellation import build_witness
@@ -55,43 +55,19 @@ class _Help(Exception):
     """-h or --help was given; carries the help text."""
 
 
-class _Formatter(argparse.HelpFormatter):
-    def format_help(self):
-        text = super().format_help()
-        # the sections point back at the formatter and at their parent
-        # section: unlink them, so that reference counts free them all
-        self._root_section.items.clear()
-        self._root_section = self._current_section = None
-        return text
-
-
-class _Parser(argparse.ArgumentParser):
-    def __init__(self, *args, **kwargs):
-        kwargs.setdefault("formatter_class", _Formatter)
-        super().__init__(*args, **kwargs)
-        # argparse reads a token that names no option as a value when it
-        # looks like a negative number; widen that to every token that
-        # starts with one '-', so that --expr -x reads the expression -x.
-        self._negative_number_matcher = re.compile(r"-[^-]")
-
-    def error(self, message):
-        raise UsageError(message)
-
-    def print_help(self, file=None):
-        # the -h action prints and exits; dispatch returns the text instead,
-        # without the final newline that main()'s print adds back
-        raise _Help(self.format_help().rstrip("\n"))
-
-
 def _int(text: str) -> int:
     try:
         return read_int(text, 0, "int")
     except ParseError:
+        import argparse  # loaded: only the argument parser calls _int
+
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
-# The arguments that are not required plain strings.
+# The arguments that are not required plain strings; every command takes
+# --json.
 _ARGUMENTS = {
+    "--json": {"action": "store_true", "help": "emit the JSON envelope"},
     "--coeff": {"action": "append", "required": True, "metavar": "E:POLY",
                 "help": "one F-term, e.g. 1:1+x (repeatable)"},
     "--order": {"type": _int, "required": True},
@@ -101,10 +77,42 @@ _ARGUMENTS = {
 }
 
 
-def _build_parser() -> _Parser:
+@functools.cache
+def _parser():
+    """The argument parser, built on first use: dispatch reads a well-formed
+    argv without it (_read_argv), so it loads only for help and refusals."""
+    import argparse
+    import re
+
+    class _Formatter(argparse.HelpFormatter):
+        def format_help(self):
+            text = super().format_help()
+            # the sections point back at the formatter and at their parent
+            # section: unlink them, so that reference counts free them all
+            self._root_section.items.clear()
+            self._root_section = self._current_section = None
+            return text
+
+    class _Parser(argparse.ArgumentParser):
+        def __init__(self, *args, **kwargs):
+            kwargs.setdefault("formatter_class", _Formatter)
+            super().__init__(*args, **kwargs)
+            # argparse reads a token that names no option as a value when it
+            # looks like a negative number; widen that to every token that
+            # starts with one '-', so that --expr -x reads the expression -x.
+            self._negative_number_matcher = re.compile(r"-[^-]")
+
+        def error(self, message):
+            raise UsageError(message)
+
+        def print_help(self, file=None):
+            # the -h action prints and exits; dispatch returns the text
+            # instead, without the final newline that main()'s print adds back
+            raise _Help(self.format_help().rstrip("\n"))
+
     parser = _Parser(prog="dansurf", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit the JSON envelope")
+    common.add_argument("--json", **_ARGUMENTS["--json"])
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (_, arguments) in _HANDLERS.items():
         p = sub.add_parser(command, parents=[common])
@@ -285,18 +293,81 @@ _HANDLERS = {
 }
 
 
-_PARSER = _build_parser()
+def _argv_table() -> dict:
+    """For each command, what _parser() reads from its arguments: the
+    namespace it starts from (each dest at its default), each option's dest
+    and action ("int" for a --order, --n1 or --n2 that _int converts), and
+    the required dests."""
+    table = {}
+    for command, (_, arguments) in _HANDLERS.items():
+        start, options, required = {"command": command}, {}, []
+        for name in ["--json"] + arguments.split():
+            spec = _ARGUMENTS.get(name, {"required": True})
+            dest, action = name[2:], spec.get("action", "store")
+            start[dest] = spec.get("default", False if action == "store_true" else None)
+            options[name] = (dest, "int" if spec.get("type") is _int else action)
+            if spec.get("required"):
+                required.append(dest)
+        table[command] = (start, options, required)
+    return table
+
+
+_ARGV = _argv_table()
+
+
+def _read_argv(argv):
+    """The namespace that _parser() returns for a well-formed argv: a command,
+    then that command's options by their exact names, each but --coeff at
+    most once, each but --json with one value that does not start with '-',
+    every required one and only valid ints.  None for any other argv, which
+    _parser() reads, refuses or answers with help."""
+    entry = _ARGV.get(argv[0]) if argv else None
+    if entry is None:
+        return None
+    start, options, required = entry
+    values, given = dict(start), set()
+    i, n = 1, len(argv)
+    while i < n:
+        option = options.get(argv[i])
+        if option is None:
+            return None
+        dest, action = option
+        if dest in given and action != "append":
+            return None
+        given.add(dest)
+        if action == "store_true":
+            values[dest] = True
+            i += 1
+            continue
+        if i + 1 == n or argv[i + 1][:1] == "-":
+            return None
+        value = argv[i + 1]
+        i += 2
+        if action == "append":
+            values[dest] = (values[dest] or []) + [value]
+        elif action == "int":
+            try:
+                values[dest] = read_int(value, 0, "int")
+            except ParseError:
+                return None
+        else:
+            values[dest] = value
+    if not given.issuperset(required):
+        return None
+    return SimpleNamespace(**values)
 
 
 def dispatch(argv) -> tuple:
     """Run one CLI invocation; returns (exit_code, output_text).  -h or
     --help returns (0, help_text)."""
-    try:
-        args = _PARSER.parse_args(argv)
-    except UsageError as exc:
-        return 2, f"usage error: {exc}"
-    except _Help as exc:
-        return 0, exc.args[0]
+    args = _read_argv(argv)
+    if args is None:
+        try:
+            args = _parser().parse_args(argv)
+        except UsageError as exc:
+            return 2, f"usage error: {exc}"
+        except _Help as exc:
+            return 0, exc.args[0]
     try:
         out = _HANDLERS[args.command][0](args)
     except InputError as exc:

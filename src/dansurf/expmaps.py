@@ -285,7 +285,8 @@ def evaluate_at_one(phi: ExponentialMap) -> dict:
     return at_one
 
 
-def expand_in_slice(phi: ExponentialMap, s: RElem, a: RElem):
+def expand_in_slice(phi: ExponentialMap, s: RElem, a: RElem,
+                    memo: SubstitutionMemo = None):
     """Write a = sum a_l s^l with every coefficient a_l invariant.
 
     Requires phi(s) = s + U.  Then phi(a) = sum a_l (s + U)^l, and the shift
@@ -293,10 +294,11 @@ def expand_in_slice(phi: ExponentialMap, s: RElem, a: RElem):
     it into sum a_l U^l: the a_l are the U-coefficients of the shifted
     image, and a_0 = phi(a) at U = -s is the Dixmier map.  Returns
     (coefficient, power) pairs in ascending power order, nonzero
-    coefficients only.
+    coefficients only.  `memo`, if given, is the one that the caller keeps
+    for the shift by this s (polyring.substitute_terms).
     """
     u = RElem.var(phi.spec, "U")
     if phi.apply(s) != s + u:
         raise AlgebraError(f"phi({s}) != {s} + U; the element is not a slice")
-    shifted = substitute_poly(phi.spec, phi.apply(a), {"U": u - s})
+    shifted = substitute_poly(phi.spec, phi.apply(a), {"U": u - s}, memo)
     return [(c, l) for l, c in shifted.u_coefficients().items()]

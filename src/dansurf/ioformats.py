@@ -18,7 +18,6 @@ followed by '/' and a positive denominator.
 from __future__ import annotations
 
 import re
-from contextlib import contextmanager
 from fractions import Fraction
 
 from .errors import InputError, ParseError
@@ -110,11 +109,8 @@ class _PolyParser:
                 break
             self.next()
             negate = text == "-"
-        p, field = self.p, self.field
-        if p:
-            terms = {m: Scalar(field, c % p) for m, c in sums.items() if c % p}
-        else:
-            terms = {m: Scalar(field, rational(c)) for m, c in sums.items() if c}
+        field = self.field
+        terms = _scalar_terms(field, sums)
         if polys:
             if len(polys) == 1 and not terms:
                 return polys[0]
@@ -237,8 +233,87 @@ def _tops(p: Poly) -> tuple:
     return tuple(map(max, zip(*p.terms))) if p.terms else ZERO_MONO
 
 
+def _scalar_terms(field: FieldSpec, sums: dict) -> dict:
+    """The terms of a sum of raw coefficients, a Scalar for each nonzero one."""
+    p = field.characteristic
+    if p:
+        return {m: Scalar(field, c % p) for m, c in sums.items() if c % p}
+    return {m: Scalar(field, rational(c)) for m, c in sums.items() if c}
+
+
+# One factor of a text without parentheses and the operator before it, as
+# _tokens splits them: '+', '-', '*' or none (group 1), then an integer
+# (2), over a denominator (3), or one variable letter (4), then an exponent
+# of at most seven digits (5); or else (6) the next character, where no
+# such factor starts.  Unmatched groups read ''.
+_FLAT_FACTOR = re.compile(r"\s*([-+*]?)\s*(?:([0-9]+)(?:\s*/\s*([0-9]+))?|([xyzTUSXYZ]))"
+                          r"(?:\s*\^\s*([0-9]{1,7}))?\s*|(.)", re.S)
+_FLAT_INDEX = {v: VARS.index(ALIASES.get(v, v)) for v in "xyzTUSXYZ"}
+
+
+def _flat_poly(text: str, field: FieldSpec):
+    """The Poly of a text of the grammar without parentheses, formed as
+    _PolyParser forms it, in one pass of _FLAT_FACTOR; None for any other
+    text and for one the parser's bounds or denominators refuse, which only
+    _PolyParser reports."""
+    p = field.characteristic
+    sums = {}
+    c, negate, mono = None, False, [0, 0, 0, 0, 0, 0]  # the term being read
+    for op, digits, den, var, exp, other in _FLAT_FACTOR.findall(text):
+        if other:
+            return None
+        if c is None:  # the first factor
+            if op == "*":
+                return None
+            negate = op == "-"
+        elif op == "+" or op == "-":
+            m = tuple(mono)
+            sums[m] = sums.get(m, 0) + (-c if negate else c)
+            c, negate, mono = None, op == "-", [0, 0, 0, 0, 0, 0]
+        elif not op:
+            return None
+        e = int(exp) if exp else 1
+        if e > MAX_EXPONENT:
+            return None
+        if var:
+            i = _FLAT_INDEX[var]
+            top = mono[i] + e
+            if top > MAX_EXPONENT:
+                return None
+            if c is None:
+                c = 1
+            if c:  # a zero product's monomial is 1, as in _PolyParser.term
+                mono[i] = top
+            continue
+        value = digits_to_int(digits)
+        if den:
+            d = digits_to_int(den)
+            if d == 0:
+                return None
+            try:
+                value = field.scalar(Fraction(value, d)).value
+            except InputError:
+                return None
+        elif p:
+            value %= p
+        if exp:
+            value = pow(value, e, p) if p else value**e
+        if c is None:
+            c = value
+        else:
+            c = c * value % p if p else c * value
+        if not c:
+            mono = [0, 0, 0, 0, 0, 0]
+    if c is None:  # the empty text, or only whitespace
+        return None
+    m = tuple(mono)
+    sums[m] = sums.get(m, 0) + (-c if negate else c)
+    return Poly(field, _scalar_terms(field, sums))
+
+
 def parse_poly(text: str, field: FieldSpec) -> Poly:
-    return _PolyParser(text, field).parse()
+    flat = _flat_poly(text, field)
+    return flat if flat is not None else _PolyParser(text, field).parse()
 
 
 def parse_scalar(text: str, field: FieldSpec) -> Scalar:
@@ -271,16 +346,24 @@ def _items(text: str, sep: str, at: int):
         at += len(part) + len(sep)
 
 
-@contextmanager
-def _offset(at: int):
-    """Report parse errors of a substring at offsets in the enclosing text,
-    and any other input error at `at`."""
-    try:
-        yield
-    except ParseError as exc:
-        raise ParseError(exc.message, exc.offset + at) from None
-    except InputError as exc:
-        raise ParseError(str(exc), at) from None
+class _offset:
+    """A context that reports parse errors of a substring at offsets in the
+    enclosing text, and any other input error at `at`."""
+
+    __slots__ = ("at",)
+
+    def __init__(self, at: int):
+        self.at = at
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        if kind is None or not issubclass(kind, InputError):
+            return False
+        if issubclass(kind, ParseError):
+            raise ParseError(exc.message, exc.offset + self.at) from None
+        raise ParseError(str(exc), self.at) from None
 
 
 def parse_ring_spec(text: str) -> RingSpec:

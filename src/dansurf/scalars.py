@@ -96,18 +96,29 @@ def rational(v):
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic trial division; adequate for the p < 2^31 range we allow."""
+    """Deterministic Miller-Rabin to the bases 2, 3, 5 and 7, which is exact
+    below 3215031751, above the 2^31 bound on a characteristic."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for q in (2, 3, 5, 7):
+        if n % q == 0:
+            return n == q
+    if n >= 3215031751:
+        raise ValueError(f"is_prime is exact only below 3215031751, got {n}")
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

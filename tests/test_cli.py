@@ -7,10 +7,14 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dansurf
+from dansurf import cli
 from dansurf.cli import dispatch, main
 from dansurf.scalars import digits_to_int
+
+from test_fuzz import argvs
 
 
 def test_normal_form_documented_output():
@@ -673,11 +677,14 @@ def test_shared_parser_leaves_no_state():
         assert dispatch(argv) == (code, text), argv
 
 
-@pytest.mark.parametrize("argv", [
+_HELP = [
     ["-h"],
     ["normal-form", "-h"],
     ["normal-form", "--ring", "R(n=2,h=1,field=Q)", "--help"],
-])
+]
+
+
+@pytest.mark.parametrize("argv", _HELP)
 def test_help_is_returned_not_printed(argv, capsys):
     code, text = dispatch(argv)
     assert capsys.readouterr().out == ""
@@ -710,7 +717,7 @@ def test_dispatch_leaves_no_cyclic_garbage(argv):
         _assert_no_cyclic_garbage(args)
 
 
-@pytest.mark.parametrize("argv, message", [
+_REFUSALS = [
     (["normal-form", "--ring", "R(n=2,h=1,field=Q)"],
      "usage error: the following arguments are required: --expr"),
     (["no-such-command"], "usage error: argument command: invalid choice: 'no-such-command'"),
@@ -720,7 +727,12 @@ def test_dispatch_leaves_no_cyclic_garbage(argv):
      "input error: expected a natural-number exponent (offset 2)"),
     (["normal-form", "--ring", "R(n=1,h=1,field=Q)", "--expr", "z^2"],
      "input error: n must be at least 2, got 1 (offset 4)"),
-], ids=["missing-argument", "unknown-command", "order-1.5", "expr-x^", "ring-n=1"])
+]
+
+
+@pytest.mark.parametrize("argv, message", _REFUSALS,
+                         ids=["missing-argument", "unknown-command", "order-1.5", "expr-x^",
+                              "ring-n=1"])
 def test_refusals_leave_no_cyclic_garbage(argv, message):
     # a usage or input error unwinds through the parser and the argument
     # parser without leaving a cycle (an exception's traceback holds frames)
@@ -735,23 +747,34 @@ _NORMAL_FORM = ["normal-form", "--ring", "R(n=2,h=1+x,field=F3)", "--expr", "z^2
 
 def test_import_footprint():
     # without site (python -S), which may preload modules, a text command
-    # loads neither dataclasses, inspect nor typing, and json only once a
-    # command writes JSON
+    # loads neither dataclasses, inspect, typing nor argparse, and json only
+    # once a command writes JSON; argparse loads for help, whose text is the
+    # one it always gave (at 80 columns)
     script = "\n".join([
         "import sys",
         "from dansurf.cli import dispatch",
         f"assert dispatch({_NORMAL_FORM!r}) == (0, 'x^2*y + 2*x*z + 2*z + 2*x')",
-        "print([m for m in ('dataclasses', 'inspect', 'typing', 'json') if m in sys.modules])",
+        "print([m for m in ('dataclasses', 'inspect', 'typing', 'json', 'argparse')"
+        " if m in sys.modules])",
         f"print(dispatch({_NORMAL_FORM + ['--json']!r})[1])",
+        "print('argparse' in sys.modules)",
+        "print(repr(dispatch(['normal-form', '-h'])))",
     ])
     src = os.path.dirname(os.path.dirname(dansurf.__file__))
     proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+                          env={**os.environ, "PYTHONPATH": src, "COLUMNS": "80"}, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "[]",
         '{"command": "normal-form", "inputs": {"ring": "R(n=2, h=x + 1, field=F3)", '
         '"expr": "z^2 - x"}, "result": "x^2*y + 2*x*z + 2*z + 2*x", "checks": []}',
+        "False",
+        repr((0, "usage: dansurf normal-form [-h] [--json] --ring RING --expr EXPR\n\n"
+                 "options:\n"
+                 "  -h, --help   show this help message and exit\n"
+                 "  --json       emit the JSON envelope\n"
+                 "  --ring RING\n"
+                 "  --expr EXPR")),
     ]
 
 
@@ -835,3 +858,101 @@ def test_long_exponents_are_refused_before_conversion(monkeypatch):
     assert dispatch(["normal-form", "--ring", _Q2, "--expr", f"x^{long}"]) == (
         2, "input error: exponent of 400000 digits exceeds 1000000 (offset 2)")
     assert seen and max(seen) < 400000
+
+
+# Argument lists beside the cases above, each with whether _read_argv reads
+# it; the rest argparse reads, refuses or answers with help.
+_ARGV_EDGES = [
+    ([], False),
+    (["normal-form"], False),
+    (["--json", "normal-form", "--ring", _Q2, "--expr", "z"], False),
+    (["normal-form", "--ring", _Q2, "--expr"], False),
+    (["normal-form", "--ring", _Q2, "--ring", _Q2, "--expr", "z"], False),
+    (["normal-form", "--ri", _Q2, "--expr", "z"], False),
+    (["normal-form", "--ring=" + _Q2, "--expr", "z"], False),
+    (["normal-form", "--ring", _Q2, "--expr", "-z"], False),
+    (["normal-form", "--ring", _Q2, "--expr", "--json"], False),
+    (["normal-form", "--ring", _Q2, "--expr", ""], True),
+    (["normal-form", "--ring", _Q2, "--expr", " -z"], True),
+    (["normal-form", "--ring", _Q2, "--expr", "z", "--json", "--json"], False),
+    (["normal-form", "--ring", _Q2, "--expr", "z", "--", "x"], False),
+    (["normal-form", "--ring", _Q2, "--expr", "z", "x"], False),
+    (["normal-form", "--ring", _Q2, "--expr", "z", "-h"], False),
+    (["normal-form", "--ring", _Q2, "--expr", "z", "--he"], False),
+    (["NORMAL-FORM", "--ring", _Q2, "--expr", "z"], False),
+    (["aut-structure", "--ring", _Q2, "--expr", "z"], False),
+    (["exp-build", "--coeff", "1:1", "--ring", _Q2, "--coeff", "2:x", "--json"], True),
+    (["exp-build", "--ring", _Q2, "--coeff", "-1:1"], False),
+    (["cancel-verify", "--n2", "3", "--n1", "2"], True),
+    (["cancel-verify", "--n1", "2", "--n2", "3", "--field", "F5", "--field", "Q"], False),
+    (["cancel-verify", "--n1", "0002", "--n2", "3", "--json"], True),
+    (["cancel-verify", "--n1", "2", "--n2", "\uff13"], False),
+    (["cancel-verify", "--n1", "2", "--n2", "-3"], False),
+    (["cancel-verify", "--n1", "2", "--n2", ""], False),
+    (["derive", "--ring", _Q2, "--map", _MAP, "--expr", "y", "--order", _HUGE], True),
+]
+
+
+def _agrees_with_argparse(argv) -> bool:
+    """Whether _read_argv reads argv, after checking that its namespace, if
+    any, is the one argparse gives, value and type alike."""
+    read = cli._read_argv(argv)
+    try:
+        expected = vars(cli._parser().parse_args(argv))
+    except (cli.UsageError, cli._Help):
+        expected = None
+    if read is None:
+        return False
+    typed = {k: (type(v), v) for k, v in vars(read).items()}
+    assert expected is not None and typed == {k: (type(v), v) for k, v in expected.items()}, argv
+    return True
+
+
+def test_argv_reader_matches_argparse():
+    golden = [argv for argv, *_ in GOLDEN]
+    for argv in golden + [argv + ["--json"] for argv in golden]:
+        assert _agrees_with_argparse(argv), argv
+    for argv, read in _ARGV_EDGES:
+        assert _agrees_with_argparse(argv) == read, argv
+    for argv in _HELP + [argv for argv, *_ in
+                         _PARSER_CASES + _REFUSALS + _INPUT_ERRORS + _VERIFICATION_FAILURES]:
+        _agrees_with_argparse(argv)
+
+
+@settings(max_examples=100)
+@given(argvs(), st.booleans(), st.booleans())
+def test_argv_reader_matches_argparse_on_grammar_inputs(argv, as_json, split):
+    # the grammar fuzz writes --expr=TEXT; written as two words too
+    if split:
+        argv = [w for a in argv for w in (a.split("=", 1) if a.startswith("--expr=") else [a])]
+    _agrees_with_argparse(argv + ["--json"] if as_json else argv)
+
+
+_BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+
+
+def _pass_argvs(workload, seed):
+    """The argv of pass 0 of a bench/ workload, as bench/worker.py runs it."""
+    sys.path.insert(0, _BENCH)
+    try:
+        from workloads import make_pass
+    finally:
+        sys.path.remove(_BENCH)
+    for group in make_pass(workload, seed, 0):
+        try:
+            cmd = next(group)
+            while True:
+                yield cmd.argv
+                cmd = group.send(dispatch(cmd.argv)[1])
+        except StopIteration:
+            pass
+        finally:
+            group.close()
+
+
+@pytest.mark.skipif(not os.path.isdir(_BENCH), reason="bench/ is absent")
+@pytest.mark.parametrize("workload", ["cli-mix", "charp-powers", "cylinder"])
+def test_argv_reader_reads_every_workload_command(workload):
+    for seed in (1, 2, 3):
+        for argv in _pass_argvs(workload, seed):
+            assert _agrees_with_argparse(argv), argv

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dansurf import AlgebraError, FieldSpec, Scalar, binom, nth_roots
+from dansurf.scalars import is_prime
 from conftest import F2, F3, F5, F7, F101, Q, random_scalar, rng, scan_roots
 
 FIELDS = [Q, F2, F3, F5, F7, F101]
@@ -18,6 +19,40 @@ def test_field_spec_validation():
         FieldSpec(4)
     with pytest.raises(AlgebraError):
         FieldSpec(2**31)
+
+
+def _trial_division(n: int) -> bool:
+    """The reference: n is prime when no f with f*f <= n divides it."""
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True
+
+
+def test_miller_rabin_matches_trial_division():
+    # all n below 2*10^5, the 2000 integers below 2^31, products of two
+    # primes near sqrt(2^31), and the strong pseudoprimes to the bases 2,
+    # (2, 3) and (2, 3, 5), which base 7 or an earlier one exposes
+    primes = [n for n in range(2 * 10**5) if _trial_division(n)]
+    assert [n for n in range(2 * 10**5) if is_prime(n)] == primes
+    for n in range(2**31 - 2000, 2**31):
+        assert is_prime(n) == _trial_division(n), n
+    near = [n for n in range(46300, 46400) if _trial_division(n)]
+    assert near and near[0] < 46341 < near[-1]
+    for a in near:
+        for b in (near[0], near[-1]):
+            assert not is_prime(a * b) and not _trial_division(a * b), (a, b)
+    for n in (2047, 1373653, 25326001):
+        assert not is_prime(n) and not _trial_division(n)
+    assert is_prime(2147483647) and is_prime(2147483629)
+    with pytest.raises(ValueError):
+        is_prime(3215031751)
 
 
 def test_field_spec_labels():
