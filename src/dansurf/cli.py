@@ -157,7 +157,8 @@ def _cmd_exp_build(args):
         if 2 * e > MAX_EXPONENT:  # so that the printed map parses back
             raise ParseError(f"exponent {e} exceeds {MAX_EXPONENT // 2}, as the y-image "
                              f"would carry U^{2 * e}", 0)
-        coeffs.append((e, parse_poly(poly_text, spec.field)))
+        with _offset(len(e_text) + 1):
+            coeffs.append((e, parse_poly(poly_text, spec.field)))
     text = format_generator_map(build_exponential(spec, coeffs).images)
     return _Outcome({"ring": spec, "coeff": args.coeff}, text, text)
 

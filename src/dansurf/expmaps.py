@@ -104,9 +104,6 @@ class ExponentialMap(Record):
             raise InputError("apply expects a U-free element")
         return substitute_poly(self.spec, a, self.images, self._memo)
 
-    def is_trivial(self) -> bool:
-        return all(img == RElem.var(self.spec, v) for v, img in self.images.items())
-
     def __eq__(self, other):
         """The same ring and images, verified or not."""
         if not isinstance(other, ExponentialMap):

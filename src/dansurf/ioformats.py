@@ -19,200 +19,20 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import islice
 
 from .errors import InputError, ParseError
-from .polyring import VAR_MONO, VARS, ZERO_MONO, Poly, WeightVector, add_into, format_poly
+from .polyring import VARS, ZERO_MONO, Poly, WeightVector, add_into, format_poly
 from .scalars import (FieldSpec, Scalar, digits_to_int, int_to_str, rational, read_int,
                       read_rational)
 from .surface import RElem, RingSpec, normal_form
 
 MAX_EXPONENT = 10**6
-# The parser descends four Python frames per parenthesis, so deeper nesting
-# would exhaust the interpreter's stack; it is an input error instead.
+# The reader keeps one stack entry per open parenthesis; deeper nesting is an
+# input error, so no text makes the stack grow without bound.
 MAX_NESTING = 200
 ALIASES = {"X": "x", "Y": "y", "Z": "z"}
 KNOWN_VARS = {"x", "y", "z", "T", "U", "S"}
-
-
-# One token, or whitespace, or (group 4) a character no token starts with.
-# [^\W\d_] is every letter (str.isalpha) and also the numeric characters
-# outside 0-9, such as '²', which no token takes; \s is str.isspace.
-_TOKEN = re.compile(r"\s+|([0-9]+)|([^\W\d_]+)|([-+*/^()])|(.)", re.S)
-_KINDS = (None, "INT", "NAME", "OP")
-
-
-def _tokens(text: str) -> list:
-    """The (kind, text, offset) of each token, then ("END", "", len(text))."""
-    items = []
-    for mt in _TOKEN.finditer(text):
-        kind = mt.lastindex
-        if kind:
-            tok, at = mt.group(kind), mt.start()
-            if kind == 4 or (kind == 2 and not tok.isalpha()):
-                bad = next(k for k, ch in enumerate(tok) if not ch.isalpha())
-                raise ParseError(f"unexpected character {tok[bad]!r}", at + bad)
-            items.append((_KINDS[kind], tok, at))
-    items.append(("END", "", len(text)))
-    return items
-
-
-class _PolyParser:
-    """A product of scalars and variables stays raw while it is parsed: one
-    coefficient (an int or Fraction over Q, a residue over F_p) and one
-    monomial; a sum is a dict of raw coefficients, and a Scalar is formed
-    only for each term of a result.  Only a parenthesized sum of two or more
-    terms becomes a Poly, multiplied and powered as one."""
-
-    def __init__(self, text: str, field: FieldSpec):
-        self.toks = _tokens(text)
-        self.pos = 0
-        self.field = field
-        self.p = field.characteristic
-        self.depth = 0
-
-    def peek(self):
-        return self.toks[self.pos]
-
-    def next(self):
-        self.pos += 1
-        return self.toks[self.pos - 1]
-
-    def parse(self) -> Poly:
-        p = self.expr()
-        kind, text, pos = self.peek()
-        if kind != "END":
-            raise ParseError(f"unexpected {text!r}", pos)
-        return p
-
-    def expr(self) -> Poly:
-        """The next sum as a Poly: its terms of scalars and variables summed as
-        raw coefficients, one Scalar formed for each sum, and its other terms
-        added to them."""
-        kind, text, _ = self.peek()
-        negate = False
-        if kind == "OP" and text in "+-":
-            self.next()
-            negate = text == "-"
-        sums, polys = {}, []
-        while True:
-            c, tops, rest = self.term()
-            if negate:
-                c = -c
-            if rest is None:
-                sums[tops] = sums.get(tops, 0) + c
-            elif c:  # c times the monomial that shifts the tops of rest to tops
-                m = tuple([a - b for a, b in zip(tops, _tops(rest))])
-                polys.append(rest if c == 1 and m == ZERO_MONO else
-                             rest * Poly(self.field, {m: self.field.scalar(c)}))
-            kind, text, _ = self.peek()
-            if not (kind == "OP" and text in "+-"):
-                break
-            self.next()
-            negate = text == "-"
-        field = self.field
-        terms = _scalar_terms(field, sums)
-        if polys:
-            if len(polys) == 1 and not terms:
-                return polys[0]
-            raw, terms = terms, dict(polys[0].terms)
-            for q in polys[1:]:
-                add_into(terms, q.terms)
-            add_into(terms, raw)
-        return Poly(field, terms)
-
-    def term(self):
-        """The next product as (c, tops, rest): rest is the Poly product of its
-        parenthesized sums (None if it has none), c the product of the other
-        factors' raw coefficients, and tops the largest exponent of each
-        variable in the product: without rest, it is c*x^tops."""
-        c, tops, rest = self.factor()
-        p = self.p
-        while True:
-            kind, text, _ = self.peek()
-            if not (kind == "OP" and text == "*"):
-                return c, tops, rest
-            self.next()
-            pos = self.peek()[2]
-            qc, q_tops, q = self.factor()
-            # a product's top exponent in a variable is the sum of its factors'
-            # tops there: their leading terms multiply to a nonzero term
-            (a0, a1, a2, a3, a4, a5), (b0, b1, b2, b3, b4, b5) = tops, q_tops
-            summed = (a0 + b0, a1 + b1, a2 + b2, a3 + b3, a4 + b4, a5 + b5)
-            if max(summed) > MAX_EXPONENT:
-                a, b = next((a, b) for a, b in zip(tops, q_tops) if a + b > MAX_EXPONENT)
-                raise ParseError(f"product has exponent {a} + {b}, which exceeds "
-                                 f"{MAX_EXPONENT}", pos)
-            c = c * qc % p if p else c * qc
-            if q is not None:
-                rest = q if rest is None else rest * q
-            # every Poly factor is nonzero, so the product is zero when c is
-            tops = summed if c else ZERO_MONO
-
-    def factor(self):
-        """The next factor as (c, tops, q): c*x^tops when q is None, else the
-        Poly q (c = 1) and the largest exponent of each variable in it."""
-        c, tops, q = self.base()
-        kind, text, _ = self.peek()
-        if kind == "OP" and text == "^":
-            self.next()
-            kind, text, pos = self.next()
-            if kind != "INT":
-                raise ParseError("expected a natural-number exponent", pos)
-            e = read_exponent(text, pos, "exponent")
-            top = max(tops)
-            if top * e > MAX_EXPONENT:
-                raise ParseError(f"power has exponent {top} * {e}, which exceeds {MAX_EXPONENT}",
-                                 pos)
-            if q is None:
-                c = pow(c, e, self.p) if self.p else c**e
-            else:
-                q = q**e
-            a0, a1, a2, a3, a4, a5 = tops
-            tops = (a0 * e, a1 * e, a2 * e, a3 * e, a4 * e, a5 * e)
-        return c, tops, q
-
-    def base(self):
-        """The next base, as factor() returns it."""
-        kind, text, pos = self.next()
-        if kind == "INT":
-            value = digits_to_int(text)
-            k2, t2, _ = self.peek()
-            if k2 == "OP" and t2 == "/":
-                self.next()
-                k3, t3, p3 = self.next()
-                if k3 != "INT":
-                    raise ParseError("expected an integer denominator", p3)
-                den = digits_to_int(t3)
-                if den == 0:
-                    raise ParseError("zero denominator", p3)
-                try:
-                    value = self.field.scalar(Fraction(value, den)).value
-                except InputError as exc:
-                    raise ParseError(str(exc), pos) from None
-            elif self.p:
-                value %= self.p
-            return value, ZERO_MONO, None
-        if kind == "NAME":
-            name = ALIASES.get(text, text)
-            if name not in KNOWN_VARS:
-                raise ParseError(f"unknown variable {text!r}", pos)
-            return 1, VAR_MONO[name], None
-        if kind == "OP" and text == "(":
-            if self.depth == MAX_NESTING:
-                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
-            self.depth += 1
-            q = self.expr()
-            self.depth -= 1
-            kind, text, pos = self.next()
-            if not (kind == "OP" and text == ")"):
-                raise ParseError("expected ')'", pos)
-            if len(q.terms) > 1:
-                return 1, _tops(q), q
-            if not q.terms:
-                return 0, ZERO_MONO, None
-            (m, v), = q.terms.items()
-            return v.value, m, None
-        raise ParseError(f"unexpected {text!r}" if text else "unexpected end of input", pos)
 
 
 def read_exponent(text: str, at: int, what: str) -> int:
@@ -233,87 +53,230 @@ def _tops(p: Poly) -> tuple:
     return tuple(map(max, zip(*p.terms))) if p.terms else ZERO_MONO
 
 
-def _scalar_terms(field: FieldSpec, sums: dict) -> dict:
-    """The terms of a sum of raw coefficients, a Scalar for each nonzero one."""
+# One factor and the operator before it: '+', '-', '*' or none (group 1),
+# then an integer (2) over an optional denominator (3), a run of letters
+# (4) or ')' (5), each with an optional exponent (6); or '(' (7); or else
+# (8) the next character, where no factor starts.  Unmatched groups read
+# ''.  [^\W\d_] is every letter (str.isalpha), and also the numeric
+# characters outside 0-9, such as '²', which no name takes; \s is
+# str.isspace.
+_FACTOR = re.compile(r"\s*+(?:([-+*]?)\s*+(?:(?:([0-9]++)(?:\s*+/\s*+([0-9]++))?|([^\W\d_]++)|(\)))"
+                     r"(?:\s*+\^\s*+([0-9]++))?|(\())\s*+|(.))", re.S)
+_OP, _INT, _DEN, _NAME, _CLOSE, _EXP, _OPEN, _OTHER = range(1, 9)
+_VAR_INDEX = {v: VARS.index(ALIASES.get(v, v)) for v in "xyzTUSXYZ"}
+
+
+class _Refused(Exception):
+    """A text refused at the k-th match of _FACTOR (None: at its end), at the
+    start of `group`, with `message` (None: the token found there is
+    unexpected)."""
+
+
+def _exponent(digits: str, k: int) -> int:
+    """The exponent of seven or more digits at the k-th match, read and
+    bounded by read_exponent."""
+    try:
+        return read_exponent(digits, 0, "exponent")
+    except ParseError as exc:
+        raise _Refused(k, _EXP, exc.message) from None
+
+
+def _add_term(field: FieldSpec, sums: dict, polys: list, c, negate: bool, tops: list, rest):
+    """Add the term c*x^tops*rest to a sum: its raw coefficient to `sums` when
+    rest, the product of its parenthesized sums, is None; else (if c is
+    nonzero) rest times c and the monomial that shifts rest's tops to tops
+    as a Poly to `polys`."""
+    if negate:
+        c = -c
+    if rest is None:
+        m = tuple(tops)
+        sums[m] = sums.get(m, 0) + c
+    elif c:
+        m = tuple([a - b for a, b in zip(tops, _tops(rest))])
+        polys.append(rest if c == 1 and m == ZERO_MONO else
+                     rest * Poly(field, {m: field.scalar(c)}))
+
+
+def _sum(field: FieldSpec, sums: dict, polys: list) -> Poly:
+    """A sum as a Poly: one Scalar formed for each raw sum, and the Poly
+    terms added to them."""
     p = field.characteristic
     if p:
-        return {m: Scalar(field, c % p) for m, c in sums.items() if c % p}
-    return {m: Scalar(field, rational(c)) for m, c in sums.items() if c}
+        terms = {m: Scalar(field, c % p) for m, c in sums.items() if c % p}
+    else:
+        terms = {m: Scalar(field, rational(c)) for m, c in sums.items() if c}
+    if polys:
+        if len(polys) == 1 and not terms:
+            return polys[0]
+        raw, terms = terms, dict(polys[0].terms)
+        for q in polys[1:]:
+            add_into(terms, q.terms)
+        add_into(terms, raw)
+    return Poly(field, terms)
 
 
-# One factor of a text without parentheses and the operator before it, as
-# _tokens splits them: '+', '-', '*' or none (group 1), then an integer
-# (2), over a denominator (3), or one variable letter (4), then an exponent
-# of at most seven digits (5); or else (6) the next character, where no
-# such factor starts.  Unmatched groups read ''.
-_FLAT_FACTOR = re.compile(r"\s*([-+*]?)\s*(?:([0-9]+)(?:\s*/\s*([0-9]+))?|([xyzTUSXYZ]))"
-                          r"(?:\s*\^\s*([0-9]{1,7}))?\s*|(.)", re.S)
-_FLAT_INDEX = {v: VARS.index(ALIASES.get(v, v)) for v in "xyzTUSXYZ"}
-
-
-def _flat_poly(text: str, field: FieldSpec):
-    """The Poly of a text of the grammar without parentheses, formed as
-    _PolyParser forms it, in one pass of _FLAT_FACTOR; None for any other
-    text and for one the parser's bounds or denominators refuse, which only
-    _PolyParser reports."""
+def _read(text: str, field: FieldSpec) -> Poly:
+    """The Poly of a text, in one pass of _FACTOR.  A product of scalars and
+    variables stays raw while it is read: one coefficient c (an int or
+    Fraction over Q, a residue over F_p) and the largest exponent of each
+    variable in the product (tops; without parenthesized sums, the product
+    is c*x^tops).  A sum is a dict of raw coefficients, and a Scalar is
+    formed only for each term of a result.  Only a parenthesized sum of two
+    or more terms becomes a Poly, multiplied and powered as one.  An open
+    parenthesis pushes the sum and term being read; its ')' pops them."""
     p = field.characteristic
-    sums = {}
-    c, negate, mono = None, False, [0, 0, 0, 0, 0, 0]  # the term being read
-    for op, digits, den, var, exp, other in _FLAT_FACTOR.findall(text):
+    stack = []
+    sums, polys = {}, []
+    c, negate, tops, rest = None, False, [0, 0, 0, 0, 0, 0], None  # c is None: no factor yet
+    for k, (op, digits, den, name, close, exp, opn, other) in enumerate(_FACTOR.findall(text)):
         if other:
-            return None
-        if c is None:  # the first factor
-            if op == "*":
-                return None
-            negate = op == "-"
-        elif op == "+" or op == "-":
-            m = tuple(mono)
-            sums[m] = sums.get(m, 0) + (-c if negate else c)
-            c, negate, mono = None, op == "-", [0, 0, 0, 0, 0, 0]
+            raise _Refused(k, _OTHER, None)
+        if c is None:  # the first factor of a sum, after an optional sign
+            if op == "*" or close:
+                raise _Refused(k, _OP if op == "*" else _CLOSE, None)
+            c, negate = 1, op == "-"
         elif not op:
-            return None
-        e = int(exp) if exp else 1
-        if e > MAX_EXPONENT:
-            return None
-        if var:
-            i = _FLAT_INDEX[var]
-            top = mono[i] + e
-            if top > MAX_EXPONENT:
-                return None
-            if c is None:
-                c = 1
-            if c:  # a zero product's monomial is 1, as in _PolyParser.term
-                mono[i] = top
-            continue
-        value = digits_to_int(digits)
-        if den:
-            d = digits_to_int(den)
-            if d == 0:
-                return None
+            if not close:  # two factors with no operator between them
+                raise _Refused(k, _INT if digits else _NAME if name else _OPEN,
+                               "expected ')'" if stack else None)
+        elif op != "*":  # a new term
+            if rest is None:
+                m = tuple(tops)
+                sums[m] = sums.get(m, 0) + (-c if negate else c)
+            else:
+                _add_term(field, sums, polys, c, negate, tops, rest)
+            c, negate, tops, rest = 1, op == "-", [0, 0, 0, 0, 0, 0], None
+        if name:
             try:
-                value = field.scalar(Fraction(value, d)).value
-            except InputError:
-                return None
-        elif p:
-            value %= p
-        if exp:
-            value = pow(value, e, p) if p else value**e
-        if c is None:
-            c = value
-        else:
-            c = c * value % p if p else c * value
-        if not c:
-            mono = [0, 0, 0, 0, 0, 0]
-    if c is None:  # the empty text, or only whitespace
-        return None
-    m = tuple(mono)
-    sums[m] = sums.get(m, 0) + (-c if negate else c)
-    return Poly(field, _scalar_terms(field, sums))
+                i = _VAR_INDEX[name]
+            except KeyError:
+                raise _Refused(k, _NAME, f"unknown variable {name!r}") from None
+            e = (int(exp) if len(exp) < 7 else _exponent(exp, k)) if exp else 1
+            # a product's top exponent in a variable is the sum of its
+            # factors' tops there: their leading terms multiply to a nonzero
+            # term.  A zero product's tops are 0.
+            top = tops[i] + e
+            if top > MAX_EXPONENT:
+                raise _Refused(k, _NAME, f"product has exponent {tops[i]} + {e}, which exceeds "
+                                         f"{MAX_EXPONENT}")
+            if c:
+                tops[i] = top
+        elif digits:
+            value = digits_to_int(digits)
+            if den:
+                d = digits_to_int(den)
+                if d == 0:
+                    raise _Refused(k, _DEN, "zero denominator")
+                try:
+                    value = field.scalar(Fraction(value, d)).value
+                except InputError as exc:
+                    raise _Refused(k, _INT, str(exc)) from None
+            elif p:
+                value %= p
+            if exp:
+                e = int(exp) if len(exp) < 7 else _exponent(exp, k)
+                value = pow(value, e, p) if p else value**e
+            # (1 times a Fraction would form a new Fraction)
+            c = c * value % p if p else value if c == 1 else c * value
+            if not c:
+                tops = [0, 0, 0, 0, 0, 0]
+        elif opn:
+            if len(stack) == MAX_NESTING:
+                raise _Refused(k, _OPEN, f"parentheses nested deeper than {MAX_NESTING}")
+            stack.append((sums, polys, c, negate, tops, rest, k))
+            sums, polys = {}, []
+            c, negate, tops, rest = None, False, [0, 0, 0, 0, 0, 0], None
+        else:  # ')': the sum it closes is the factor q, or qc*x^q_tops
+            if op or not stack:  # after an operator, or with no '(' open
+                raise _Refused(k, _CLOSE, None)
+            _add_term(field, sums, polys, c, negate, tops, rest)
+            q = _sum(field, sums, polys)
+            sums, polys, c, negate, tops, rest, k_open = stack.pop()
+            if len(q.terms) > 1:
+                qc, q_tops = 1, _tops(q)
+            elif q.terms:
+                (q_tops, v), = q.terms.items()
+                qc, q = v.value, None
+            else:
+                qc, q_tops, q = 0, ZERO_MONO, None
+            if exp:
+                e = int(exp) if len(exp) < 7 else _exponent(exp, k)
+                top = max(q_tops)
+                if top * e > MAX_EXPONENT:
+                    raise _Refused(k, _EXP, f"power has exponent {top} * {e}, which exceeds "
+                                            f"{MAX_EXPONENT}")
+                if q is None:
+                    qc = pow(qc, e, p) if p else qc**e
+                else:
+                    q = q**e
+                q_tops = [a * e for a in q_tops]
+            summed = [a + b for a, b in zip(tops, q_tops)]
+            if max(summed) > MAX_EXPONENT:
+                a, b = next((a, b) for a, b in zip(tops, q_tops) if a + b > MAX_EXPONENT)
+                raise _Refused(k_open, _OPEN, f"product has exponent {a} + {b}, which exceeds "
+                                              f"{MAX_EXPONENT}")
+            c = c * qc % p if p else c * qc
+            if q is not None:
+                rest = q if rest is None else rest * q
+            tops = summed if c else [0, 0, 0, 0, 0, 0]
+    if c is None:
+        raise _Refused(None, None, None)
+    if stack:
+        raise _Refused(None, None, "expected ')'")
+    _add_term(field, sums, polys, c, negate, tops, rest)
+    return _sum(field, sums, polys)
+
+
+# A character outside whitespace, the ASCII digits and letters and the
+# operators: no token takes it unless it is a letter (str.isalpha).
+_UNUSUAL = re.compile(r"[^\s0-9A-Za-z()*+/^-]")
+_TOKEN = re.compile(r"[0-9]+|[^\W\d_]+|.", re.S)
+_SPACE = re.compile(r"\s*")
+
+
+def _refusal(text: str, k, group, message) -> ParseError:
+    """The ParseError for a text _read refused: the first character that no
+    token takes, wherever it is; else the refusal at the k-th match, which
+    is found by scanning again.  A stray character (_OTHER) is read from
+    the match before it: after a sign or an operator a factor is missing,
+    after a base an exponent or a denominator may be, and anywhere else it
+    is unexpected, or inside parentheses a missing ')'."""
+    for mt in _UNUSUAL.finditer(text):
+        if not mt.group().isalpha():
+            return ParseError(f"unexpected character {mt.group()!r}", mt.start())
+    if k is None:
+        at = len(text)
+    else:
+        matches = list(islice(_FACTOR.finditer(text), k + 1))
+        mt = matches[k]
+        at = mt.start(group)
+        if group == _OTHER:
+            ch, prev = mt.group(_OTHER), matches[k - 1] if k else None
+            after = _SPACE.match(text, mt.end()).end()
+            if prev is None or prev.group(_OPEN):  # the start of a sum
+                if ch in "+-":
+                    at = after
+            elif ch in "+-*":
+                at = after
+            elif ch == "^" and not prev.group(_EXP):
+                at, message = after, "expected a natural-number exponent"
+            elif ch == "/" and prev.group(_INT) and not (prev.group(_DEN) or prev.group(_EXP)):
+                at, message = after, "expected an integer denominator"
+            elif sum(1 if m.group(_OPEN) else -1 if m.group(_CLOSE) else 0 for m in matches):
+                message = "expected ')'"
+    if message is None:
+        message = (f"unexpected {_TOKEN.match(text, at).group()!r}" if at < len(text) else
+                   "unexpected end of input")
+    return ParseError(message, at)
 
 
 def parse_poly(text: str, field: FieldSpec) -> Poly:
-    flat = _flat_poly(text, field)
-    return flat if flat is not None else _PolyParser(text, field).parse()
+    """The Poly of an expression over `field`; a ParseError, at the offset
+    of the first refusal, for a text the grammar or its bounds refuse."""
+    try:
+        return _read(text, field)
+    except _Refused as refused:
+        raise _refusal(text, *refused.args) from None
 
 
 def parse_scalar(text: str, field: FieldSpec) -> Scalar:

@@ -109,7 +109,7 @@ def test_criterion_1_exponential_axioms():
             phi = build_exponential(spec, coeffs)
             report = verify_exponential(phi)
             assert report.passed, (spec, coeffs, report.failures())
-            assert not phi.is_trivial()
+            assert phi != ExponentialMap.trivial(spec)
             built += 1
     assert built >= 27 + 3 * 8 * 15  # char 0 grid + three prime chars (minus skips)
 

@@ -210,6 +210,18 @@ def test_a_value_may_start_with_one_dash():
     assert (code, out) == (2, "usage error: unrecognized arguments: -y")
 
 
+@pytest.mark.parametrize("field, coeff, message, offset", [
+    ("Q", "1:2x", "unexpected 'x'", 3),
+    ("Q", "1:(1", "expected ')'", 4),
+    ("F3", "1:1/3", "denominator 3 is 0 in F3", 2),
+    ("Q", "10:x +", "unexpected end of input", 6),
+])
+def test_coeff_offsets_count_from_the_argument(field, coeff, message, offset):
+    # an error in a --coeff polynomial is placed in the whole E:POLY text
+    argv = ["exp-build", "--ring", f"R(n=2,h=1,field={field})", "--coeff", coeff]
+    assert dispatch(argv) == (2, f"input error: {message} (offset {offset})")
+
+
 @pytest.mark.parametrize("p, k", [(2, 18), (3, 11), (5, 8)])
 def test_largest_exp_build_power_parses_back(p, k):
     # p^k is the largest power of p at most 500000; its printed map goes

@@ -22,8 +22,9 @@ from dansurf import FieldSpec, InputError, ParseError, Poly, RElem, WeightVector
 from dansurf import polyring, surface
 from dansurf.cli import dispatch
 from dansurf.expmaps import at_u_zero, u_renamed_s
-from dansurf.ioformats import MAX_EXPONENT, _flat_poly, _PolyParser
+from dansurf.ioformats import MAX_EXPONENT
 from dansurf.polyring import VARS, mono, substitute_terms, view_terms
+from dansurf.scalars import digits_to_int
 from dansurf.surface import RingSpec, substitute_poly
 
 from conftest import F2, F3, F5, Q, random_poly, random_relem, rng
@@ -93,10 +94,11 @@ def reference_parse(text: str, field) -> Poly:
         if kind == 1:
             if peek() == "/":
                 take()
-                return Poly.const(field, Fraction(int(tok), int(take()[1])))
-            return Poly.const(field, int(tok))
+                return Poly.const(field, Fraction(digits_to_int(tok), int(take()[1])))
+            return Poly.const(field, digits_to_int(tok))
         if kind == 2:
             return Poly.variable(field, tok.lower() if tok in "XYZ" else tok)
+        assert tok == "("
         p = expr()
         assert take()[1] == ")"
         return p
@@ -159,63 +161,121 @@ _VAR_POWERS = ("", "", "^0", "^3", " ^ 2", "^999999", "^500000", "^1000000", "^0
                "^1000001", "^12345678")
 _FLAT_SCALARS = ("0", "1", "2", "7", "0/3", "1/2", "3/6", "5/3", "7/2147483647",
                  "12345678901234567890", "9" * 5000, "1" + "0" * 4999 + "/3", "2/0")
+# The parenthesized scalars bench/workloads.py writes in h, --coeff and
+# element texts; {c} is a signed scalar, {m} a variable power.
+_PAREN_SCALARS = ("({c})*{m}", "(({c}))", "({c})^2", "({c})^0", "({c})*({m} - {m})")
 _SPACES = ("", "", " ", "  ", "\t", "\n", "\u2003")
 _OPS = ("*", "*", "+", "-", "", "^", "/", "**", ")")
 
 
 @st.composite
 def flat_texts(draw):
-    """Text without parentheses, mostly of the grammar: signed products of
-    variables (exponents up to and past 10^6, and past seven digits) and
-    scalars (zero, 5000 digits, denominators 0 or divisible by p), amid
-    whitespace; in one text of four, operators missing or out of place."""
+    """Text mostly of the grammar: signed products of variables (exponents
+    up to and past 10^6, and past seven digits), scalars (zero, 5000
+    digits, denominators 0 or divisible by p) and parenthesized scalars,
+    amid whitespace; in one text of four, operators missing or out of
+    place."""
     ops = _OPS if draw(st.integers(0, 3)) == 0 else _OPS[:4]
     pieces = [draw(st.sampled_from(("", "+", "-")))]
     for i in range(draw(st.integers(0, 6))):  # no factor: the empty text
         if i:
             pieces.append(draw(st.sampled_from(ops)))
         pieces.append(draw(st.sampled_from(_SPACES)))
-        if draw(st.booleans()):
-            powers = _VAR_POWERS if draw(st.integers(0, 3)) == 0 else _VAR_POWERS[:-2]
-            pieces.append(draw(st.sampled_from(_FLAT_VARS)) + draw(st.sampled_from(powers)))
-        else:
-            scalars = _FLAT_SCALARS if draw(st.integers(0, 3)) == 0 else _FLAT_SCALARS[:-1]
+        powers = _VAR_POWERS if draw(st.integers(0, 3)) == 0 else _VAR_POWERS[:-2]
+        scalars = _FLAT_SCALARS if draw(st.integers(0, 3)) == 0 else _FLAT_SCALARS[:-1]
+        var = draw(st.sampled_from(_FLAT_VARS)) + draw(st.sampled_from(powers))
+        kind = draw(st.integers(0, 2))
+        if kind == 0:
+            pieces.append(var)
+        elif kind == 1:
             pieces.append(draw(st.sampled_from(scalars))
                           + draw(st.sampled_from(("", "^0", "^2", "^ 3"))))
+        else:
+            c = draw(st.sampled_from(("", "-"))) + draw(st.sampled_from(scalars))
+            pieces.append(draw(st.sampled_from(_PAREN_SCALARS)).format(c=c, m=var))
         pieces.append(draw(st.sampled_from(_SPACES)))
     return "".join(pieces)
+
+
+def _reference_refusal(text: str, field) -> str:
+    """What refuses a text in reference_parse: 'bound', 'denominator' (a
+    zero one, or one that p divides) or 'syntax' (a token out of place);
+    None if the reference reads it."""
+    try:
+        reference_parse(text, field)
+    except _Refused:
+        return "bound"
+    except (InputError, ZeroDivisionError):
+        return "denominator"
+    except (AssertionError, IndexError, ValueError):
+        return "syntax"
+    return None
+
+
+def _refusal_kind(message: str) -> str:
+    if "exceeds" in message:
+        return "bound"
+    if message == "zero denominator" or " is 0 in " in message:
+        return "denominator"
+    return "syntax"
 
 
 @settings(max_examples=400)
 @given(flat_texts(), st.sampled_from(FIELDS + (FieldSpec(2147483647),)))
 def test_flat_reader_matches_the_parser(text, field):
-    # the one-pass reader forms the parser's Poly, term for term in the same
-    # order, or leaves the text to the parser, which alone refuses it
-    flat = _flat_poly(text, field)
+    # parse_poly reads a text the reference reads to the same Poly, with
+    # canonical coefficients, and refuses the others for the reason the
+    # reference refuses them, at an offset inside the text
     try:
-        expected = _PolyParser(text, field).parse()
+        got = parse_poly(text, field)
     except ParseError as exc:
-        assert flat is None, text
-        with pytest.raises(ParseError) as got:
-            parse_poly(text, field)
-        assert (got.value.message, got.value.offset) == (exc.message, exc.offset), text
+        assert 0 <= exc.offset <= len(text), text
+        assert _reference_refusal(text, field) == _refusal_kind(exc.message), text
         return
-    if flat is not None:
-        assert list(flat.terms.items()) == list(expected.terms.items()), text
-        assert _canonical(flat), text
-    assert parse_poly(text, field) == expected, text
+    assert got == reference_parse(text, field) and _canonical(got), text
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=IDS)
 def test_flat_reader_takes_flat_texts_and_leaves_the_rest(field):
     for text in ("x^4*U^4 + x^2*U^2 + x*U^2 + y + U", "-z^2 - x", " 3/7*X*y^3 ", "0*x^1000000",
-                 "2*x^999999*x", "7", "x - x + 0"):
-        assert _flat_poly(text, field) == parse_poly(text, field) is not None, text
-    for text in ("(x + 1)^2", "", "x + ", "--x", "2x", "x^2^3", "x*y/2", "x^1000001",
-                 "x^999999*x^2", "1/0", "x^00000001", "x\u00b2"):
-        assert _flat_poly(text, field) is None, text
-    # a denominator that p divides is the parser's to refuse
-    assert (_flat_poly("1/3", field) is None) == (field == F3)
+                 "2*x^999999*x", "7", "x - x + 0", "(x + 1)^2", "x^00000001",
+                 "1 + (1)*x^1 + (-2)*x^2", "((3))*y", "(2/7)^2*x", "(5)*(x^2 - x^2) + z"):
+        got = parse_poly(text, field)
+        assert got == reference_parse(text, field) and _canonical(got), text
+    # refusals, each with its message and offset
+    for text, message, offset in (
+            ("", "unexpected end of input", 0), ("x + ", "unexpected end of input", 4),
+            ("--x", "unexpected '-'", 1), ("2x", "unexpected 'x'", 1),
+            ("x^2^3", "unexpected '^'", 3), ("x*y/2", "unexpected '/'", 3),
+            ("x^1000001", "exponent 1000001 exceeds 1000000", 2),
+            ("x^999999*x^2", "product has exponent 999999 + 2, which exceeds 1000000", 9),
+            ("1/0", "zero denominator", 2), ("x\u00b2", "unexpected character '\u00b2'", 1)):
+        with pytest.raises(ParseError) as exc:
+            parse_poly(text, field)
+        assert (exc.value.message, exc.value.offset) == (message, offset), text
+    if field == F3:  # a denominator that p divides
+        with pytest.raises(ParseError) as exc:
+            parse_poly("1/3", field)
+        assert (exc.value.message, exc.value.offset) == ("denominator 3 is 0 in F3", 0)
+    else:
+        assert parse_poly("1/3", field) == reference_parse("1/3", field)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+def test_parenthesized_scalars_form_no_poly(field, monkeypatch):
+    # a parenthesized scalar or monomial stays a raw coefficient; only a
+    # parenthesized sum of two or more terms is multiplied as a Poly
+    texts = ("1 + (1)*x^1 + (-2/7)*x^2", "((3))*y^2 - (2)^3*(x)", "(5)*(x^2 - x^2) + z",
+             "-(x^2*y)^3*(4)")
+    expected = [reference_parse(text, field) for text in texts]
+    ops = []
+    mul, power = Poly.__mul__, Poly.__pow__
+    monkeypatch.setattr(Poly, "__mul__", lambda a, b: ops.append("*") or mul(a, b))
+    monkeypatch.setattr(Poly, "__pow__", lambda a, e: ops.append("^") or power(a, e))
+    assert [parse_poly(text, field) for text in texts] == expected
+    assert ops == []
+    parse_poly("(x + 1)*(x - 1)", field)
+    assert ops == ["*"]
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=IDS)

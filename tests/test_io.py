@@ -42,6 +42,36 @@ def test_no_implicit_multiplication():
     assert exc.value.offset == 1
 
 
+# Refusals whose message or offset depends on what comes before or after
+# the offending character: a character no token takes is reported first,
+# wherever it is; inside parentheses a stray token is a missing ')'; after
+# a sign or an operator the next token is the one refused; a bound or a
+# denominator is checked at its own factor.
+_CONTEXT_REFUSALS = (
+    ("x + + \u00b2", "unexpected character '\u00b2'", 6),
+    ("(x0", "expected ')'", 2),
+    ("(x/2)", "expected ')'", 2),
+    ("x0", "unexpected '0'", 1),
+    ("*)", "unexpected '*'", 0),
+    ("-", "unexpected end of input", 1),
+    ("1/0^1000001", "zero denominator", 2),
+    ("q^1000001", "unknown variable 'q'", 0),
+    ("(x^999999+1)*x^2", "product has exponent 999999 + 2, which exceeds 1000000", 13),
+    ("x^999999*(x^2 + 1)", "product has exponent 999999 + 2, which exceeds 1000000", 9),
+    ("x^2^3", "unexpected '^'", 3),
+    ("1/ x", "expected an integer denominator", 3),
+)
+
+
+@pytest.mark.parametrize("text, message, offset", _CONTEXT_REFUSALS,
+                         ids=[repr(case[0]) for case in _CONTEXT_REFUSALS])
+def test_refusals_read_from_context(text, message, offset):
+    for field in (Q, F2, F3, F5):
+        with pytest.raises(ParseError) as exc:
+            parse_poly(text, field)
+        assert (exc.value.message, exc.value.offset) == (message, offset), field
+
+
 def test_parse_errors_carry_offsets():
     with pytest.raises(ParseError) as exc:
         parse_poly("x + ", Q)
