@@ -56,14 +56,28 @@ def _tops(p: Poly) -> tuple:
 # One factor and the operator before it: '+', '-', '*' or none (group 1),
 # then an integer (2) over an optional denominator (3), a run of letters
 # (4) or ')' (5), each with an optional exponent (6); or '(' (7); or else
-# (8) the next character, where no factor starts.  Unmatched groups read
-# ''.  [^\W\d_] is every letter (str.isalpha), and also the numeric
-# characters outside 0-9, such as '²', which no name takes; \s is
-# str.isspace.
-_FACTOR = re.compile(r"\s*+(?:([-+*]?)\s*+(?:(?:([0-9]++)(?:\s*+/\s*+([0-9]++))?|([^\W\d_]++)|(\)))"
-                     r"(?:\s*+\^\s*+([0-9]++))?|(\())\s*+|(.))", re.S)
+# (8) the next character that is not whitespace, where no factor starts.
+# Unmatched groups read ''.  [^\W\d_] is every letter (str.isalpha), and
+# also the numeric characters outside 0-9, such as '²', which no name
+# takes; \s is str.isspace.  Every match starts with the whitespace before
+# it, and (8) takes any other character, so in a text with no trailing
+# whitespace no match fails after it and the scan stays linear.
+_FACTOR = re.compile(r"\s*(?:([-+*]?)\s*(?:(?:([0-9]+)(?:\s*/\s*([0-9]+))?|([^\W\d_]+)|(\)))"
+                     r"(?:\s*\^\s*([0-9]+))?|(\())|(\S))")
 _OP, _INT, _DEN, _NAME, _CLOSE, _EXP, _OPEN, _OTHER = range(1, 9)
 _VAR_INDEX = {v: VARS.index(ALIASES.get(v, v)) for v in "xyzTUSXYZ"}
+# A character outside whitespace, the ASCII digits and letters and the
+# operators: no token takes it unless it is a letter (str.isalpha).
+_UNUSUAL = re.compile(r"[^\s0-9A-Za-z()*+/^-]")
+
+
+def _unusual(text: str):
+    """The ParseError at the first character of text that no token takes,
+    or None."""
+    for mt in _UNUSUAL.finditer(text):
+        if not mt.group().isalpha():
+            return ParseError(f"unexpected character {mt.group()!r}", mt.start())
+    return None
 
 
 class _Refused(Exception):
@@ -125,10 +139,11 @@ def _read(text: str, field: FieldSpec) -> Poly:
     or more terms becomes a Poly, multiplied and powered as one.  An open
     parenthesis pushes the sum and term being read; its ')' pops them."""
     p = field.characteristic
-    stack = []
+    stack, scanned = [], False  # scanned: _unusual found nothing in text
     sums, polys = {}, []
     c, negate, tops, rest = None, False, [0, 0, 0, 0, 0, 0], None  # c is None: no factor yet
-    for k, (op, digits, den, name, close, exp, opn, other) in enumerate(_FACTOR.findall(text)):
+    factors = _FACTOR.findall(text.rstrip())  # linear: see _FACTOR
+    for k, (op, digits, den, name, close, exp, opn, other) in enumerate(factors):
         if other:
             raise _Refused(k, _OTHER, None)
         if c is None:  # the first factor of a sum, after an optional sign
@@ -208,6 +223,10 @@ def _read(text: str, field: FieldSpec) -> Poly:
                 if q is None:
                     qc = pow(qc, e, p) if p else qc**e
                 else:
+                    if not scanned:  # a text _refusal refuses anyway forms no power
+                        if _unusual(text):
+                            raise _Refused(None, None, None)
+                        scanned = True
                     q = q**e
                 q_tops = [a * e for a in q_tops]
             summed = [a + b for a, b in zip(tops, q_tops)]
@@ -227,9 +246,6 @@ def _read(text: str, field: FieldSpec) -> Poly:
     return _sum(field, sums, polys)
 
 
-# A character outside whitespace, the ASCII digits and letters and the
-# operators: no token takes it unless it is a letter (str.isalpha).
-_UNUSUAL = re.compile(r"[^\s0-9A-Za-z()*+/^-]")
 _TOKEN = re.compile(r"[0-9]+|[^\W\d_]+|.", re.S)
 _SPACE = re.compile(r"\s*")
 
@@ -240,10 +256,13 @@ def _refusal(text: str, k, group, message) -> ParseError:
     is found by scanning again.  A stray character (_OTHER) is read from
     the match before it: after a sign or an operator a factor is missing,
     after a base an exponent or a denominator may be, and anywhere else it
-    is unexpected, or inside parentheses a missing ')'."""
-    for mt in _UNUSUAL.finditer(text):
-        if not mt.group().isalpha():
-            return ParseError(f"unexpected character {mt.group()!r}", mt.start())
+    is unexpected, or inside parentheses a missing ')'.  Each of these
+    branches restates a rule that _read enforces, and must change with it;
+    tests/test_io.py's test_refusals_read_from_context and the refusals
+    pinned in tests/data/refusals.json check them."""
+    error = _unusual(text)
+    if error:
+        return error
     if k is None:
         at = len(text)
     else:

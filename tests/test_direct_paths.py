@@ -276,6 +276,11 @@ def test_parenthesized_scalars_form_no_poly(field, monkeypatch):
     assert ops == []
     parse_poly("(x + 1)*(x - 1)", field)
     assert ops == ["*"]
+    # a character that no token takes is refused before any power is formed
+    with pytest.raises(ParseError) as exc:
+        parse_poly("(x + T + 1)^200\u00b2", field)
+    assert (exc.value.message, exc.value.offset) == ("unexpected character '\u00b2'", 15)
+    assert ops == ["*"]
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=IDS)

@@ -1,6 +1,10 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from dansurf import (
+    FieldSpec,
     ParseError,
     Poly,
     WeightVector,
@@ -70,6 +74,44 @@ def test_refusals_read_from_context(text, message, offset):
         with pytest.raises(ParseError) as exc:
             parse_poly(text, field)
         assert (exc.value.message, exc.value.offset) == (message, offset), field
+
+
+# 408 refusals of fuzzed, flat, character-soup and nesting texts over Q and
+# F_p, each (text, field, message, offset) as the recursive-descent parser
+# that the one-pass reader replaced reported it: stratified by message,
+# the character at the offset and the one before it.
+_PINNED_REFUSALS = json.loads((Path(__file__).parent / "data" / "refusals.json").read_text())
+
+
+def test_pinned_refusals():
+    fields = {}
+    wrong = []
+    for text, name, message, offset in _PINNED_REFUSALS:
+        field = fields.setdefault(name, FieldSpec.parse(name))
+        try:
+            parse_poly(text, field)
+            wrong.append((text, name, "accepted"))
+        except ParseError as exc:
+            if (exc.message, exc.offset) != (message, offset):
+                wrong.append((text, name, exc.message, exc.offset))
+    assert len(_PINNED_REFUSALS) == 408
+    assert wrong == []
+
+
+def test_long_whitespace_is_read_in_one_pass():
+    # a reader that retries each position of a whitespace run takes minutes
+    # on these texts; the one-pass reader takes milliseconds
+    gap = " \t" * 50_000
+    for text, message, offset in (("x ^" + gap, "expected a natural-number exponent", 100_003),
+                                  ("x +" + gap, "unexpected end of input", 100_003),
+                                  (gap, "unexpected end of input", 100_000),
+                                  ("x ^" + gap + "2 +" + gap + "y", None, None)):
+        if message is None:
+            assert parse_poly(text, Q) == parse_poly("x^2 + y", Q)
+            continue
+        with pytest.raises(ParseError) as exc:
+            parse_poly(text, Q)
+        assert (exc.value.message, exc.value.offset) == (message, offset)
 
 
 def test_parse_errors_carry_offsets():
