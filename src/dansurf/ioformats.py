@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice
 
 from .errors import InputError, ParseError
@@ -348,8 +349,15 @@ class _offset:
         raise ParseError(str(exc), self.at) from None
 
 
+@lru_cache(maxsize=64)
 def parse_ring_spec(text: str) -> RingSpec:
-    """Parse "R(n=<int>, h=<poly>, field=<fieldspec>[, graded][, free])"."""
+    """Parse "R(n=<int>, h=<poly>, field=<fieldspec>[, graded][, free])".
+
+    The last 64 specs parsed are kept by their text, so a process that reads
+    one ring again gets the same spec, with the relation and z^2 view it has
+    formed, without parsing it again.  A spec is immutable and points to no
+    object that points back at it; a refused text is not kept and is refused
+    again on every call."""
     stripped = text.strip()
     if not (stripped.startswith("R(") and stripped.endswith(")")):
         raise ParseError("ring spec must look like R(n=..., h=..., field=...)", 0)
@@ -408,7 +416,17 @@ def parse_weights(text: str) -> WeightVector:
 
 
 def parse_generator_map(text: str, spec: RingSpec) -> dict:
-    """Parse "x -> <expr>; y -> <expr>; z -> <expr>" into ring-element images."""
+    """Parse "x -> <expr>; y -> <expr>; z -> <expr>" into ring-element images.
+
+    The images of the last 32 maps parsed are kept by (text, spec); each call
+    returns a new dict of them, so a caller that edits its dict leaves the
+    next call's as it was.  A refused text is not kept."""
+    return dict(_map_images(text, spec))
+
+
+@lru_cache(maxsize=32)
+def _map_images(text: str, spec: RingSpec) -> tuple:
+    """The (generator, image) pairs of parse_generator_map."""
     images = {}
     for chunk, at in _items(text, ";", 0):
         if not chunk:
@@ -428,7 +446,7 @@ def parse_generator_map(text: str, spec: RingSpec) -> dict:
     for gen in spec.generators():
         if gen not in images:
             raise ParseError(f"map is missing an image for {gen}", 0)
-    return images
+    return tuple(images.items())
 
 
 def format_generator_map(images: dict) -> str:

@@ -45,8 +45,9 @@ def _require_hypotheses(field: FieldSpec, n: int, h: Poly, standard: bool = True
 class RingSpec(Record):
     """Defining data (field, n, h) of a surface ring, plus variant flags.
 
-    The spec caches only the integer views of z^2 and z^p, which point
-    nowhere back at it, so that no spec is part of a reference cycle."""
+    The spec caches only its relation and the integer views of z^2 and z^p,
+    which point nowhere back at it, so that no spec is part of a reference
+    cycle."""
 
     _fields = ("field", "n", "h", "graded", "free")
 
@@ -73,6 +74,11 @@ class RingSpec(Record):
 
     def relation(self):
         """The defining polynomial x^n*y - z^2 - h*z, or None for a free spec."""
+        return self._relation
+
+    @cached_property
+    def _relation(self):
+        """relation(), formed once per spec."""
         if self.free:
             return None
         f = self.field

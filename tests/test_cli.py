@@ -864,6 +864,8 @@ def test_long_exponents_are_refused_before_conversion(monkeypatch):
 
     monkeypatch.setattr(dansurf.scalars, "digits_to_int", recording)
     monkeypatch.setattr(dansurf.ioformats, "digits_to_int", recording)
+    # from a cold cache, so that the ring text is read (and its digits seen)
+    dansurf.ioformats.parse_ring_spec.cache_clear()
     long = "9" * 400000
     assert dispatch(["exp-build", "--ring", _Q2, "--coeff", f"{long}:1"]) == (
         2, "input error: exponent of 400000 digits exceeds 1000000 (offset 0)")

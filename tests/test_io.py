@@ -357,3 +357,48 @@ def test_aut_word_errors():
         parse_aut_word("E(z)", spec)
     with pytest.raises(ParseError):
         parse_aut_word("L(2) * ", spec)
+
+
+# Regex features that need Python 3.11 (pyproject.toml allows 3.10).
+_NEWER_OPCODES = {"POSSESSIVE_REPEAT", "ATOMIC_GROUP"}
+
+
+def _opcodes(parsed):
+    """The opcode names of a parsed regex, nested groups and repeats too."""
+    for op, av in parsed:
+        yield str(op)
+        stack = [av]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, (tuple, list)):
+                stack.extend(item)
+            elif hasattr(item, "data"):  # a nested SubPattern
+                yield from _opcodes(item)
+
+
+def test_regexes_compile_under_python_3_10():
+    import importlib
+    import pkgutil
+    import re
+    import sys
+
+    import dansurf
+
+    try:
+        from re import _parser  # Python 3.11 on
+    except ImportError:
+        import sre_parse as _parser
+    if sys.version_info >= (3, 11):  # the walk finds what it looks for
+        for pattern in ("a*+", "(?>a|b)", "(x(?:y++))"):
+            assert _NEWER_OPCODES & set(_opcodes(_parser.parse(pattern))), pattern
+    patterns = []
+    for info in pkgutil.iter_modules(dansurf.__path__, "dansurf."):
+        if info.name == "dansurf.__main__":  # runs the CLI on import
+            continue
+        for value in vars(importlib.import_module(info.name)).values():
+            values = [value, *vars(value).values()] if isinstance(value, type) else [value]
+            patterns += [v for v in values if isinstance(v, re.Pattern)]
+    assert len(patterns) >= 4
+    for pattern in patterns:
+        found = set(_opcodes(_parser.parse(pattern.pattern, pattern.flags)))
+        assert not found & _NEWER_OPCODES, pattern.pattern
