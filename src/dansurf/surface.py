@@ -339,7 +339,14 @@ def substitute_poly(spec: RingSpec, p: Poly, images: dict,
             raise InputError("elements of different rings")
     if unmoved(p, images, z_top=1):
         return p if type(p) is RElem and p.spec is spec else RElem._trusted(spec, p.terms, p._ints)
-    # z stays bound, so its powers come reduced and every free part is z-free.
-    bound = {"z": RElem.var(spec, "z"), **images}
-    view = substitute_terms(p, bound, spec.fold_relation, memo)
+    view = substitute_view(spec, p, images, memo)
     return RElem._trusted(spec, view_terms(spec.field, view), view)
+
+
+def substitute_view(spec: RingSpec, p: Poly, images: dict,
+                    memo: SubstitutionMemo = None) -> tuple:
+    """substitute_poly's value as its reduced integer view, for images in
+    spec, and without the return of an unmoved p.  z stays bound, so its
+    powers come reduced and every free part is z-free."""
+    bound = {"z": RElem.var(spec, "z"), **images}
+    return substitute_terms(p, bound, spec.fold_relation, memo)

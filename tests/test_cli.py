@@ -437,6 +437,17 @@ _MAP = "x->x; z->z+x^2*U; y->y+(2*z+1)*U+x^2*U^2"
 _BAD_MAP = "x->x; z->z+x*U; y->y"
 _BAD_RELATION = "image of the relation is -x^2*U^2 - 2*x*z*U - x*U, not 0"
 _PASS_CHECK = '{{"name": "{}", "pass": true, "detail": ""}}'
+# z -> z + 1/2*x^2*U^2 keeps the relation but not the coaction law, and the
+# involution z -> -z - 1 has no U at all, so it fails axiom_i and axiom_ii
+_SQUARE_MAP = "x->x; z->z+1/2*x^2*U^2; y->y+(z+1/2)*U^2+1/4*x^2*U^4"
+_SQUARE_DETAIL = (
+    "y: phi_S(phi_U) = 1/4*x^2*U^4 + 1/2*x^2*U^2*S^2 + 1/4*x^2*S^4 + z*U^2 + z*S^2 "
+    "+ 1/2*U^2 + 1/2*S^2 + y but phi_(S+U) = 1/4*x^2*U^4 + x^2*U^3*S + 3/2*x^2*U^2*S^2 "
+    "+ x^2*U*S^3 + 1/4*x^2*S^4 + z*U^2 + 2*z*U*S + z*S^2 + 1/2*U^2 + U*S + 1/2*S^2 + y; "
+    "z: phi_S(phi_U) = 1/2*x^2*U^2 + 1/2*x^2*S^2 + z but phi_(S+U) = 1/2*x^2*U^2 "
+    "+ x^2*U*S + 1/2*x^2*S^2 + z")
+_INVOLUTION_MAP = "x->x; z->-z-1; y->y"
+_INVOLUTION_AXIOM_II = "z: phi_S(phi_U) = z but phi_(S+U) = -z - 1"
 _CANCEL_CHECKS = ("exponential", "embedded_relation", "recovered_relation", "invariance",
                   "slice_action", "linear_form", "slice_generates")
 
@@ -466,6 +477,20 @@ GOLDEN = [
      f'"pass": false, "detail": "{_BAD_RELATION}"}}, '
      + ", ".join(_PASS_CHECK.format(n) for n in ("axiom_i", "axiom_ii"))
      + "]}"),
+    (["exp-verify", "--ring", _Q2, "--map", _SQUARE_MAP], 1,
+     f"relation: PASS\naxiom_i: PASS\naxiom_ii: FAIL {_SQUARE_DETAIL}\nfailed",
+     '{"command": "exp-verify", "inputs": {"ring": "R(n=2, h=1, field=Q)", '
+     f'"map": "{_SQUARE_MAP}"}}, "result": "failed", "checks": ['
+     + ", ".join(_PASS_CHECK.format(n) for n in ("relation", "axiom_i"))
+     + f', {{"name": "axiom_ii", "pass": false, "detail": "{_SQUARE_DETAIL}"}}]}}'),
+    (["exp-verify", "--ring", _Q2, "--map", _INVOLUTION_MAP], 1,
+     f"relation: PASS\naxiom_i: FAIL z -> -z - 1\naxiom_ii: FAIL {_INVOLUTION_AXIOM_II}"
+     "\nfailed",
+     '{"command": "exp-verify", "inputs": {"ring": "R(n=2, h=1, field=Q)", '
+     f'"map": "{_INVOLUTION_MAP}"}}, "result": "failed", "checks": ['
+     + _PASS_CHECK.format("relation")
+     + ', {"name": "axiom_i", "pass": false, "detail": "z -> -z - 1"}, '
+     f'{{"name": "axiom_ii", "pass": false, "detail": "{_INVOLUTION_AXIOM_II}"}}]}}'),
     (["exp-degree", "--ring", _Q2, "--map", _MAP, "--expr", "y"], 0,
      "2",
      '{"command": "exp-degree", "inputs": {"ring": "R(n=2, h=1, field=Q)", '
@@ -788,6 +813,15 @@ def test_import_footprint():
                  "  --ring RING\n"
                  "  --expr EXPR")),
     ]
+
+
+def test_python_dash_m_runs_the_cli():
+    # the package's __main__ runs the CLI only as the main module, so that
+    # importing it (as a walk over the package's modules does) runs nothing
+    src = os.path.dirname(os.path.dirname(dansurf.__file__))
+    proc = subprocess.run([sys.executable, "-m", "dansurf", *_NORMAL_FORM], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "x^2*y + 2*x*z + 2*z + 2*x\n", "")
 
 
 _HUGE = "9" * 5000  # past the interpreter's 4300-digit int-to-str limit

@@ -2,18 +2,22 @@
 
 The parser keeps a product of scalars and variables raw; axiom_i reads the
 U-free part of an image and axiom_ii renames U to S instead of
-substituting; `substitute_poly` and `Poly.substitute` return an unmoved
+substituting, and expands phi_(S+U)(g) by binomial rows (Lucas' theorem
+over F_p); `substitute_poly` and `Poly.substitute` return an unmoved
 polynomial as it is; and `WeightVector.mono_weight` sums in ints.  Each is
-checked here against the computation it replaces, over Q, F2, F3 and F5;
-monomial images, which act in place, against closed forms near the
-exponent bound.  Work counts pin the number of substitutions the map,
-automorphism and cancellation commands make, the products of a Frobenius
-power and of cancel-verify, and the term pairs that cancel-verify and a
-scaling's aut-apply fold.
+checked here against the computation it replaces, over Q, F2, F3 and F5,
+and verify_exponential's whole report against the substitutions it
+replaced; monomial images, which act in place, and prime-power rows
+against closed forms near the exponent bound.  Work counts pin the number
+of substitutions the map, automorphism and cancellation commands make, the
+products of a Frobenius power and of cancel-verify, and the term pairs
+that cancel-verify and a scaling's aut-apply fold.
 """
 
 import re
+import sys
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,13 +25,14 @@ from hypothesis import given, settings, strategies as st
 from dansurf import FieldSpec, InputError, ParseError, Poly, RElem, WeightVector, parse_poly
 from dansurf import polyring, surface
 from dansurf.cli import dispatch
-from dansurf.expmaps import at_u_zero, u_renamed_s
+from dansurf.expmaps import (ExponentialMap, at_u_zero, binomial_row, solve_generator_images,
+                             u_renamed_s, u_shifted, verify_exponential)
 from dansurf.ioformats import MAX_EXPONENT
 from dansurf.polyring import VARS, mono, substitute_terms, view_terms
 from dansurf.scalars import digits_to_int
 from dansurf.surface import RingSpec, substitute_poly
 
-from conftest import F2, F3, F5, Q, random_poly, random_relem, rng
+from conftest import F2, F3, F5, Q, random_poly, random_relem, random_scalar, rng
 from test_fuzz import expressions
 
 FIELDS = (Q, F2, F3, F5)
@@ -325,6 +330,143 @@ def test_unmoved_polynomials_match_the_substitution(field):
     assert unmoved and poly_unmoved  # the draw reaches the direct paths
 
 
+_SHIFT_FIELDS = FIELDS + (FieldSpec(2147483647),)
+
+
+@st.composite
+def shift_images(draw):
+    """A field and an S-free element of R[T, U] over it (n = 2, h = 1 + x),
+    with U-exponents up to 12 and, over F_p, at p^k and 2*p^k too."""
+    field = draw(st.sampled_from(_SHIFT_FIELDS))
+    p = field.characteristic
+    spec = RingSpec(field, 2, Poly.const(field, 1) + Poly.variable(field, "x"))
+    u_exps = st.integers(0, 12)
+    if p:
+        u_exps = st.one_of(u_exps, st.sampled_from([k * p**e for e in (1, 2) for k in (1, 2)]))
+    value = (st.integers(-40, 40) if p else
+             st.builds(Fraction, st.integers(-40, 40), st.sampled_from((1, 2, 3, 7))))
+    items = draw(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 3), st.integers(0, 3),
+                                    st.integers(0, 2), u_exps, value), max_size=8))
+    return spec, RElem._trusted(spec, Poly.from_items(
+        field, [(mono(z=z, y=y, x=x, T=t, U=u), c) for z, y, x, t, u, c in items]).terms)
+
+
+@settings(max_examples=200)
+@given(shift_images())
+def test_u_shift_by_binomial_rows_matches_the_substitution(drawn):
+    spec, img = drawn
+    field = spec.field
+    su = Poly.variable(field, "S") + Poly.variable(field, "U")
+    view = u_shifted(img, {})
+    assert view == Poly._of_view(field, view).ints()  # a reduced view
+    assert Poly._of_view(field, view) == img.substitute_params({"U": su}).to_poly(), img
+
+
+@pytest.mark.parametrize("p", [0, 2, 3, 5, 7])
+def test_binomial_rows_match_comb(p):
+    for i in range(300):
+        expected = [(j, comb(i, j) % p if p else comb(i, j)) for j in range(i + 1)]
+        assert sorted(binomial_row(i, p)) == [(j, c) for j, c in expected if c], (i, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 997])
+def test_prime_power_rows_near_the_exponent_bound(p):
+    # U^(p^k) -> S^(p^k) + U^(p^k): two entries, also at the largest p^k
+    # the parser allows, and C(2*p^k, p^k) = 2 for p > 2
+    k = 1
+    while p ** (k + 1) <= MAX_EXPONENT:
+        k += 1
+    for e in (p, p ** (k - 1), p**k):
+        assert binomial_row(e, p) == [(0, 1), (e, 1)], e
+    assert sorted(binomial_row(2 * p**k, p)) == ([(0, 1), (2 * p**k, 1)] if p == 2 else
+                                                 [(0, 1), (p**k, 2), (2 * p**k, 1)])
+    field = FieldSpec(p)
+    spec = RingSpec(field, 2, Poly.const(field, 1))
+    e = p**k
+    img = RElem._trusted(spec, Poly.from_items(field, [(mono(z=1), 1), (mono(x=2, U=e), 1)]).terms)
+    assert u_shifted(img, {}) == (1, [(mono(z=1), 1), (mono(x=2, U=e), 1), (mono(x=2, S=e), 1)])
+
+
+def reference_verify(phi) -> list:
+    """verify_exponential's checks as (name, passed, detail), by the simple
+    path: substitute_poly for the relation and phi_S(phi_U(g)), and
+    substitute_params for U = 0, U = S and U = S + U."""
+    spec, field = phi.spec, phi.spec.field
+    checks = []
+    rel = spec.relation()
+    if rel is None:
+        checks.append(("relation", True, "free ring, nothing to preserve"))
+    else:
+        image_rel = substitute_poly(spec, rel, phi.images)
+        detail = "" if image_rel.is_zero() else f"image of the relation is {image_rel}, not 0"
+        checks.append(("relation", not detail, detail))
+    bad = []
+    for var in phi.carriers():
+        at0 = phi.images[var].substitute_params({"U": 0})
+        if at0 != RElem.var(spec, var):
+            bad.append(f"{var} -> {at0}")
+    checks.append(("axiom_i", not bad, "; ".join(bad)))
+    s, u = Poly.variable(field, "S"), Poly.variable(field, "U")
+    images_s = {v: img.substitute_params({"U": s}) for v, img in phi.images.items()}
+    bad = []
+    for var in phi.carriers():
+        lhs = substitute_poly(spec, phi.images[var], images_s)
+        rhs = phi.images[var].substitute_params({"U": s + u})
+        if lhs != rhs:
+            bad.append(f"{var}: phi_S(phi_U) = {lhs} but phi_(S+U) = {rhs}")
+    checks.append(("axiom_ii", not bad, "; ".join(bad)))
+    return checks
+
+
+def _candidate(r, field, kind):
+    """Images x -> x, z -> z + x^n*F(x, T, U) and the y-image the relation
+    forces, with T -> T + c*U^e at times; `kind` breaks them: any
+    U-exponents (not only 1 and p^k), a y-image off by a term (the
+    relation), or a U-free term added to the z-image (axiom_i)."""
+    p = field.characteristic
+    n = r.choice((2, 3))
+    h = random_poly(r, field, ("x",), max_terms=2, max_exp=n - 2) * Poly.variable(field, "x")
+    spec = RingSpec(field, n, h + Poly.const(field, random_scalar(r, field, nonzero=True)))
+    legal = [1] if not p else [1, p, p * p]
+    exps = legal if kind == "legal" else legal + [2, 3]
+    terms = [(mono(x=r.randint(0, 2), T=r.randint(0, 1), U=r.choice(exps)),
+              random_scalar(r, field, nonzero=True)) for _ in range(r.randint(1, 3))]
+    if kind == "legal" and r.random() < 0.5:
+        terms = [(m[:3] + (0,) + m[4:], c) for m, c in terms]
+    xnf = Poly.variable(field, "x", n) * Poly.from_items(field, terms)
+    image_z = RElem(spec, xnf, Poly.const(field, 1))
+    images = solve_generator_images(spec, image_z)
+    if "T" in xnf.variables() or r.random() < 0.3:
+        images["T"] = RElem._trusted(spec, (Poly.variable(field, "T") + Poly.variable(
+            field, "U", r.choice(exps)).scale(random_scalar(r, field, nonzero=True))).terms)
+    if kind == "relation":
+        images["y"] = images["y"] + RElem.var(spec, "x") * r.choice((1, RElem.var(spec, "U")))
+    elif kind == "axiom_i":
+        images["z"] = images["z"] + r.choice((1, RElem.var(spec, "x")))
+    return ExponentialMap(spec, images)
+
+
+@pytest.mark.parametrize("field", _SHIFT_FIELDS, ids=lambda f: f.label)
+def test_verify_exponential_matches_the_reference(field):
+    r = rng(113 + field.characteristic % 1000)
+    spec = RingSpec(field, 2, Poly.const(field, 1))
+    z, x, u = (RElem.var(spec, v) for v in "zxU")
+    # z + x^n*U^2 and z + x^n*U^3 keep the relation, and fail axiom_ii
+    # unless the exponent is a power of p (z + x^n*U^2 over Q, U^3 over F2)
+    fixed = [ExponentialMap(spec, solve_generator_images(spec, z + x * x * u**e))
+             for e in (2, 3)]
+    seen = set()
+    for phi in fixed + [_candidate(r, field, kind) for _ in range(6)
+                        for kind in ("legal", "any", "relation", "axiom_i")]:
+        report = verify_exponential(phi)
+        got = [(c.name, c.passed, c.detail) for c in report.checks]
+        assert got == reference_verify(phi), phi
+        seen.add(tuple(passed for _, passed, _ in got))
+    # the candidates pass, and fail each check
+    assert (True, True, True) in seen
+    assert all(any(not verdicts[k] for verdicts in seen) for k in range(3)), seen
+
+
 def _fraction_weight(w: WeightVector, m: tuple) -> Fraction:
     total = Fraction(0)
     for var, e in zip(VARS, m):
@@ -360,14 +502,14 @@ _MAP = "x->x; z->z+x^2*U; y->y+(2*z+1)*U+x^2*U^2"
 
 
 _SUBSTITUTIONS = [
-    # the relation and phi_S(phi_U(g)) for y and z, and phi_(S+U)(g) for y
-    # and z (x is unmoved, and phi(x) = x has no U)
-    (["exp-verify", "--ring", _R, "--map", _MAP], 5),
+    # the relation and phi_S(phi_U(g)) for y and z (x is unmoved);
+    # phi_(S+U)(g) expands by binomial rows and substitutes nothing
+    (["exp-verify", "--ring", _R, "--map", _MAP], 3),
     # the same verification, then phi(y)
-    (["derive", "--ring", _R, "--map", _MAP, "--expr", "y", "--order", "2"], 6),
+    (["derive", "--ring", _R, "--map", _MAP, "--expr", "y", "--order", "2"], 4),
     # the verification of phi and of the bar map; the sampled invariants
     # lie in k[x], which neither map moves
-    (["homogenize", "--ring", _R, "--map", _MAP, "--weights", "w{x:0, y:2, z:1}"], 10),
+    (["homogenize", "--ring", _R, "--map", _MAP, "--weights", "w{x:0, y:2, z:1}"], 6),
     # the composite applied to y: building the shear and the involution,
     # whose forced y-images substitute x -> 1*x into h, substitutes nothing
     (["aut-apply", "--ring", _R, "--word", "E(x) * T", "--expr", "y"], 1),
@@ -375,7 +517,7 @@ _SUBSTITUTIONS = [
     (["aut-compose", "--ring", _R, "--word", "L(-1) * E(x) * T * E(1+x)"], 2),
     (["aut-decompose", "--ring", _R, "--word", "E(1) * T"], 0),
     # the witness's exponential map verified, applied and expanded in the slice
-    (["cancel-verify", "--n1", "2", "--n2", "3", "--field", "Q"], 34),
+    (["cancel-verify", "--n1", "2", "--n2", "3", "--field", "Q"], 31),
 ]
 
 
@@ -387,8 +529,11 @@ def test_substitution_count(argv, count, monkeypatch):
         calls.append(args[0])
         return substitute_terms(*args, **kwargs)
 
-    monkeypatch.setattr(polyring, "substitute_terms", counting)
-    monkeypatch.setattr(surface, "substitute_terms", counting)
+    # every module that binds it, so that no call goes round the count
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("dansurf.")
+                and getattr(module, "substitute_terms", None) is substitute_terms):
+            monkeypatch.setattr(module, "substitute_terms", counting)
     assert dispatch(argv)[0] == 0
     assert len(calls) == count, argv
 
@@ -450,8 +595,10 @@ def _fold_pairs(argv, monkeypatch) -> int:
 _FOLDS = [
     # the witness map's 25 applies and its relation check share its memo of
     # image powers and group products, and the five shifts U -> U - s share
-    # one: 5917 pairs with a memo per apply, 4584 with one per shift
-    (["cancel-verify", "--n1", "2", "--n2", "3", "--field", "Q"], 4463),
+    # one: 5917 pairs with a memo per apply, 4584 with one per shift; the
+    # coaction check's phi_(S+U)(g) expands by binomial rows and folds
+    # nothing, where substituting U -> S + U folded 18 pairs (4463)
+    (["cancel-verify", "--n1", "2", "--n2", "3", "--field", "Q"], 4445),
     # L(2) sends x -> 2*x and y -> y/8, which act on each term in place:
     # 951 pairs with the two images bound
     (["aut-apply", "--ring", "R(n=3,h=1,field=Q)", "--word", "L(2) * T * E(x)",

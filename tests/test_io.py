@@ -393,8 +393,6 @@ def test_regexes_compile_under_python_3_10():
             assert _NEWER_OPCODES & set(_opcodes(_parser.parse(pattern))), pattern
     patterns = []
     for info in pkgutil.iter_modules(dansurf.__path__, "dansurf."):
-        if info.name == "dansurf.__main__":  # runs the CLI on import
-            continue
         for value in vars(importlib.import_module(info.name)).values():
             values = [value, *vars(value).values()] if isinstance(value, type) else [value]
             patterns += [v for v in values if isinstance(v, re.Pattern)]

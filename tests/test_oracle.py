@@ -208,8 +208,9 @@ EXP_FAMILIES = [
                          ids=[f"{f.label}-n{n}-U{c[-1][0]}" for f, n, _, c in EXP_FAMILIES])
 def test_exponential_map_images_match_sympy(monkeypatch, field, n, h, coeffs):
     # the relation under the images and both sides of the coaction law,
-    # expanded and reduced by sympy, against the substitutions that
-    # verify_exponential makes
+    # expanded and reduced by sympy, against the views that
+    # verify_exponential forms: the substitutions for the relation and for
+    # phi_S(phi_U(g)), and the binomial expansion of phi_(S+U)(g)
     import dansurf.expmaps as expmaps
     from dansurf import build_exponential, parse_poly, verify_exponential
 
@@ -218,29 +219,37 @@ def test_exponential_map_images_match_sympy(monkeypatch, field, n, h, coeffs):
     U, S = SYM["U"], SYM["S"]
     images = {SYM[v]: to_sympy(img.to_poly()) for v, img in phi.images.items()}
     images_s = {g: img.subs(U, S) for g, img in images.items()}
-    seen = []  # (the element substituted into, the result)
+    substituted, shifted = [], []  # (the element, its view) per side
 
-    def recording(*args, kernel=expmaps.substitute_poly):
-        result = kernel(*args)
-        seen.append((args[1], result))
-        return result
+    def substituting(*args, kernel=expmaps.substitute_view):
+        view = kernel(*args)
+        substituted.append((args[1], view))
+        return view
 
-    monkeypatch.setattr(expmaps, "substitute_poly", recording)
+    def shifting(a, rows, kernel=expmaps.u_shifted):
+        view = kernel(a, rows)
+        shifted.append((a, view))
+        return view
+
+    monkeypatch.setattr(expmaps, "substitute_view", substituting)
+    monkeypatch.setattr(expmaps, "u_shifted", shifting)
     assert verify_exponential(phi).passed
     monkeypatch.undo()
-    (rel, image_rel), *axiom_ii = seen
-    assert rel == spec.relation() and image_rel.is_zero()
+    (rel, image_rel), *lhs_views = substituted
+    assert rel == spec.relation() and not image_rel[1]
     theirs = reduce_mod_relation(to_sympy(rel).subs(images, simultaneous=True), spec)
     assert agree(theirs, sympy.Integer(0), field)
-    assert [a for a, _ in axiom_ii] == [phi.images[v] for v in phi.carriers()]
-    for (a, lhs), var in zip(axiom_ii, phi.carriers()):
+    # phi(x) = x is unmoved, so its phi_S(phi_U(x)) is x itself
+    assert [a for a, _ in lhs_views] == [phi.images["y"], phi.images["z"]]
+    lhs_of = {"x": phi.images["x"].ints(), "y": lhs_views[0][1], "z": lhs_views[1][1]}
+    assert [a for a, _ in shifted] == [phi.images[v] for v in phi.carriers()]
+    for (_, rhs), var in zip(shifted, phi.carriers()):
         img = images[SYM[var]]
         theirs_lhs = reduce_mod_relation(img.subs(images_s, simultaneous=True), spec)
         theirs_rhs = reduce_mod_relation(img.subs(U, S + U), spec)
         assert agree(theirs_lhs, theirs_rhs, field), var
-        assert agree(to_sympy(lhs.to_poly()), theirs_lhs, field), var
-        rhs = a.substitute_params({"U": Poly.variable(field, "S") + Poly.variable(field, "U")})
-        assert agree(to_sympy(rhs.to_poly()), theirs_rhs, field), var
+        assert agree(to_sympy(Poly._of_view(field, lhs_of[var])), theirs_lhs, field), var
+        assert agree(to_sympy(Poly._of_view(field, rhs)), theirs_rhs, field), var
     # U^(p^k) reaches the images: the y-image carries U^(2*E) for the top E
     top = max(e for e, _ in coeffs)
     assert phi.image("y").degree_in("U") == 2 * top
