@@ -24,7 +24,7 @@ from math import gcd
 
 from .errors import AlgebraError, InputError, NotCanonicalShape, ParseError
 from .ioformats import _offset, _strip, parse_poly, parse_scalar
-from .polyring import VAR_MONO, Poly, format_poly
+from .polyring import VAR_MONO, Poly, format_poly, lowest_terms
 from .records import Record
 from .scalars import FieldSpec, Scalar, nth_roots
 from .surface import RElem, RingSpec, forced_y, substitute_poly
@@ -37,8 +37,8 @@ def _require_standard(spec: RingSpec):
 
 def _low_part(p: Poly, n: int) -> Poly:
     """The terms of p with x-exponent below n (p reduced mod x^n)."""
-    terms = {m: c for m, c in p.terms.items() if m[2] < n}
-    return Poly(p.field, terms)
+    d, items = p.ints()
+    return Poly._of_view(p.field, lowest_terms(d, [(m, v) for m, v in items if m[2] < n]))
 
 
 class Automorphism(Record):
@@ -278,7 +278,7 @@ def group_structure(spec: RingSpec) -> GroupStructure:
     if not spec.standard:
         raise InputError("group structure is defined for standard specs")
     m = 0
-    for mo in spec.h.terms:
+    for mo, _ in spec.h.ints()[1]:
         if mo[2] > 0:
             m = gcd(m, mo[2])
     field = spec.field

@@ -77,10 +77,15 @@ class Homogenization(Record):
 
 
 def _invariant_sample(spec: RingSpec):
-    """Candidate invariants x^k h^m (k, m <= 3); h-powers only when h != 0."""
+    """Candidate invariants x^k h^m (k, m <= 3); h-powers only when h != 0.
+    Each power of h is formed once, from the one before."""
     x = RElem.var(spec, "x")
-    h = RElem(spec, spec.h, Poly.zero(spec.field))
-    return [x**k * h**m for k in range(4) for m in range(4 if spec.h else 1)]
+    h_powers = [RElem.one(spec)]
+    if spec.h:
+        h = RElem(spec, spec.h, Poly.zero(spec.field))
+        for _ in range(3):
+            h_powers.append(h_powers[-1] * h)
+    return [x**k * hm for k in range(4) for hm in h_powers]
 
 
 def homogenize(phi: ExponentialMap, w: WeightVector) -> Homogenization:

@@ -23,7 +23,7 @@ from functools import lru_cache
 from itertools import islice
 
 from .errors import InputError, ParseError
-from .polyring import VARS, ZERO_MONO, Poly, WeightVector, add_into, format_poly
+from .polyring import VARS, ZERO_MONO, Poly, WeightVector, format_poly
 from .scalars import (FieldSpec, Scalar, digits_to_int, int_to_str, rational, read_int,
                       read_rational)
 from .surface import RElem, RingSpec, normal_form
@@ -51,7 +51,8 @@ def read_exponent(text: str, at: int, what: str) -> int:
 
 def _tops(p: Poly) -> tuple:
     """The largest exponent of each variable in p (0 for the zero polynomial)."""
-    return tuple(map(max, zip(*p.terms))) if p.terms else ZERO_MONO
+    items = p.ints()[1]
+    return tuple(map(max, zip(*[m for m, _ in items]))) if items else ZERO_MONO
 
 
 # One factor and the operator before it: '+', '-', '*' or none (group 1),
@@ -113,8 +114,9 @@ def _add_term(field: FieldSpec, sums: dict, polys: list, c, negate: bool, tops: 
 
 
 def _sum(field: FieldSpec, sums: dict, polys: list) -> Poly:
-    """A sum as a Poly: one Scalar formed for each raw sum, and the Poly
-    terms added to them."""
+    """A sum as a Poly: one Scalar formed for each raw sum, and the terms of
+    the Polys added to them, the monomials whose coefficients cancel
+    dropped."""
     p = field.characteristic
     if p:
         terms = {m: Scalar(field, c % p) for m, c in sums.items() if c % p}
@@ -124,9 +126,14 @@ def _sum(field: FieldSpec, sums: dict, polys: list) -> Poly:
         if len(polys) == 1 and not terms:
             return polys[0]
         raw, terms = terms, dict(polys[0].terms)
-        for q in polys[1:]:
-            add_into(terms, q.terms)
-        add_into(terms, raw)
+        for part in [q.terms for q in polys[1:]] + [raw]:
+            for m, c in part.items():
+                s = terms.get(m)
+                s = c if s is None else s + c
+                if s.is_zero():
+                    terms.pop(m, None)
+                else:
+                    terms[m] = s
     return Poly(field, terms)
 
 
@@ -208,11 +215,12 @@ def _read(text: str, field: FieldSpec) -> Poly:
             _add_term(field, sums, polys, c, negate, tops, rest)
             q = _sum(field, sums, polys)
             sums, polys, c, negate, tops, rest, k_open = stack.pop()
-            if len(q.terms) > 1:
+            d, items = q.ints()
+            if len(items) > 1:
                 qc, q_tops = 1, _tops(q)
-            elif q.terms:
-                (q_tops, v), = q.terms.items()
-                qc, q = v.value, None
+            elif items:
+                (q_tops, v), = items
+                qc, q = (v if d == 1 else rational(Fraction(v, d))), None
             else:
                 qc, q_tops, q = 0, ZERO_MONO, None
             if exp:

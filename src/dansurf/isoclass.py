@@ -57,8 +57,8 @@ def classify(spec1: RingSpec, spec2: RingSpec) -> IsoVerdict:
     if spec1.n != spec2.n:
         return IsoVerdict(False, None, None, "n_mismatch")
     h1, h2 = spec1.h, spec2.h
-    support1 = sorted(m[2] for m in h1.terms)
-    support2 = sorted(m[2] for m in h2.terms)
+    support1 = sorted(m[2] for m, _ in h1.ints()[1])
+    support2 = sorted(m[2] for m, _ in h2.ints()[1])
     if support1 != support2:
         return IsoVerdict(False, None, None, "support_mismatch")
     eta = _coefficient(h2, 0) / _coefficient(h1, 0)

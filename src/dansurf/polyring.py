@@ -35,10 +35,6 @@ def mono(**exps) -> tuple:
     return tuple(m)
 
 
-def _term_key(m: tuple):
-    return (sum(m), m)
-
-
 def format_mono(m: tuple) -> str:
     parts = []
     for var in PRINT_ORDER:
@@ -90,40 +86,46 @@ class WeightVector:
 
 
 class Poly:
-    """A polynomial as a map from monomials to nonzero scalars.
+    """A polynomial, stored as its reduced integer view (d, [(m, v)]): the
+    coefficient of the monomial m is v/d, no v is zero, and d is the lcm of
+    the reduced denominators (1 over F_p and for integral Q), so that equal
+    polynomials have equal d and the same items.
 
-    Values are immutable once constructed; all operations return fresh
-    polynomials in canonical form (no zero coefficients stored).  A fold's
-    result keeps the view it was reduced to; others form theirs on first use.
+    Values are immutable, and operations return fresh values.  `terms`, the
+    map from monomials to nonzero Scalars, is formed from the view on first
+    read and kept; the constructor Poly(field, terms) keeps the terms it is
+    given and forms the view from them.
     """
 
-    __slots__ = ("field", "terms", "_ints")
+    __slots__ = ("field", "_ints", "_terms")
 
     def __init__(self, field: FieldSpec, terms: dict):
         # Trusted constructor; terms must already be canonical.
         self.field = field
-        self.terms = terms
-        self._ints = None
+        self._terms = terms
+        self._ints = terms_view(field, terms)
+
+    @property
+    def terms(self) -> dict:
+        """{monomial: Scalar} over the nonzero coefficients, formed once."""
+        terms = self._terms
+        if terms is None:
+            terms = self._terms = view_terms(self.field, self._ints)
+        return terms
 
     def ints(self) -> tuple:
-        """The integer view (d, [(m, v)]) that fold_product() reads: d is the
-        lcm of the coefficient denominators and v each coefficient times d,
-        an int.  Over F_p and for integral Q, d = 1 and v is the coefficient's
-        value.  A fold's result comes with it; others form it here, once."""
-        view = self._ints
-        if view is None:
-            items = [(m, c.value) for m, c in self.terms.items()]
-            d = 1 if self.field.characteristic else lcm(*{v.denominator for _, v in items})
-            if d != 1:
-                items = [(m, v.numerator * (d // v.denominator)) for m, v in items]
-            view = self._ints = (d, items)
-        return view
+        """The reduced integer view (d, [(m, v)]) that the value is stored as
+        and fold_product() reads."""
+        return self._ints
 
     @staticmethod
-    def _of_view(field: FieldSpec, view: tuple) -> "Poly":
-        """The Poly of a reduced integer view (reduce_view()), which it keeps."""
-        p = Poly(field, view_terms(field, view))
+    def _of_view(field: FieldSpec, view: tuple, terms: dict = None) -> "Poly":
+        """The Poly of a reduced integer view (reduce_view()) and, if given,
+        of the Scalar terms that are already formed for it."""
+        p = object.__new__(Poly)
+        p.field = field
         p._ints = view
+        p._terms = terms
         return p
 
     @staticmethod
@@ -141,12 +143,12 @@ class Poly:
 
     @staticmethod
     def zero(field: FieldSpec) -> "Poly":
-        return Poly(field, {})
+        return Poly._of_view(field, (1, []))
 
     @staticmethod
     def const(field: FieldSpec, value) -> "Poly":
-        c = field.scalar(value)
-        return Poly(field, {} if c.is_zero() else {ZERO_MONO: c})
+        v = field.scalar(value).value
+        return Poly._of_view(field, (v.denominator, [(ZERO_MONO, v.numerator)] if v else []))
 
     @staticmethod
     def variable(field: FieldSpec, name: str, exp: int = 1) -> "Poly":
@@ -155,12 +157,12 @@ class Poly:
             raise InputError(f"unknown variable {name!r}")
         m = [0] * 6
         m[i] = exp
-        return Poly(field, {tuple(m): field.one})
+        return Poly._of_view(field, (1, [(tuple(m), 1)]))
 
-    def _like(self, terms: dict) -> "Poly":
-        """A value of self's kind with the given canonical terms: the one
+    def _like(self, view: tuple) -> "Poly":
+        """A value of self's kind with the given reduced view: the one
         constructor of the methods whose result has the kind of self."""
-        return Poly(self.field, terms)
+        return Poly._of_view(self.field, view)
 
     def _coerce(self, other):
         # exactly a Poly: an element of a quotient ring is not a polynomial
@@ -176,11 +178,9 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not o.terms:
+        if not o._ints[1]:
             return self
-        terms = dict(self.terms)
-        add_into(terms, o.terms)
-        return self._like(terms)
+        return self._like(add_views(self.field, self._ints, o._ints))
 
     __radd__ = __add__
 
@@ -188,7 +188,9 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        if not o._ints[1]:
+            return self
+        return self._like(add_views(self.field, self._ints, o._ints, -1))
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -197,7 +199,10 @@ class Poly:
         return o - self
 
     def __neg__(self):
-        return self._like({m: -c for m, c in self.terms.items()})
+        d, items = self._ints
+        p = self.field.characteristic
+        return self._like((d, [(m, p - v) for m, v in items] if p else
+                              [(m, -v) for m, v in items]))
 
     def __mul__(self, other):
         if isinstance(other, Scalar):
@@ -205,21 +210,23 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        many, one = self.terms, o.terms
-        if len(one) != 1:
-            if len(many) == 1:
+        many, one = self, o
+        if len(one._ints[1]) != 1:
+            if len(many._ints[1]) == 1:
                 many, one = one, many
-            elif not (many and one):
-                return Poly(self.field, {})
+            elif not (many._ints[1] and one._ints[1]):
+                return Poly.zero(self.field)
             else:
                 acc = Accumulator()
-                fold_product(acc, self.ints(), o.ints())
+                fold_product(acc, self._ints, o._ints)
                 return Poly._of_view(self.field, reduce_view(self.field, acc))
-        # a monomial factor: shift the exponents and scale, as scale() does;
-        # a product of nonzero field elements needs no zero test
-        ((b0, b1, b2, b3, b4, b5), c), = one.items()
+        # a one-term factor, as in the products that build a relation, a
+        # shear or exp-build's F from parsed parts: shift the exponents and
+        # multiply each Scalar by its one; a product of nonzero field
+        # elements needs no zero test
+        ((b0, b1, b2, b3, b4, b5), c), = one.terms.items()
         terms = {}
-        for (a0, a1, a2, a3, a4, a5), v in many.items():
+        for (a0, a1, a2, a3, a4, a5), v in many.terms.items():
             terms[a0 + b0, a1 + b1, a2 + b2, a3 + b3, a4 + b4, a5 + b5] = v * c
         return Poly(self.field, terms)
 
@@ -233,57 +240,66 @@ class Poly:
     def dense_over_q(self) -> bool:
         """Whether power() steps up: over Q, three terms in two variables (the
         e-th power of a binomial has e + 1 terms, like a univariate one's)."""
-        return not self.field.characteristic and len(self.terms) > 2 and len(self.variables()) > 1
+        return (not self.field.characteristic and len(self._ints[1]) > 2
+                and len(self.variables()) > 1)
 
     def is_monomial(self) -> bool:
         """At most one term, so power() forms c^e*m^e in one step."""
-        return len(self.terms) <= 1
+        return len(self._ints[1]) <= 1
 
     def monomial_power(self, e: int) -> "Poly":
-        """self^e (e >= 1) for a base of at most one term: c^e*m^e."""
-        if not self.terms:
+        """self^e (e >= 1) for a base of at most one term: c^e*m^e, whose
+        view is (d^e, [(m^e, v^e)]), reduced as (d, [(m, v)]) is."""
+        d, items = self._ints
+        if not items:
             return self
-        ((a0, a1, a2, a3, a4, a5), c), = self.terms.items()
-        return self._like({(a0 * e, a1 * e, a2 * e, a3 * e, a4 * e, a5 * e): c**e})
+        ((a0, a1, a2, a3, a4, a5), v), = items
+        m = (a0 * e, a1 * e, a2 * e, a3 * e, a4 * e, a5 * e)
+        p = self.field.characteristic
+        return self._like((1, [(m, pow(v, e, p))]) if p else (d**e, [(m, v**e)]))
 
     def frobenius(self) -> "Poly":
-        """self^p over F_p: every exponent times p, the coefficients kept, as
-        (sum c*m)^p = sum c^p*m^p and c^p = c.  It keeps the integer view
-        (1, [(m, c.value)]) of its terms, as a fold's result does."""
+        """self^p over F_p: every exponent of the view times p, the values
+        kept, as (sum c*m)^p = sum c^p*m^p and c^p = c."""
         p = self.field.characteristic
-        terms, items = {}, []
-        for (a0, a1, a2, a3, a4, a5), c in self.terms.items():
-            m = (a0 * p, a1 * p, a2 * p, a3 * p, a4 * p, a5 * p)
-            terms[m] = c
-            items.append((m, c.value))
-        frob = self._like(terms)
-        frob._ints = (1, items)
-        return frob
+        return self._like((1, [((a0 * p, a1 * p, a2 * p, a3 * p, a4 * p, a5 * p), v)
+                               for (a0, a1, a2, a3, a4, a5), v in self._ints[1]]))
 
     def scale(self, c) -> "Poly":
-        c = self.field.scalar(c)
-        return self._like({} if c.is_zero() else {m: v * c for m, v in self.terms.items()})
+        """c*self: each value times c's numerator, over d times c's
+        denominator, in lowest terms (mod p over F_p)."""
+        c = self.field.scalar(c).value
+        d, items = self._ints
+        p = self.field.characteristic
+        if not c:
+            return self._like((1, []))
+        if p:
+            return self._like((1, [(m, v * c % p) for m, v in items]))
+        k = c.numerator
+        return self._like(lowest_terms(d * c.denominator, [(m, v * k) for m, v in items]))
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._ints[1])
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._ints[1]
 
     def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and ZERO_MONO in self.terms)
+        items = self._ints[1]
+        return not items or (len(items) == 1 and items[0][0] == ZERO_MONO)
 
     def __eq__(self, other):
         if type(other) is not Poly:
             return NotImplemented
-        return self.field == other.field and self.terms == other.terms
+        return self.field == other.field and same_view(self._ints, other._ints)
 
     def __hash__(self):
-        return hash((self.field, frozenset(self.terms.items())))
+        d, items = self._ints
+        return hash((self.field, d, frozenset(items)))
 
     def variables(self) -> set:
         used = set()
-        for m in self.terms:
+        for m, _ in self._ints[1]:
             for i, e in enumerate(m):
                 if e:
                     used.add(VARS[i])
@@ -291,23 +307,22 @@ class Poly:
 
     def constant_value(self) -> Scalar:
         """The coefficient of the constant monomial."""
-        return self.terms.get(ZERO_MONO) or self.field.zero
+        d, items = self._ints
+        for m, v in items:
+            if m == ZERO_MONO:
+                return coefficient(self.field, v, d)
+        return self.field.zero
 
     def coeff_of(self, var: str, k: int) -> "Poly":
         """The coefficient of var^k, as a polynomial in the remaining variables."""
         vi = VAR_INDEX[var]
-        terms = {}
-        for m, c in self.terms.items():
-            if m[vi] == k:
-                stripped = m[:vi] + (0,) + m[vi + 1 :]
-                terms[stripped] = c
-        return Poly(self.field, terms)
+        d, items = self._ints
+        return Poly._of_view(self.field, lowest_terms(
+            d, [(m[:vi] + (0,) + m[vi + 1 :], v) for m, v in items if m[vi] == k]))
 
     def degree_in(self, var: str):
         vi = VAR_INDEX[var]
-        if not self.terms:
-            return NEG_INF
-        return max(m[vi] for m in self.terms)
+        return max((m[vi] for m, _ in self._ints[1]), default=NEG_INF)
 
     def substitute(self, bindings: dict) -> "Poly":
         """Homomorphic substitution; variables absent from bindings map to themselves."""
@@ -321,38 +336,38 @@ class Poly:
                 raise InputError("substitution value over a different field")
             images[var] = val
         if unmoved(self, images):
-            return Poly(self.field, self.terms)
+            return Poly._of_view(self.field, self._ints, self._terms)
         return Poly._of_view(self.field, substitute_terms(self, images))
 
     def weighted_degree(self, w: WeightVector):
         """max over terms of the weighted exponent sum; -inf on the zero polynomial."""
-        if not self.terms:
-            return NEG_INF
-        return max(w.mono_weight(m) for m in self.terms)
+        weight = w.mono_weight
+        return max((weight(m) for m, _ in self._ints[1]), default=NEG_INF)
 
     def top_part(self, w: WeightVector) -> "Poly":
-        """The sum of the terms achieving the weighted degree."""
-        if not self.terms:
+        """The sum of the terms achieving the weighted degree, each weight
+        read once."""
+        d, items = self._ints
+        if not items:
             raise InputError("top part of the zero polynomial is undefined")
-        best = self.weighted_degree(w)
-        return self._like({m: c for m, c in self.terms.items() if w.mono_weight(m) == best})
+        weight = w.mono_weight
+        weights = [weight(m) for m, _ in items]
+        best = max(weights)
+        return self._like(lowest_terms(d, [it for it, wt in zip(items, weights) if wt == best]))
 
     def divide_var_power(self, var: str, m: int) -> "Poly":
         """Exact division by var^m; raises NotDivisible naming the offending term."""
         vi = VAR_INDEX[var]
-        terms = {}
-        for mo, c in self.terms.items():
+        d, items = self._ints
+        lowered = []
+        for mo, v in items:
             if mo[vi] < m:
+                c = coefficient(self.field, v, d)
                 term = f"{c}*{format_mono(mo)}" if format_mono(mo) else str(c)
                 raise NotDivisible(f"term {term} has {var}-exponent {int_to_str(mo[vi])} < "
                                    f"{int_to_str(m)}")
-            lowered = mo[:vi] + (mo[vi] - m,) + mo[vi + 1 :]
-            terms[lowered] = c
-        return self._like(terms)
-
-    def sorted_terms(self):
-        """Terms in descending graded-lex order (z > y > x > T > U > S)."""
-        return sorted(self.terms.items(), key=lambda kv: _term_key(kv[0]), reverse=True)
+            lowered.append((mo[:vi] + (mo[vi] - m,) + mo[vi + 1 :], v))
+        return self._like((d, lowered))
 
     def __repr__(self):
         return f"Poly({format_poly(self)} over {self.field.label})"
@@ -361,16 +376,55 @@ class Poly:
         return format_poly(self)
 
 
-def add_into(terms: dict, other: dict) -> None:
-    """Add the terms `other` to the term dict `terms` in place, dropping the
-    monomials whose coefficients cancel."""
-    for m, c in other.items():
-        s = terms.get(m)
-        s = c if s is None else s + c
-        if s.is_zero():
-            terms.pop(m, None)
-        else:
-            terms[m] = s
+def terms_view(field: FieldSpec, terms: dict) -> tuple:
+    """The reduced integer view of canonical Scalar terms: d is the lcm of
+    the coefficient denominators and v each coefficient times d, an int."""
+    items = [(m, c.value) for m, c in terms.items()]
+    d = 1 if field.characteristic else lcm(*{v.denominator for _, v in items})
+    if d != 1:
+        items = [(m, v.numerator * (d // v.denominator)) for m, v in items]
+    return d, items
+
+
+def coefficient(field: FieldSpec, v: int, d: int) -> Scalar:
+    """The Scalar v/d of a view's value v over its denominator d."""
+    return Scalar(field, v if d == 1 else Fraction(v, d) if v % d else v // d)
+
+
+def lowest_terms(den: int, items: list) -> tuple:
+    """The view (den, items) with the common factor of den and every value
+    divided out, so that den is the lcm of the reduced denominators; a view
+    over F_p has den = 1 and is returned as it is."""
+    if den != 1:
+        g = gcd(den, *[v for _, v in items])
+        if g != 1:
+            den //= g
+            items = [(m, v // g) for m, v in items]
+    return den, items
+
+
+def same_view(a: tuple, b: tuple) -> bool:
+    """Whether two reduced views are one polynomial: the same denominator
+    and the same items, in any order."""
+    (da, la), (db, lb) = a, b
+    return da == db and len(la) == len(lb) and (la == lb or dict(la) == dict(lb))
+
+
+def add_views(field: FieldSpec, left: tuple, right: tuple, sign: int = 1) -> tuple:
+    """The reduced view of left + sign*right (sign = 1 or -1): the values of
+    both over the lcm of their denominators, summed, and reduced once by
+    reduce_view()."""
+    (dl, left), (dr, right) = left, right
+    acc = Accumulator()
+    d = acc.den = dl if dl == dr else lcm(dl, dr)
+    k = d // dl
+    sums = acc.sums = dict(left) if k == 1 else {m: v * k for m, v in left}
+    k = sign * (d // dr)
+    get = sums.get
+    for m, v in right:
+        s = get(m)
+        sums[m] = v * k if s is None else s + v * k
+    return reduce_view(field, acc)
 
 
 class Accumulator:
@@ -413,12 +467,11 @@ def fold_product(acc: Accumulator, left: tuple, right: tuple) -> None:
 
 
 def reduce_view(field: FieldSpec, acc: Accumulator) -> tuple:
-    """The one reduction of a fold: the integer view (d, [(m, v)]) of the raw
-    sums in acc, as Poly.ints() reads it from the result's Scalars.  Each
-    value is reduced mod p, or over Q the numerators and the common
-    denominator are divided by their gcd, so that d is the lcm of the
-    reduced denominators; zeros are dropped and no Scalar is formed."""
-    p, den = field.characteristic, acc.den
+    """The one reduction of a fold: the reduced integer view (d, [(m, v)]) of
+    the raw sums in acc, which a Poly stores.  Each value is reduced mod p,
+    or over Q the numerators and the common denominator are divided by
+    their gcd (lowest_terms()); zeros are dropped and no Scalar is formed."""
+    p = field.characteristic
     if p:
         items = []
         for m, v in acc.sums.items():
@@ -426,21 +479,14 @@ def reduce_view(field: FieldSpec, acc: Accumulator) -> tuple:
             if v:
                 items.append((m, v))
         return 1, items
-    items = [(m, v) for m, v in acc.sums.items() if v]
-    if den != 1:
-        g = gcd(den, *[v for _, v in items])
-        if g != 1:
-            den //= g
-            items = [(m, v // g) for m, v in items]
-    return den, items
+    return lowest_terms(acc.den, [(m, v) for m, v in acc.sums.items() if v])
 
 
 def view_terms(field: FieldSpec, view: tuple) -> dict:
-    """The terms of a reduced view: Scalars v // d where d divides v, else Fraction(v, d)."""
+    """The terms of a reduced view, as Poly.terms forms them on first read:
+    Scalars v // d where d divides v, else Fraction(v, d)."""
     d, items = view
-    if d == 1:
-        return {m: Scalar(field, v) for m, v in items}
-    return {m: Scalar(field, Fraction(v, d) if v % d else v // d) for m, v in items}
+    return {m: coefficient(field, v, d) for m, v in items}
 
 
 # The integer view of the constant 1, in every field.
@@ -500,7 +546,7 @@ def unmoved(p: Poly, images: dict, z_top: float = float("inf")) -> bool:
     z-exponent above z_top.  One scan of p's terms, which stops at the
     first that fails."""
     moved = [VAR_INDEX[var] for var, img in images.items() if not is_variable(img, var)]
-    for m in p.terms:
+    for m, _ in p.ints()[1]:
         if m[0] > z_top:
             return False
         for i in moved:
@@ -610,18 +656,23 @@ def substitute_terms(p: Poly, images: dict, fold_relation=None,
 
 
 def format_poly(p: Poly) -> str:
-    """Canonical text form; parse(format(p)) reproduces p exactly."""
-    if p.is_zero():
+    """Canonical text form; parse(format(p)) reproduces p exactly.  Printed
+    from the view: each value over the denominator in lowest terms, one gcd
+    per term."""
+    d, items = p.ints()
+    if not items:
         return "0"
     signed = not p.field.characteristic  # residues in [0, p) print unsigned
     pieces = []
-    for m, c in p.sorted_terms():
-        negative = signed and c.value < 0
-        mag = -c if negative else c
+    # descending graded-lex order (z > y > x > T > U > S)
+    for m, v in sorted(items, key=lambda kv: (sum(kv[0]), kv[0]), reverse=True):
+        negative = signed and v < 0
+        g = gcd(v, d)  # 1 where d = 1
+        mag = int_to_str(abs(v) // g) + (f"/{int_to_str(d // g)}" if g != d else "")
         ms = format_mono(m)
         if not ms:
-            body = str(mag)
-        elif mag == 1:
+            body = mag
+        elif mag == "1":
             body = ms
         else:
             body = f"{mag}*{ms}"

@@ -18,9 +18,9 @@ from __future__ import annotations
 from functools import cached_property
 
 from .errors import InputError
-from .polyring import (Accumulator, Poly, SubstitutionMemo, WeightVector, fold_product,
-                       format_poly, power, reduce_view, substitute_terms, unmoved,
-                       view_terms)
+from .polyring import (Accumulator, Poly, SubstitutionMemo, WeightVector, add_views,
+                       fold_product, format_poly, lowest_terms, power, reduce_view, same_view,
+                       substitute_terms, terms_view, unmoved)
 from .records import Record
 from .scalars import FieldSpec, Scalar, int_to_str
 
@@ -139,31 +139,33 @@ class RElem(Poly):
             raise InputError("component over a different field")
         if "z" in f1.variables() or "z" in f2.variables():
             raise InputError("normal-form components must not contain z")
-        terms = dict(f1.terms)  # f1 and z*f2 share no monomial
-        for (_, a1, a2, a3, a4, a5), c in f2.terms.items():
-            terms[1, a1, a2, a3, a4, a5] = c
-        Poly.__init__(self, spec.field, terms)
+        d, items = f2.ints()
+        z_f2 = (d, [((1, a1, a2, a3, a4, a5), v) for (_, a1, a2, a3, a4, a5), v in items])
+        self.field = spec.field
+        self._ints = add_views(spec.field, f1.ints(), z_f2)
+        self._terms = None
         self.spec = spec
 
     @classmethod
     def _trusted(cls, spec: RingSpec, terms: dict, view: tuple = None) -> "RElem":
-        """Skip the checks: terms must be canonical, over spec.field and of
-        z-degree at most 1, as the results of operations on such elements
-        are; `view`, if given, is their integer view."""
+        """Skip the checks: the value must be canonical, over spec.field and
+        of z-degree at most 1, as the results of operations on such elements
+        are.  It is its reduced `view`; `terms`, if given, are its Scalars,
+        and the view is formed from them when not given."""
         a = object.__new__(cls)
         a.field = spec.field
-        a.terms = terms
-        a._ints = view
+        a._terms = terms
+        a._ints = terms_view(spec.field, terms) if view is None else view
         a.spec = spec
         return a
 
-    def _like(self, terms: dict) -> "RElem":
-        return RElem._trusted(self.spec, terms)
+    def _like(self, view: tuple) -> "RElem":
+        return RElem._trusted(self.spec, None, view)
 
     # Generators and constants are normal forms, so they skip the checks.
     @classmethod
     def zero(cls, spec: RingSpec) -> "RElem":
-        return cls._trusted(spec, {})
+        return cls._trusted(spec, None, (1, []))
 
     @classmethod
     def one(cls, spec: RingSpec) -> "RElem":
@@ -171,11 +173,11 @@ class RElem(Poly):
 
     @classmethod
     def const(cls, spec: RingSpec, value) -> "RElem":
-        return cls._trusted(spec, Poly.const(spec.field, value).terms)
+        return cls._trusted(spec, None, Poly.const(spec.field, value).ints())
 
     @classmethod
     def var(cls, spec: RingSpec, name: str) -> "RElem":
-        return cls._trusted(spec, Poly.variable(spec.field, name).terms)
+        return cls._trusted(spec, None, Poly.variable(spec.field, name).ints())
 
     @property
     def f1(self) -> Poly:
@@ -206,8 +208,7 @@ class RElem(Poly):
         acc = Accumulator()
         fold_product(acc, self.ints(), o.ints())
         spec.fold_relation(acc)
-        view = reduce_view(spec.field, acc)
-        return RElem._trusted(spec, view_terms(spec.field, view), view)
+        return RElem._trusted(spec, None, reduce_view(spec.field, acc))
 
     __rmul__ = __mul__
 
@@ -217,7 +218,7 @@ class RElem(Poly):
         return power({1: self}, k) if k else RElem.one(self.spec)
 
     def _has_z(self) -> bool:
-        return any(m[0] for m in self.terms)
+        return any(m[0] for m, _ in self._ints[1])
 
     def dense_over_q(self) -> bool:
         """As for Poly; over Q a z term makes it dense, as z^2 = x^n*y - h*z."""
@@ -225,7 +226,7 @@ class RElem(Poly):
 
     def is_monomial(self) -> bool:
         """z-free with at most one term, so power() forms c^e*m^e in one step."""
-        return len(self.terms) <= 1 and not self._has_z()
+        return len(self._ints[1]) <= 1 and not self._has_z()
 
     def frobenius(self) -> "RElem":
         """self^p over F_p: every exponent of the integer view times p (c^p =
@@ -237,26 +238,26 @@ class RElem(Poly):
         acc.sums = {(a0 * p, a1 * p, a2 * p, a3 * p, a4 * p, a5 * p): v
                     for (a0, a1, a2, a3, a4, a5), v in self.ints()[1]}
         spec.fold_relation(acc, p)
-        view = reduce_view(spec.field, acc)
-        return RElem._trusted(spec, view_terms(spec.field, view), view)
+        return RElem._trusted(spec, None, reduce_view(spec.field, acc))
 
     def __eq__(self, other):
         if not isinstance(other, RElem):
             return NotImplemented
         same = self.spec is other.spec or self.spec == other.spec
-        return same and self.terms == other.terms
+        return same and same_view(self._ints, other._ints)
 
     def to_poly(self) -> Poly:
         """The normal form as a plain polynomial."""
-        return Poly(self.field, self.terms)
+        return Poly._of_view(self.field, self._ints, self._terms)
 
     def u_coefficients(self) -> dict:
         """{i: the U^i-coefficient} over the nonzero ones, in ascending i,
-        read in one walk."""
+        read in one walk of the view."""
+        d, items = self._ints
         parts = {}
-        for (a0, a1, a2, a3, i, a5), c in self.terms.items():
-            parts.setdefault(i, {})[a0, a1, a2, a3, 0, a5] = c
-        return {i: self._like(parts[i]) for i in sorted(parts)}
+        for (a0, a1, a2, a3, i, a5), v in items:
+            parts.setdefault(i, []).append(((a0, a1, a2, a3, 0, a5), v))
+        return {i: self._like(lowest_terms(d, parts[i])) for i in sorted(parts)}
 
     def substitute_params(self, bindings: dict) -> "RElem":
         """Substitute z-free polynomials for the free parameters T, U, S only."""
@@ -265,7 +266,7 @@ class RElem(Poly):
                 raise InputError(f"{var!r} is not a free parameter")
             if type(val) is Poly and "z" in val.variables():
                 raise InputError("normal-form components must not contain z")
-        return self._like(self.substitute(bindings).terms)
+        return self._like(self.substitute(bindings).ints())
 
     def top_part(self, w: WeightVector, target: RingSpec = None) -> "RElem":
         """The terms achieving the weighted degree, read in `target` (default: same spec)."""
@@ -274,7 +275,7 @@ class RElem(Poly):
         target = target or self.spec
         if target.field != self.field:
             raise InputError("component over a different field")
-        return RElem._trusted(target, Poly.top_part(self, w).terms)
+        return RElem._trusted(target, None, Poly.top_part(self, w).ints())
 
     def __repr__(self):
         return f"RElem({format_poly(self)})"
@@ -338,9 +339,10 @@ def substitute_poly(spec: RingSpec, p: Poly, images: dict,
         if img.spec is not spec and img.spec != spec:
             raise InputError("elements of different rings")
     if unmoved(p, images, z_top=1):
-        return p if type(p) is RElem and p.spec is spec else RElem._trusted(spec, p.terms, p._ints)
-    view = substitute_view(spec, p, images, memo)
-    return RElem._trusted(spec, view_terms(spec.field, view), view)
+        if type(p) is RElem and p.spec is spec:
+            return p
+        return RElem._trusted(spec, p._terms, p._ints)
+    return RElem._trusted(spec, None, substitute_view(spec, p, images, memo))
 
 
 def substitute_view(spec: RingSpec, p: Poly, images: dict,

@@ -11,7 +11,7 @@ replaced; monomial images, which act in place, and prime-power rows
 against closed forms near the exponent bound.  Work counts pin the number
 of substitutions the map, automorphism and cancellation commands make, the
 products of a Frobenius power and of cancel-verify, and the term pairs
-that cancel-verify and a scaling's aut-apply fold.
+that cancel-verify and a scaling's aut-apply fold and the Scalars they form.
 """
 
 import re
@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dansurf import FieldSpec, InputError, ParseError, Poly, RElem, WeightVector, parse_poly
-from dansurf import polyring, surface
+from dansurf import ioformats, polyring, scalars, surface
 from dansurf.cli import dispatch
 from dansurf.expmaps import (ExponentialMap, at_u_zero, binomial_row, solve_generator_images,
                              u_renamed_s, u_shifted, verify_exponential)
@@ -609,6 +609,34 @@ _FOLDS = [
 @pytest.mark.parametrize("argv, pairs", _FOLDS, ids=[a[0] for a, _ in _FOLDS])
 def test_fold_term_pairs(argv, pairs, monkeypatch):
     assert _fold_pairs(argv, monkeypatch) == pairs, argv
+
+
+def _scalars_formed(argv, monkeypatch) -> int:
+    """The Scalars that dispatch(argv) constructs, with the spec and map
+    caches emptied first so that the ring is parsed again."""
+    count = [0]
+    init = scalars.Scalar.__init__
+
+    def counting(self, field, value):
+        count[0] += 1
+        init(self, field, value)
+
+    ioformats.parse_ring_spec.cache_clear()
+    ioformats._map_images.cache_clear()
+    monkeypatch.setattr(scalars.Scalar, "__init__", counting)
+    assert dispatch(argv)[0] == 0
+    return count[0]
+
+
+# A Poly stores its reduced integer view, and its Scalars are formed only
+# when `.terms` is read: when every fold, substitution and Frobenius result
+# formed one Scalar per term, these two commands formed 1146 and 442.
+_SCALARS = [(_FOLDS[0][0], 22), (_FOLDS[1][0], 28)]
+
+
+@pytest.mark.parametrize("argv, formed", _SCALARS, ids=[a[0] for a, _ in _SCALARS])
+def test_scalars_formed(argv, formed, monkeypatch):
+    assert _scalars_formed(argv, monkeypatch) == formed, argv
 
 
 @pytest.mark.parametrize("field", [F2, F3, F5, FieldSpec(2147483647)], ids=lambda f: f.label)
