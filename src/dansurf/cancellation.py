@@ -21,6 +21,14 @@ satisfying phi(s) = s + U, which forces R_2[T] = R_1[s].  Every displayed
 identity is machine-checked by verify_witness; the identity involving a
 negative power of x is restated multiplied through by x^{n2-n1} so it lives
 inside the ring.
+
+That R_2[T] = R_1[s] is checked on T, y_2, z_2, T^2 and y_2 z_2: each is
+expanded as sum c_k s^k and rebuilt from its expansion.  The coefficients
+of T, y_2 and z_2 are checked by substitution, phi(c) = c.  Once phi maps
+the relation to 0 it is a ring homomorphism of R_2[T], so its invariants
+form a subring, and a coefficient of T^2 or of y_2 z_2 that equals the
+matching coefficient of the product of two checked expansions is
+invariant without a substitution.
 """
 
 from __future__ import annotations
@@ -99,7 +107,22 @@ def _zero_check(name: str, value: RElem, label: str = "") -> CheckResult:
 
 
 def verify_witness(w: CancellationWitness) -> VerificationReport:
-    """Run the seven checks; failures become report checks, never exceptions."""
+    """Run the seven checks; failures become report checks, never exceptions.
+
+    slice_generates expands T, y2, z2, T^2 and y2*z2 in the slice
+    (expand_in_slice), asks each expansion to rebuild its element, and asks
+    each coefficient c to be invariant.  The coefficients of T, y2 and z2
+    are checked by substitution, phi(c) = c.  A coefficient c_k of the
+    product rows T^2 = T*T and y2*z2 is certified without one when it
+    equals sum_{i+j=k} a_i*b_j, the a_i and b_j being the coefficients of
+    its two factor rows, provided the exponential check passed and every
+    coefficient of both factor rows passed phi(c) = c.  That is exact: the
+    exponential check includes phi(relation) = 0, so phi is a ring
+    homomorphism of R2[T] and its invariants, the kernel of phi - id, form
+    a subring.  Any other coefficient is substituted, with the same message
+    when it is not invariant, so the report is the one that substituting
+    every coefficient gives.
+    """
     spec2 = w.spec2
     x = RElem.var(spec2, "x")
     y = RElem.var(spec2, "y")
@@ -139,17 +162,31 @@ def verify_witness(w: CancellationWitness) -> VerificationReport:
     bad = []
     # the powers of s and of U - s, formed once for the five elements
     powers, shift = {1: w.s}, SubstitutionMemo()
-    for name, a in (("T", t), ("y2", y), ("z2", z), ("T^2", t * t), ("y2*z2", y * z)):
+    ring_map = checks[0].passed  # phi(relation) = 0: its invariants form a subring
+    invariant = {}  # each row whose coefficients are all invariant: {power: coefficient}
+    for name, a, factors in (("T", t, ()), ("y2", y, ()), ("z2", z, ()),
+                             ("T^2", t * t, ("T", "T")), ("y2*z2", y * z, ("y2", "z2"))):
         try:
             parts = expand_in_slice(w.phi, w.s, a, shift)
         except AlgebraError as exc:
             bad.append(f"{name}: {exc}")
             continue
+        product = {}
+        if ring_map and factors and all(f in invariant for f in factors):
+            left, right = (invariant[f] for f in factors)
+            for i, ai in left.items():
+                for j, bj in right.items():
+                    ab = ai * bj
+                    product[i + j] = product[i + j] + ab if i + j in product else ab
         rebuilt = RElem.zero(spec2)
+        passed = True
         for coeff, k in parts:
-            if w.phi.apply(coeff) != coeff:
+            if not (k in product and product[k] == coeff) and w.phi.apply(coeff) != coeff:
                 bad.append(f"{name}: coefficient of s^{k} is not invariant")
+                passed = False
             rebuilt = rebuilt + (coeff * power(powers, k) if k else coeff)
+        if passed:
+            invariant[name] = {k: coeff for coeff, k in parts}
         if rebuilt != a:
             bad.append(f"{name}: reconstruction differs")
     checks.append(

@@ -540,12 +540,26 @@ def is_variable(img, var: str) -> bool:
     return d == 1 and len(items) == 1 and items[0] == (VAR_MONO[var], 1)
 
 
-def unmoved(p: Poly, images: dict, z_top: float = float("inf")) -> bool:
+def moved_indices(images: dict, memo: SubstitutionMemo = None) -> list:
+    """The indices of the variables whose image in `images` is not the
+    variable itself; kept in `memo`, formed on first use, where the caller
+    keeps one for these images."""
+    if memo is not None and memo.moved is not None:
+        return memo.moved
+    moved = [VAR_INDEX[var] for var, img in images.items() if not is_variable(img, var)]
+    if memo is not None:
+        memo.moved = moved
+    return moved
+
+
+def unmoved(p: Poly, images: dict, z_top: float = float("inf"),
+            memo: SubstitutionMemo = None) -> bool:
     """Whether p is its own image under the Poly or RElem `images`: no term
     has a positive exponent in a variable whose image is not itself, nor a
     z-exponent above z_top.  One scan of p's terms, which stops at the
-    first that fails."""
-    moved = [VAR_INDEX[var] for var, img in images.items() if not is_variable(img, var)]
+    first that fails; the moved variables are read from `memo` where the
+    caller keeps one for these images."""
+    moved = moved_indices(images, memo)
     for m, _ in p.ints()[1]:
         if m[0] > z_top:
             return False
@@ -556,15 +570,17 @@ def unmoved(p: Poly, images: dict, z_top: float = float("inf")) -> bool:
 
 
 class SubstitutionMemo:
-    """What substitution through one fixed set of images forms: the memoised
-    powers (power()) of each bound image, by variable index, and the product
-    of each group's bound powers as a reduced view, by the group's exponent
-    tuple.  A caller that substitutes through the same images again keeps
-    one, as an exponential map does, so that each is formed once."""
+    """What substitution through one fixed set of images forms: the indices
+    of the moved variables (moved_indices()), the memoised powers (power())
+    of each bound image, by variable index, and the product of each group's
+    bound powers as a reduced view, by the group's exponent tuple.  A caller
+    that substitutes through the same images again keeps one, as an
+    exponential map does, so that each is formed once."""
 
-    __slots__ = ("powers", "products")
+    __slots__ = ("moved", "powers", "products")
 
     def __init__(self):
+        self.moved = None
         self.powers = {}
         self.products = {}
 
@@ -594,11 +610,12 @@ def substitute_terms(p: Poly, images: dict, fold_relation=None,
     field = p.field
     q = field.characteristic
     den, items = p.ints()
+    moved = moved_indices(images, memo)
     bound, acts, cleared = [], [], []
     for var, img in images.items():
-        if var != "z" and is_variable(img, var):
-            continue
         i = VAR_INDEX[var]
+        if var != "z" and i not in moved:
+            continue
         if var == "z" or not img.is_monomial():
             bound.append((i, powers.setdefault(i, {1: img})))
         else:

@@ -338,7 +338,7 @@ def substitute_poly(spec: RingSpec, p: Poly, images: dict,
     for img in images.values():
         if img.spec is not spec and img.spec != spec:
             raise InputError("elements of different rings")
-    if unmoved(p, images, z_top=1):
+    if unmoved(p, images, z_top=1, memo=memo):
         if type(p) is RElem and p.spec is spec:
             return p
         return RElem._trusted(spec, p._terms, p._ints)
@@ -349,6 +349,7 @@ def substitute_view(spec: RingSpec, p: Poly, images: dict,
                     memo: SubstitutionMemo = None) -> tuple:
     """substitute_poly's value as its reduced integer view, for images in
     spec, and without the return of an unmoved p.  z stays bound, so its
-    powers come reduced and every free part is z-free."""
+    powers come reduced and every free part is z-free; bound to itself, it
+    moves nothing, so `memo` keeps the moved variables of `images`."""
     bound = {"z": RElem.var(spec, "z"), **images}
     return substitute_terms(p, bound, spec.fold_relation, memo)

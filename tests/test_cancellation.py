@@ -1,6 +1,10 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from dansurf import (
+    AlgebraError,
     InputError,
     RElem,
     build_exponential,
@@ -14,8 +18,10 @@ from dansurf import (
     restrict_to_surface,
     verify_witness,
 )
+from dansurf import cancellation
 from dansurf.cancellation import CancellationWitness
-from dansurf.expmaps import CheckResult, ExponentialMap
+from dansurf.cli import dispatch
+from dansurf.expmaps import CheckResult, ExponentialMap, VerificationReport
 from conftest import F2, F3, F5, Q
 
 
@@ -199,3 +205,103 @@ def test_restriction_matches_family_map(pair):
 @pytest.mark.parametrize("field", [Q, F2, F3, F5])
 def test_full_suite_34(field):
     assert verify_witness(build_witness(field, 3, 4)).passed
+
+
+# Every (n1, n2) that build_witness accepts for n1 <= 5, over each field.
+_INPUTS = [(field, n1, n2) for field in (Q, F2, F3, F5)
+           for n1 in range(2, 6) for n2 in range(n1 + 1, 2 * n1 + 1)]
+
+
+def reference_slice_generates(w):
+    """The slice_generates check with the direct test phi(c) = c on every
+    coefficient of all five rows."""
+    spec = w.spec2
+    t, y, z = (RElem.var(spec, v) for v in ("T", "y", "z"))
+    bad = []
+    for name, a in (("T", t), ("y2", y), ("z2", z), ("T^2", t * t), ("y2*z2", y * z)):
+        try:
+            parts = expand_in_slice(w.phi, w.s, a)
+        except AlgebraError as exc:
+            bad.append(f"{name}: {exc}")
+            continue
+        rebuilt = RElem.zero(spec)
+        for coeff, k in parts:
+            if w.phi.apply(coeff) != coeff:
+                bad.append(f"{name}: coefficient of s^{k} is not invariant")
+            rebuilt = rebuilt + coeff * w.s**k
+        if rebuilt != a:
+            bad.append(f"{name}: reconstruction differs")
+    return CheckResult("slice_generates", not bad, "; ".join(bad))
+
+
+def assert_matches_reference(w):
+    """verify_witness's report equals the one whose slice_generates check
+    substitutes every coefficient; returns the report."""
+    report = verify_witness(w)
+    assert report.checks[-1].name == "slice_generates"
+    assert report == VerificationReport(report.checks[:-1] + (reference_slice_generates(w),))
+    return report
+
+
+@pytest.mark.parametrize("field, n1, n2", _INPUTS,
+                         ids=[f"{f.label}-{n1}-{n2}" for f, n1, n2 in _INPUTS])
+def test_product_rows_match_the_direct_check(field, n1, n2):
+    assert assert_matches_reference(build_witness(field, n1, n2)).passed
+
+
+def _tampered(w, images, s=None):
+    phi = ExponentialMap(w.spec2, images)
+    return CancellationWitness(w.spec2, w.n1, w.n2, w.x1, w.z1, w.y1, phi, w.s if s is None else s)
+
+
+@pytest.mark.parametrize("field", [Q, F3], ids=lambda f: f.label)
+def test_tampered_witnesses_match_the_direct_check(field):
+    w = build_witness(field, 2, 3)
+    x, y, z, t, u = (RElem.var(w.spec2, v) for v in ("x", "y", "z", "T", "U"))
+    # phi(T) with its sign flipped: still an exponential map, but s is no
+    # slice of it, so every row's expansion is refused
+    flipped = dict(w.phi.images, T=t + x ** (w.n2 - w.n1) * u)
+    report = assert_matches_reference(_tampered(w, flipped))
+    assert report.check("exponential").passed
+    assert not report.check("slice_generates").passed
+    # phi(y) without its x^n2*U^2 term breaks the relation
+    short = dict(w.phi.images, y=w.phi.image("y") - x**w.n2 * u**2)
+    report = assert_matches_reference(_tampered(w, short))
+    assert "relation" in report.check("exponential").detail
+    # y -> y + z*U, T -> T + U breaks the relation (its image is x^n2*z*U)
+    # and keeps T a slice: the T, y2 and z2 rows pass phi(c) = c, and the
+    # y2*z2 coefficients, products of theirs, do not, which the product path
+    # would miss
+    report = assert_matches_reference(_tampered(w, {"y": y + z * u, "T": t + u}, s=t))
+    assert not report.check("exponential").passed
+    assert report.check("slice_generates").detail == (
+        "y2*z2: coefficient of s^0 is not invariant; "
+        "y2*z2: coefficient of s^1 is not invariant")
+
+
+def test_a_failed_factor_row_certifies_no_product(monkeypatch):
+    # with the exponential check forced to pass, the product path still
+    # needs every coefficient of both factor rows to pass phi(c) = c: under
+    # y -> y + z^2*U, T -> T + U a y2 coefficient fails, and so do the y2*z2
+    # coefficients that are products of it
+    monkeypatch.setattr(cancellation, "verify_exponential", lambda phi: VerificationReport(()))
+    w = build_witness(Q, 2, 3)
+    y, z, t, u = (RElem.var(w.spec2, v) for v in ("y", "z", "T", "U"))
+    report = assert_matches_reference(_tampered(w, {"y": y + z * z * u, "T": t + u}, s=t))
+    assert report.check("exponential").passed
+    assert report.check("slice_generates").detail == (
+        "y2: coefficient of s^0 is not invariant; y2: coefficient of s^1 is not invariant; "
+        "y2*z2: coefficient of s^0 is not invariant; y2*z2: coefficient of s^1 is not invariant")
+
+
+# The text and --json outputs of cancel-verify on every input above, as
+# printed when every coefficient of slice_generates was substituted.
+_GOLDEN = json.loads((Path(__file__).parent / "data" / "cancel_verify.json").read_text())
+
+
+@pytest.mark.parametrize("field, n1, n2, code, text, json_text", _GOLDEN,
+                         ids=[f"{f}-{n1}-{n2}" for f, n1, n2, *_ in _GOLDEN])
+def test_cancel_verify_golden_output(field, n1, n2, code, text, json_text):
+    argv = ["cancel-verify", "--n1", str(n1), "--n2", str(n2), "--field", field]
+    assert dispatch(argv) == (code, text)
+    assert dispatch(argv + ["--json"]) == (code, json_text)

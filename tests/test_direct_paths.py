@@ -28,7 +28,7 @@ from dansurf.cli import dispatch
 from dansurf.expmaps import (ExponentialMap, at_u_zero, binomial_row, solve_generator_images,
                              u_renamed_s, u_shifted, verify_exponential)
 from dansurf.ioformats import MAX_EXPONENT
-from dansurf.polyring import VARS, mono, substitute_terms, view_terms
+from dansurf.polyring import SubstitutionMemo, VARS, mono, substitute_terms, unmoved, view_terms
 from dansurf.scalars import digits_to_int
 from dansurf.surface import RingSpec, substitute_poly
 
@@ -330,6 +330,47 @@ def test_unmoved_polynomials_match_the_substitution(field):
     assert unmoved and poly_unmoved  # the draw reaches the direct paths
 
 
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+def test_unmoved_reads_the_same_with_a_memo(field, monkeypatch):
+    # a memo keeps the moved variables of its images, found on first use:
+    # unmoved and the substitution answer as without one, and the images
+    # are tested once for each memo
+    r = rng(97 + field.characteristic)
+    spec = RingSpec(field, 3, Poly.const(field, 1) + Poly.variable(field, "x", 2))
+    tested = []
+    is_variable = polyring.is_variable
+
+    def counting(img, var):
+        tested.append(var)
+        return is_variable(img, var)
+
+    monkeypatch.setattr(polyring, "is_variable", counting)
+    answers = set()
+    for _ in range(30):
+        # each variable fixed, or sent to a random element that may be itself
+        images = {v: RElem.var(spec, v) if r.random() < 0.4 else
+                  random_relem(r, spec, variables=("x", "U" if v == "z" else v),
+                               max_terms=r.choice((1, 2)))
+                  for v in r.sample(("x", "y", "z", "T", "U"), r.randint(0, 5))}
+        memo = SubstitutionMemo()
+        for k in range(12):
+            p = random_poly(r, field, variables=r.sample(("x", "y", "z", "T", "U"), 3),
+                            max_terms=3, max_exp=2)
+            z_top = r.choice((1, float("inf")))
+            tested.clear()
+            alone = unmoved(p, images, z_top)
+            assert len(tested) == len(images)
+            tested.clear()
+            assert unmoved(p, images, z_top, memo) == alone, (p, images)
+            assert len(tested) == (0 if k else len(images))
+            answers.add(alone)
+            assert (substitute_poly(spec, p, images, memo)
+                    == substitute_poly(spec, p, images)), (p, images)
+        assert sorted(memo.moved) == sorted(VARS.index(v) for v, img in images.items()
+                                            if img != RElem.var(spec, v))
+    assert answers == {False, True}
+
+
 _SHIFT_FIELDS = FIELDS + (FieldSpec(2147483647),)
 
 
@@ -516,8 +557,11 @@ _SUBSTITUTIONS = [
     # L(-1) moves x in the coefficients of E(x) and E(1+x); nothing else does
     (["aut-compose", "--ring", _R, "--word", "L(-1) * E(x) * T * E(1+x)"], 2),
     (["aut-decompose", "--ring", _R, "--word", "E(1) * T"], 0),
-    # the witness's exponential map verified, applied and expanded in the slice
-    (["cancel-verify", "--n1", "2", "--n2", "3", "--field", "Q"], 31),
+    # the witness's exponential map verified, applied and expanded in the
+    # slice; the coefficients of the T^2 and y2*z2 rows are certified as
+    # products of the T, y2 and z2 rows' invariant coefficients, not applied
+    # (31 when each was substituted)
+    (["cancel-verify", "--n1", "2", "--n2", "3", "--field", "Q"], 26),
 ]
 
 
@@ -562,16 +606,18 @@ def test_relem_product_count_of_frobenius_powers(field, count, monkeypatch):
     assert _relem_products(argv, monkeypatch) == count, argv
 
 
-@pytest.mark.parametrize("n1, n2, field, count", [(2, 3, "Q", 58), (3, 5, "F3", 49)],
+# 58 and 49 when the T^2 and y2*z2 rows' coefficients were substituted: the
+# products of their factor rows' coefficients that certify them add 6 and 7
+@pytest.mark.parametrize("n1, n2, field, count", [(2, 3, "Q", 64), (3, 5, "F3", 56)],
                          ids=["Q", "F3"])
 def test_relem_product_count_of_cancel_verify(n1, n2, field, count, monkeypatch):
     # the slice_generates check forms each power of s and of U - s once for
     # its five elements, over F3 the powers of s from s^3 on are Frobenius
     # steps, and the map's applies and relation check form each power of an
-    # image once in its memo: a power of s formed again per element, a
-    # product chain up to 2p, or a power of an image formed per apply (105
-    # and 55 products) makes more products, and a shift memo per element 60
-    # and 51
+    # image once in its memo: a power of s formed again per element (66 and
+    # 58 products), a product chain up to 2p (64 and 61), a power of an
+    # image formed per apply (84 and 58) or a shift memo per element (66 and
+    # 58) makes more products
     argv = ["cancel-verify", "--n1", str(n1), "--n2", str(n2), "--field", field]
     assert _relem_products(argv, monkeypatch) == count, argv
 
@@ -593,12 +639,15 @@ def _fold_pairs(argv, monkeypatch) -> int:
 
 
 _FOLDS = [
-    # the witness map's 25 applies and its relation check share its memo of
-    # image powers and group products, and the five shifts U -> U - s share
-    # one: 5917 pairs with a memo per apply, 4584 with one per shift; the
-    # coaction check's phi_(S+U)(g) expands by binomial rows and folds
-    # nothing, where substituting U -> S + U folded 18 pairs (4463)
-    (["cancel-verify", "--n1", "2", "--n2", "3", "--field", "Q"], 4445),
+    # the witness map's 20 or so applies and its relation check share its
+    # memo of image powers and group products, and the five shifts U -> U - s
+    # share one: 2611 pairs with a memo per apply, 2424 with one per shift;
+    # the coaction check's phi_(S+U)(g) expands by binomial rows and folds
+    # nothing, where substituting U -> S + U folded 18 pairs more.  4445
+    # when the coefficients of the T^2 and y2*z2 rows were substituted
+    # through the map; they are certified as products of the factor rows'
+    # coefficients instead
+    (["cancel-verify", "--n1", "2", "--n2", "3", "--field", "Q"], 2303),
     # L(2) sends x -> 2*x and y -> y/8, which act on each term in place:
     # 951 pairs with the two images bound
     (["aut-apply", "--ring", "R(n=3,h=1,field=Q)", "--word", "L(2) * T * E(x)",
