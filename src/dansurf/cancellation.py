@@ -28,7 +28,9 @@ of T, y_2 and z_2 are checked by substitution, phi(c) = c.  Once phi maps
 the relation to 0 it is a ring homomorphism of R_2[T], so its invariants
 form a subring, and a coefficient of T^2 or of y_2 z_2 that equals the
 matching coefficient of the product of two checked expansions is
-invariant without a substitution.
+invariant without a substitution.  By the same token phi fixes y_1 once it
+fixes x and z_1, since x^{n1} y_1 = z_1^2 + z_1 and x is a nonzerodivisor;
+and phi(s) is formed once, for the slice check and every expansion.
 """
 
 from __future__ import annotations
@@ -109,6 +111,13 @@ def _zero_check(name: str, value: RElem, label: str = "") -> CheckResult:
 def verify_witness(w: CancellationWitness) -> VerificationReport:
     """Run the seven checks; failures become report checks, never exceptions.
 
+    invariance applies phi to x1 and z1.  y1 is certified without an apply
+    when the exponential and embedded_relation checks passed, x1 is x and
+    phi fixes x and z1: phi is then a ring homomorphism, so x^n1*phi(y1) =
+    phi(z1)^2 + phi(z1) = x^n1*y1, and x is a nonzerodivisor of R2[T][U].
+    Otherwise phi is applied to y1 too.  phi(s) is formed once, by the
+    slice_action check, and each expansion's slice guard reads it.
+
     slice_generates expands T, y2, z2, T^2 and y2*z2 in the slice
     (expand_in_slice), asks each expansion to rebuild its element, and asks
     each coefficient c to be invariant.  The coefficients of T, y2 and z2
@@ -141,10 +150,11 @@ def verify_witness(w: CancellationWitness) -> VerificationReport:
     rec = x**w.n2 * y - (rec_z * rec_z + rec_z)
     checks.append(_zero_check("recovered_relation", rec))
 
-    moved = []
-    for name, elem in (("x", w.x1), ("y1", w.y1), ("z1", w.z1)):
-        if w.phi.apply(elem) != elem:
-            moved.append(name)
+    fixed = {name: w.phi.apply(elem) == elem for name, elem in (("x", w.x1), ("z1", w.z1))}
+    # x^n1*y1 = z1^2 + z1 and x is a nonzerodivisor: phi fixes y1 if it fixes x and z1
+    certify_y1 = checks[0].passed and checks[1].passed and w.x1 == x and all(fixed.values())
+    fixed["y1"] = certify_y1 or w.phi.apply(w.y1) == w.y1
+    moved = [name for name in ("x", "y1", "z1") if not fixed[name]]
     checks.append(
         CheckResult(
             "invariance",
@@ -153,7 +163,8 @@ def verify_witness(w: CancellationWitness) -> VerificationReport:
         )
     )
 
-    slice_diff = w.phi.apply(w.s) - (w.s + u)
+    image_s = w.phi.apply(w.s)
+    slice_diff = image_s - (w.s + u)
     checks.append(_zero_check("slice_action", slice_diff, "phi(s) - s - U = "))
 
     linear = x ** (w.n2 - w.n1) * w.s + t - w.y1 * (2 * w.z1 + 1)
@@ -167,7 +178,7 @@ def verify_witness(w: CancellationWitness) -> VerificationReport:
     for name, a, factors in (("T", t, ()), ("y2", y, ()), ("z2", z, ()),
                              ("T^2", t * t, ("T", "T")), ("y2*z2", y * z, ("y2", "z2"))):
         try:
-            parts = expand_in_slice(w.phi, w.s, a, shift)
+            parts = expand_in_slice(w.phi, w.s, a, shift, image_s)
         except AlgebraError as exc:
             bad.append(f"{name}: {exc}")
             continue

@@ -16,8 +16,8 @@ from __future__ import annotations
 from functools import cached_property
 
 from .errors import AlgebraError, InputError
-from .polyring import (VAR_MONO, Accumulator, Poly, SubstitutionMemo, lowest_terms, reduce_view,
-                       unmoved)
+from .polyring import (VAR_MONO, Accumulator, Poly, SubstitutionMemo, is_variable, lowest_terms,
+                       reduce_view, unmoved)
 from .records import Record
 from .scalars import int_to_str
 from .surface import RElem, RingSpec, forced_y, substitute_poly, substitute_view
@@ -255,6 +255,16 @@ def verify_exponential(phi: ExponentialMap) -> VerificationReport:
     unless phi(g) is unmoved by them, and phi_{S+U}(g) expands each term of
     phi(g) by a binomial row (u_shifted()); the two reduced views are
     compared.
+
+    y is certified without either side when the spec has a relation, the
+    relation check passed, phi(x) is x and every other carrier (x, z and T
+    when present) passed axiom_ii.  That is exact: A = phi_S o phi_U and
+    B = phi_{S+U} are then ring homomorphisms R -> R[S, U] that agree on x
+    and z, so x^n*A(y) = A(z^2 + h*z) = B(z^2 + h*z) = x^n*B(y), and x is a
+    nonzerodivisor in R[S, U], which is free over k[x, y, T, S, U] on
+    {1, z} as the relation is monic in z.  Otherwise y is substituted like
+    any carrier, so the report is the one that substituting every carrier
+    gives.
     """
     spec = phi.spec
     checks = []
@@ -285,10 +295,13 @@ def verify_exponential(phi: ExponentialMap) -> VerificationReport:
         CheckResult("axiom_i", not bad, "; ".join(bad) if bad else "")
     )
 
+    certify_y = rel is not None and checks[0].passed and is_variable(phi.images["x"], "x")
     images_s = {v: u_renamed_s(img) for v, img in phi.images.items()}
     rows = {}
-    bad = []
-    for var in phi.carriers():
+    bad = {}
+    for var in sorted(phi.carriers(), key=lambda v: v == "y"):  # y last
+        if var == "y" and certify_y and not bad:
+            continue
         img = phi.images[var]
         if unmoved(img, images_s, z_top=1):
             lhs = img.ints()
@@ -297,7 +310,8 @@ def verify_exponential(phi: ExponentialMap) -> VerificationReport:
         rhs = u_shifted(img, rows)
         if lhs[0] != rhs[0] or dict(lhs[1]) != dict(rhs[1]):
             lhs, rhs = (RElem._trusted(spec, None, v) for v in (lhs, rhs))
-            bad.append(f"{var}: phi_S(phi_U) = {lhs} but phi_(S+U) = {rhs}")
+            bad[var] = f"{var}: phi_S(phi_U) = {lhs} but phi_(S+U) = {rhs}"
+    bad = [bad[var] for var in phi.carriers() if var in bad]
     checks.append(
         CheckResult("axiom_ii", not bad, "; ".join(bad) if bad else "")
     )
@@ -341,7 +355,7 @@ def evaluate_at_one(phi: ExponentialMap) -> dict:
 
 
 def expand_in_slice(phi: ExponentialMap, s: RElem, a: RElem,
-                    memo: SubstitutionMemo = None):
+                    memo: SubstitutionMemo = None, image_s: RElem = None):
     """Write a = sum a_l s^l with every coefficient a_l invariant.
 
     Requires phi(s) = s + U.  Then phi(a) = sum a_l (s + U)^l, and the shift
@@ -350,10 +364,12 @@ def expand_in_slice(phi: ExponentialMap, s: RElem, a: RElem,
     image, and a_0 = phi(a) at U = -s is the Dixmier map.  Returns
     (coefficient, power) pairs in ascending power order, nonzero
     coefficients only.  `memo`, if given, is the one that the caller keeps
-    for the shift by this s (polyring.substitute_terms).
+    for the shift by this s (polyring.substitute_terms); `image_s`, if
+    given, is phi(s) as the caller formed it, which the slice guard reads
+    instead of applying phi to s again.
     """
     u = RElem.var(phi.spec, "U")
-    if phi.apply(s) != s + u:
+    if (phi.apply(s) if image_s is None else image_s) != s + u:
         raise AlgebraError(f"phi({s}) != {s} + U; the element is not a slice")
     shifted = substitute_poly(phi.spec, phi.apply(a), {"U": u - s}, memo)
     return [(c, l) for l, c in shifted.u_coefficients().items()]

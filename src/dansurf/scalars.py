@@ -134,6 +134,7 @@ class FieldSpec(Record):
             return
         if c >= MAX_PRIME:
             raise InputError(f"characteristic {c} exceeds the 2^31 bound")
+        # MAX_PRIME <= 3215031751 keeps is_prime inside its exact range
         if not is_prime(c):
             raise InputError(f"characteristic {c} is not 0 or a prime")
 

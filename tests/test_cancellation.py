@@ -155,6 +155,23 @@ def test_expand_in_slice_applies_twice(monkeypatch):
         assert len(calls) == 2
 
 
+def test_verify_witness_applies_phi_to_s_once(monkeypatch):
+    # slice_action forms phi(s), and the five expansions' slice guards read
+    # it; y1 is certified from the embedded relation, not applied
+    w = build_witness(Q, 2, 3)
+    calls = []
+    original = ExponentialMap.apply
+
+    def counting(phi, a):
+        calls.append(a)
+        return original(phi, a)
+
+    monkeypatch.setattr(ExponentialMap, "apply", counting)
+    assert verify_witness(w).passed
+    assert [a for a in calls if a == w.s] == [w.s]
+    assert w.y1 not in calls and w.x1 in calls and w.z1 in calls
+
+
 @pytest.mark.parametrize("field", [Q, F2, F3, F5], ids=lambda f: f.label)
 @pytest.mark.parametrize("n1, n2", [(2, 3), (2, 4), (3, 4), (3, 5)])
 def test_expand_in_slice_known_answer(field, n1, n2):
@@ -234,12 +251,24 @@ def reference_slice_generates(w):
     return CheckResult("slice_generates", not bad, "; ".join(bad))
 
 
+def reference_invariance(w):
+    """The invariance check with phi applied to each of x1, y1 and z1."""
+    moved = [name for name, elem in (("x", w.x1), ("y1", w.y1), ("z1", w.z1))
+             if w.phi.apply(elem) != elem]
+    return CheckResult("invariance", not moved,
+                       "" if not moved else "not invariant: " + ", ".join(moved))
+
+
 def assert_matches_reference(w):
-    """verify_witness's report equals the one whose slice_generates check
-    substitutes every coefficient; returns the report."""
+    """verify_witness's report equals the one whose invariance check applies
+    phi to y1 and whose slice_generates check substitutes every
+    coefficient; returns the report."""
     report = verify_witness(w)
-    assert report.checks[-1].name == "slice_generates"
-    assert report == VerificationReport(report.checks[:-1] + (reference_slice_generates(w),))
+    names = [c.name for c in report.checks]
+    assert names[3] == "invariance" and names[-1] == "slice_generates"
+    checks = list(report.checks)
+    checks[3], checks[-1] = reference_invariance(w), reference_slice_generates(w)
+    assert report == VerificationReport(tuple(checks))
     return report
 
 
@@ -277,6 +306,13 @@ def test_tampered_witnesses_match_the_direct_check(field):
     assert report.check("slice_generates").detail == (
         "y2*z2: coefficient of s^0 is not invariant; "
         "y2*z2: coefficient of s^1 is not invariant")
+    # a tampered y1 breaks the embedded relation, so y1 is not certified
+    # from it: y1 + T is not invariant, y1 + x is
+    for extra, detail in ((t, "not invariant: y1"), (x, "")):
+        tampered = CancellationWitness(w.spec2, w.n1, w.n2, w.x1, w.z1, w.y1 + extra, w.phi, w.s)
+        report = assert_matches_reference(tampered)
+        assert not report.check("embedded_relation").passed
+        assert report.check("invariance").detail == detail
 
 
 def test_a_failed_factor_row_certifies_no_product(monkeypatch):

@@ -7,7 +7,7 @@ over F_p); `substitute_poly` and `Poly.substitute` return an unmoved
 polynomial as it is; and `WeightVector.mono_weight` sums in ints.  Each is
 checked here against the computation it replaces, over Q, F2, F3 and F5,
 and verify_exponential's whole report against the substitutions it
-replaced; monomial images, which act in place, and prime-power rows
+replaced, its y certified from the relation included; monomial images, which act in place, and prime-power rows
 against closed forms near the exponent bound.  Work counts pin the number
 of substitutions the map, automorphism and cancellation commands make, the
 products of a Frobenius power and of cancel-verify, and the term pairs
@@ -22,15 +22,17 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dansurf import FieldSpec, InputError, ParseError, Poly, RElem, WeightVector, parse_poly
+from dansurf import (FieldSpec, InputError, ParseError, Poly, RElem, WeightVector, build_exponential,
+                     build_witness, homogenize, parse_poly)
 from dansurf import ioformats, polyring, scalars, surface
 from dansurf.cli import dispatch
-from dansurf.expmaps import (ExponentialMap, at_u_zero, binomial_row, solve_generator_images,
-                             u_renamed_s, u_shifted, verify_exponential)
+from dansurf.expmaps import (CheckResult, ExponentialMap, VerificationReport, at_u_zero,
+                             binomial_row, solve_generator_images, u_renamed_s, u_shifted,
+                             verify_exponential)
 from dansurf.ioformats import MAX_EXPONENT
 from dansurf.polyring import SubstitutionMemo, VARS, mono, substitute_terms, unmoved, view_terms
 from dansurf.scalars import digits_to_int
-from dansurf.surface import RingSpec, substitute_poly
+from dansurf.surface import RingSpec, substitute_poly, substitute_view
 
 from conftest import F2, F3, F5, Q, random_poly, random_relem, random_scalar, rng
 from test_fuzz import expressions
@@ -508,6 +510,131 @@ def test_verify_exponential_matches_the_reference(field):
     assert all(any(not verdicts[k] for verdicts in seen) for k in range(3)), seen
 
 
+def substituting_axiom_ii(phi) -> CheckResult:
+    """The axiom_ii check with phi_S(phi_U(g)) substituted for every
+    carrier g, y included, as verify_exponential made it before y was
+    certified from the relation."""
+    spec = phi.spec
+    images_s = {v: u_renamed_s(img) for v, img in phi.images.items()}
+    rows = {}
+    bad = []
+    for var in phi.carriers():
+        img = phi.images[var]
+        if unmoved(img, images_s, z_top=1):
+            lhs = img.ints()
+        else:
+            lhs = substitute_view(spec, img, images_s)
+        rhs = u_shifted(img, rows)
+        if lhs[0] != rhs[0] or dict(lhs[1]) != dict(rhs[1]):
+            lhs, rhs = (RElem._trusted(spec, None, v) for v in (lhs, rhs))
+            bad.append(f"{var}: phi_S(phi_U) = {lhs} but phi_(S+U) = {rhs}")
+    return CheckResult("axiom_ii", not bad, "; ".join(bad) if bad else "")
+
+
+def assert_matches_substituting(phi) -> VerificationReport:
+    """verify_exponential's report equals the one whose axiom_ii check
+    substitutes every carrier; returns the report."""
+    report = verify_exponential(phi)
+    assert report.checks[-1].name == "axiom_ii"
+    assert report == VerificationReport(report.checks[:-1] + (substituting_axiom_ii(phi),)), phi
+    return report
+
+
+def _legal_exponents(p: int) -> list:
+    """The U-exponents build_exponential takes, up to 2^9: 1 over Q, 1 and
+    each p^k over F_p."""
+    exps = [1]
+    while p and exps[-1] * p <= 2**9:
+        exps.append(exps[-1] * p)
+    return exps
+
+
+@st.composite
+def built_maps(draw):
+    """A build_exponential map over Q, F2, F3 or F5 (n = 2 or 3, h of
+    degree at most 1 with h(0) = +-1) with one to three nonzero f_e at
+    distinct legal exponents e, and a term c*x^a*z^b*U^k, c = +-1, k >= 1."""
+    field = draw(st.sampled_from(FIELDS))
+    unit, small = st.sampled_from((1, -1)), st.integers(-3, 3)
+    n = draw(st.integers(2, 3))
+    h = Poly.from_items(field, [(mono(), draw(unit)), (mono(x=1), draw(small))])
+    spec = RingSpec(field, n, h)
+    coeffs = draw(st.lists(st.tuples(st.sampled_from(_legal_exponents(field.characteristic)),
+                                     unit, small, small),
+                           min_size=1, max_size=3, unique_by=lambda c: c[0]))
+    phi = build_exponential(spec, [(e, Poly.from_items(field, [(mono(), c0), (mono(x=1), c1),
+                                                               (mono(x=2), c2)]))
+                                   for e, c0, c1, c2 in coeffs])
+    x, z, u = (RElem.var(spec, v) for v in "xzU")
+    a, b, k = draw(st.integers(0, 3)), draw(st.integers(0, 1)), draw(st.integers(1, 4))
+    return phi, draw(unit) * x**a * z**b * u**k
+
+
+def _tampered_maps(phi, term):
+    """phi with the term added to the y-image alone, to the z-image alone,
+    to both, and to the x-image, which then moves."""
+    for names in (("y",), ("z",), ("y", "z"), ("x",)):
+        images = dict(phi.images)
+        for var in names:
+            images[var] = images[var] + term
+        yield ExponentialMap(phi.spec, images)
+
+
+@settings(max_examples=60)
+@given(built_maps())
+def test_certified_y_matches_the_substituting_check(drawn):
+    # y is certified from the relation on the built map and its bar map on
+    # the graded ring; each tampered map breaks the relation or moves x, so
+    # y is substituted as the reference does
+    phi, term = drawn
+    assert assert_matches_substituting(phi).passed
+    bar = homogenize(phi, WeightVector({"x": 0, "y": 2, "z": 1})).bar
+    assert bar.spec.graded and assert_matches_substituting(bar).passed
+    for tampered in _tampered_maps(phi, term):
+        assert not assert_matches_substituting(tampered).passed
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+def test_certified_y_matches_on_the_remaining_kinds(field):
+    # the witness map, whose carriers include T, and its tampered maps
+    phi = build_witness(field, 2, 3).phi
+    assert "T" in phi.carriers() and assert_matches_substituting(phi).passed
+    x, z, u = (RElem.var(phi.spec, v) for v in "xzU")
+    for tampered in _tampered_maps(phi, x * z * u):
+        assert not assert_matches_substituting(tampered).passed
+    # a free spec has no relation to certify y from
+    free = RingSpec(field, 2, Poly.zero(field), free=True)
+    fx, fy, fu = (RElem.var(free, v) for v in "xyU")
+    for images in ({"y": fy + fx * fu}, {"y": fy + fu * fu}, {"y": fy + fx * fu, "x": fx + fu}):
+        assert_matches_substituting(ExponentialMap(free, images))
+    # x -> (1 + U)^2*x, z -> (1 + U)^2*z keeps the graded relation x^2*y = z^2
+    # while x moves, and fails axiom_ii whatever y does
+    graded = RingSpec(field, 2, Poly.zero(field), graded=True)
+    gx, gy, gz, gu = (RElem.var(graded, v) for v in "xyzU")
+    scale = (1 + gu) ** 2
+    for image_y in (gy, gy + gu):
+        report = assert_matches_substituting(
+            ExponentialMap(graded, {"x": scale * gx, "y": image_y, "z": scale * gz}))
+        assert report.check("relation").passed == (image_y == gy)
+        assert not report.check("axiom_ii").passed
+    # x -> 0, z -> 0 keep the relation, and x and z pass axiom_ii: only
+    # phi(x) != x keeps y from being certified, and y + U^6 fails axiom_ii
+    spec = RingSpec(field, 2, Poly.const(field, 1))
+    zero, sy, su = RElem.zero(spec), RElem.var(spec, "y"), RElem.var(spec, "U")
+    report = assert_matches_substituting(
+        ExponentialMap(spec, {"x": zero, "y": sy + su**6, "z": zero}))
+    assert report.check("relation").passed
+    assert report.check("axiom_ii").detail.startswith("y: ")
+    # z -> z + x^2*U^e keeps the relation, with the y-image it forces, and
+    # fails axiom_ii on z unless e is 1 or a power of p; y is then substituted
+    sx, sz = RElem.var(spec, "x"), RElem.var(spec, "z")
+    for e in (2, 3, 6):
+        report = assert_matches_substituting(
+            ExponentialMap(spec, solve_generator_images(spec, sz + sx * sx * su**e)))
+        assert report.check("relation").passed
+        assert report.check("axiom_ii").passed == (e in _legal_exponents(field.characteristic))
+
+
 def _fraction_weight(w: WeightVector, m: tuple) -> Fraction:
     total = Fraction(0)
     for var, e in zip(VARS, m):
@@ -543,14 +670,17 @@ _MAP = "x->x; z->z+x^2*U; y->y+(2*z+1)*U+x^2*U^2"
 
 
 _SUBSTITUTIONS = [
-    # the relation and phi_S(phi_U(g)) for y and z (x is unmoved);
-    # phi_(S+U)(g) expands by binomial rows and substitutes nothing
-    (["exp-verify", "--ring", _R, "--map", _MAP], 3),
-    # the same verification, then phi(y)
-    (["derive", "--ring", _R, "--map", _MAP, "--expr", "y", "--order", "2"], 4),
-    # the verification of phi and of the bar map; the sampled invariants
-    # lie in k[x], which neither map moves
-    (["homogenize", "--ring", _R, "--map", _MAP, "--weights", "w{x:0, y:2, z:1}"], 6),
+    # the relation and phi_S(phi_U(z)) (x is unmoved); phi_(S+U)(g) expands
+    # by binomial rows and substitutes nothing, and y's coaction identity is
+    # certified from the relation once x and z pass (3 when phi_S(phi_U(y))
+    # was substituted too)
+    (["exp-verify", "--ring", _R, "--map", _MAP], 2),
+    # the same verification, then phi(y) (4 with y substituted)
+    (["derive", "--ring", _R, "--map", _MAP, "--expr", "y", "--order", "2"], 3),
+    # the verification of phi and of the bar map, y certified in both (6
+    # with y substituted); the sampled invariants lie in k[x], which neither
+    # map moves
+    (["homogenize", "--ring", _R, "--map", _MAP, "--weights", "w{x:0, y:2, z:1}"], 4),
     # the composite applied to y: building the shear and the involution,
     # whose forced y-images substitute x -> 1*x into h, substitutes nothing
     (["aut-apply", "--ring", _R, "--word", "E(x) * T", "--expr", "y"], 1),
@@ -560,8 +690,11 @@ _SUBSTITUTIONS = [
     # the witness's exponential map verified, applied and expanded in the
     # slice; the coefficients of the T^2 and y2*z2 rows are certified as
     # products of the T, y2 and z2 rows' invariant coefficients, not applied
-    # (31 when each was substituted)
-    (["cancel-verify", "--n1", "2", "--n2", "3", "--field", "Q"], 26),
+    # (31 when each was substituted).  The map's y and the embedded y1 are
+    # certified from the relations (26 when both were substituted), and
+    # phi(s) is formed once for slice_action and the five expansions (24
+    # when each expansion applied phi to s again)
+    (["cancel-verify", "--n1", "2", "--n2", "3", "--field", "Q"], 19),
 ]
 
 
@@ -639,15 +772,17 @@ def _fold_pairs(argv, monkeypatch) -> int:
 
 
 _FOLDS = [
-    # the witness map's 20 or so applies and its relation check share its
-    # memo of image powers and group products, and the five shifts U -> U - s
-    # share one: 2611 pairs with a memo per apply, 2424 with one per shift;
+    # the witness map's 15 applies and its relation check share its memo of
+    # image powers and group products, and the five shifts U -> U - s share
+    # one: 2257 pairs with a memo per apply, 2244 with one per shift;
     # the coaction check's phi_(S+U)(g) expands by binomial rows and folds
     # nothing, where substituting U -> S + U folded 18 pairs more.  4445
     # when the coefficients of the T^2 and y2*z2 rows were substituted
     # through the map; they are certified as products of the factor rows'
-    # coefficients instead
-    (["cancel-verify", "--n1", "2", "--n2", "3", "--field", "Q"], 2303),
+    # coefficients instead.  2303 when phi_S(phi_U(y)) and phi(y1) were
+    # substituted, and 2278 with both certified from the relations but phi
+    # applied to s again in each of the five expansions
+    (["cancel-verify", "--n1", "2", "--n2", "3", "--field", "Q"], 2123),
     # L(2) sends x -> 2*x and y -> y/8, which act on each term in place:
     # 951 pairs with the two images bound
     (["aut-apply", "--ring", "R(n=3,h=1,field=Q)", "--word", "L(2) * T * E(x)",

@@ -210,7 +210,9 @@ def test_exponential_map_images_match_sympy(monkeypatch, field, n, h, coeffs):
     # the relation under the images and both sides of the coaction law,
     # expanded and reduced by sympy, against the views that
     # verify_exponential forms: the substitutions for the relation and for
-    # phi_S(phi_U(g)), and the binomial expansion of phi_(S+U)(g)
+    # phi_S(phi_U(z)), and the binomial expansion of phi_(S+U)(g) for x and
+    # z.  y's identity is certified from the relation, so sympy checks both
+    # of its sides on its own: the independent check of that lemma
     import dansurf.expmaps as expmaps
     from dansurf import build_exponential, parse_poly, verify_exponential
 
@@ -240,16 +242,18 @@ def test_exponential_map_images_match_sympy(monkeypatch, field, n, h, coeffs):
     theirs = reduce_mod_relation(to_sympy(rel).subs(images, simultaneous=True), spec)
     assert agree(theirs, sympy.Integer(0), field)
     # phi(x) = x is unmoved, so its phi_S(phi_U(x)) is x itself
-    assert [a for a, _ in lhs_views] == [phi.images["y"], phi.images["z"]]
-    lhs_of = {"x": phi.images["x"].ints(), "y": lhs_views[0][1], "z": lhs_views[1][1]}
-    assert [a for a, _ in shifted] == [phi.images[v] for v in phi.carriers()]
-    for (_, rhs), var in zip(shifted, phi.carriers()):
+    assert [a for a, _ in lhs_views] == [phi.images["z"]]
+    lhs_of = {"x": phi.images["x"].ints(), "z": lhs_views[0][1]}
+    assert [a for a, _ in shifted] == [phi.images["x"], phi.images["z"]]
+    rhs_of = {"x": shifted[0][1], "z": shifted[1][1]}
+    for var in phi.carriers():
         img = images[SYM[var]]
         theirs_lhs = reduce_mod_relation(img.subs(images_s, simultaneous=True), spec)
         theirs_rhs = reduce_mod_relation(img.subs(U, S + U), spec)
         assert agree(theirs_lhs, theirs_rhs, field), var
-        assert agree(to_sympy(Poly._of_view(field, lhs_of[var])), theirs_lhs, field), var
-        assert agree(to_sympy(Poly._of_view(field, rhs)), theirs_rhs, field), var
+        if var in lhs_of:
+            assert agree(to_sympy(Poly._of_view(field, lhs_of[var])), theirs_lhs, field), var
+            assert agree(to_sympy(Poly._of_view(field, rhs_of[var])), theirs_rhs, field), var
     # U^(p^k) reaches the images: the y-image carries U^(2*E) for the top E
     top = max(e for e, _ in coeffs)
     assert phi.image("y").degree_in("U") == 2 * top

@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from dansurf import AlgebraError, FieldSpec, Scalar, binom, nth_roots
-from dansurf.scalars import is_prime
+from dansurf import AlgebraError, FieldSpec, InputError, Scalar, binom, nth_roots
+from dansurf import scalars
+from dansurf.scalars import MAX_PRIME, is_prime
 from conftest import F2, F3, F5, F7, F101, Q, random_scalar, rng, scan_roots
 
 FIELDS = [Q, F2, F3, F5, F7, F101]
@@ -53,6 +54,20 @@ def test_miller_rabin_matches_trial_division():
     assert is_prime(2147483647) and is_prime(2147483629)
     with pytest.raises(ValueError):
         is_prime(3215031751)
+
+
+def test_characteristic_bound_keeps_is_prime_exact(monkeypatch):
+    # is_prime is exact below 3215031751, and FieldSpec refuses 2^31 and up
+    # before it asks is_prime
+    assert MAX_PRIME <= 3215031751
+    asked = []
+    monkeypatch.setattr(scalars, "is_prime", lambda n: asked.append(n) or True)
+    for c in (2**31, 3215031751, 2**64):
+        with pytest.raises(InputError, match="exceeds the 2"):
+            FieldSpec(c)
+    assert asked == []
+    FieldSpec(2**31 - 1)
+    assert asked == [2**31 - 1]
 
 
 def test_field_spec_labels():
