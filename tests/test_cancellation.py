@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dansurf import (
     AlgebraError,
@@ -278,6 +279,47 @@ def test_product_rows_match_the_direct_check(field, n1, n2):
     assert assert_matches_reference(build_witness(field, n1, n2)).passed
 
 
+def _invariants(w):
+    """1, x, z1, y1 and x^n1*z1: elements of the embedded ring, fixed by phi."""
+    return (RElem.one(w.spec2), w.x1, w.z1, w.y1, w.x1**w.n1 * w.z1)
+
+
+def _shifted(w, c):
+    """The witness with the slice s + c, again a slice when phi fixes c."""
+    return CancellationWitness(w.spec2, w.n1, w.n2, w.x1, w.z1, w.y1, w.phi, w.s + c)
+
+
+@pytest.mark.parametrize("field, n1, n2", _INPUTS,
+                         ids=[f"{f.label}-{n1}-{n2}" for f, n1, n2 in _INPUTS])
+def test_shifted_slices_match_the_direct_check(field, n1, n2):
+    # phi(s + c) = s + c + U for invariant c, and the expansions in s + c
+    # are not those in s; every coefficient is certified by the lemma, not
+    # substituted, and the report must still be the substituting one
+    w = build_witness(field, n1, n2)
+    t = RElem.var(w.spec2, "T")
+    for c in _invariants(w):
+        shifted = _shifted(w, c)
+        assert expand_in_slice(w.phi, shifted.s, t) != expand_in_slice(w.phi, w.s, t)
+        report = assert_matches_reference(shifted)
+        assert report.check("slice_action").passed and report.check("slice_generates").passed
+
+
+_WITNESSES = {}
+
+
+@settings(max_examples=100)
+@given(st.sampled_from(_INPUTS), st.lists(st.integers(-2, 2), min_size=5, max_size=5))
+def test_slices_shifted_by_drawn_invariants_match_the_direct_check(inputs, weights):
+    if inputs not in _WITNESSES:
+        _WITNESSES[inputs] = build_witness(*inputs)
+    w = _WITNESSES[inputs]
+    c = RElem.zero(w.spec2)
+    for k, inv in zip(weights, _invariants(w)):
+        c = c + k * inv
+    report = assert_matches_reference(_shifted(w, c))
+    assert report.check("slice_generates").passed
+
+
 def _tampered(w, images, s=None):
     phi = ExponentialMap(w.spec2, images)
     return CancellationWitness(w.spec2, w.n1, w.n2, w.x1, w.z1, w.y1, phi, w.s if s is None else s)
@@ -315,19 +357,39 @@ def test_tampered_witnesses_match_the_direct_check(field):
         assert report.check("invariance").detail == detail
 
 
-def test_a_failed_factor_row_certifies_no_product(monkeypatch):
-    # with the exponential check forced to pass, the product path still
-    # needs every coefficient of both factor rows to pass phi(c) = c: under
-    # y -> y + z^2*U, T -> T + U a y2 coefficient fails, and so do the y2*z2
-    # coefficients that are products of it
-    monkeypatch.setattr(cancellation, "verify_exponential", lambda phi: VerificationReport(()))
+def test_coefficients_are_substituted_iff_the_exponential_check_fails(monkeypatch):
+    # y -> y + z^2*U, T -> T + U with s = T: not an exponential map (it
+    # breaks the relation), and y2 and y2*z2 have coefficients it moves
     w = build_witness(Q, 2, 3)
     y, z, t, u = (RElem.var(w.spec2, v) for v in ("y", "z", "T", "U"))
-    report = assert_matches_reference(_tampered(w, {"y": y + z * z * u, "T": t + u}, s=t))
-    assert report.check("exponential").passed
-    assert report.check("slice_generates").detail == (
-        "y2: coefficient of s^0 is not invariant; y2: coefficient of s^1 is not invariant; "
-        "y2*z2: coefficient of s^0 is not invariant; y2*z2: coefficient of s^1 is not invariant")
+    tampered = _tampered(w, {"y": y + z * z * u, "T": t + u}, s=t)
+    rows = (t, y, z, t * t, y * z)
+    expansions = [[c for c, _ in expand_in_slice(tampered.phi, t, a)] for a in rows]
+    detail = ("y2: coefficient of s^0 is not invariant; y2: coefficient of s^1 is not invariant; "
+              "y2*z2: coefficient of s^0 is not invariant; y2*z2: coefficient of s^1 is not invariant")
+    calls = []
+    original = ExponentialMap.apply
+
+    def counting(phi, a):
+        calls.append(a)
+        return original(phi, a)
+
+    monkeypatch.setattr(ExponentialMap, "apply", counting)
+    # (a) the exponential check fails, so each row's image is followed by
+    # the substitution of every one of its coefficients
+    report = verify_witness(tampered)
+    assert not report.check("exponential").passed
+    assert report.check("slice_generates").detail == detail
+    assert calls == [w.x1, w.z1, w.y1, t, *(e for a, cs in zip(rows, expansions) for e in (a, *cs))]
+    assert report == assert_matches_reference(tampered)
+    # (b) with the check forced to pass, the slice_generates loop applies
+    # phi to no coefficient: only x1, z1, y1 (phi moves z1, so y1 is not
+    # certified from the relation), s (= T) and the five rows
+    monkeypatch.setattr(cancellation, "verify_exponential", lambda phi: VerificationReport(()))
+    calls.clear()
+    report = verify_witness(tampered)
+    assert report.check("exponential").passed and report.check("slice_generates").passed
+    assert calls == [w.x1, w.z1, w.y1, t, *rows]
 
 
 # The text and --json outputs of cancel-verify on every input above, as

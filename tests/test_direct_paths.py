@@ -688,13 +688,15 @@ _SUBSTITUTIONS = [
     (["aut-compose", "--ring", _R, "--word", "L(-1) * E(x) * T * E(1+x)"], 2),
     (["aut-decompose", "--ring", _R, "--word", "E(1) * T"], 0),
     # the witness's exponential map verified, applied and expanded in the
-    # slice; the coefficients of the T^2 and y2*z2 rows are certified as
-    # products of the T, y2 and z2 rows' invariant coefficients, not applied
-    # (31 when each was substituted).  The map's y and the embedded y1 are
-    # certified from the relations (26 when both were substituted), and
-    # phi(s) is formed once for slice_action and the five expansions (24
-    # when each expansion applied phi to s again)
-    (["cancel-verify", "--n1", "2", "--n2", "3", "--field", "Q"], 19),
+    # slice.  Once the exponential check passes, every coefficient of the
+    # five expansions is invariant by the coaction identity and none is
+    # substituted: 19 when the T, y2 and z2 rows' coefficients were (and
+    # the T^2 and y2*z2 rows' certified as products of theirs), 24 with
+    # every coefficient substituted.  The map's y and the embedded y1 are
+    # certified from the relations (17 when both are substituted), and
+    # phi(s) is formed once for slice_action and the five expansions (20
+    # when each expansion applies phi to s again)
+    (["cancel-verify", "--n1", "2", "--n2", "3", "--field", "Q"], 15),
 ]
 
 
@@ -739,18 +741,19 @@ def test_relem_product_count_of_frobenius_powers(field, count, monkeypatch):
     assert _relem_products(argv, monkeypatch) == count, argv
 
 
-# 58 and 49 when the T^2 and y2*z2 rows' coefficients were substituted: the
-# products of their factor rows' coefficients that certify them add 6 and 7
-@pytest.mark.parametrize("n1, n2, field, count", [(2, 3, "Q", 64), (3, 5, "F3", 56)],
+# 64 and 56 when the T, y2 and z2 rows' coefficients were substituted and
+# the T^2 and y2*z2 rows' certified by products of theirs, 58 and 49 with
+# every coefficient substituted: the coaction identity certifies them all
+@pytest.mark.parametrize("n1, n2, field, count", [(2, 3, "Q", 49), (3, 5, "F3", 46)],
                          ids=["Q", "F3"])
 def test_relem_product_count_of_cancel_verify(n1, n2, field, count, monkeypatch):
     # the slice_generates check forms each power of s and of U - s once for
     # its five elements, over F3 the powers of s from s^3 on are Frobenius
     # steps, and the map's applies and relation check form each power of an
-    # image once in its memo: a power of s formed again per element (66 and
-    # 58 products), a product chain up to 2p (64 and 61), a power of an
-    # image formed per apply (84 and 58) or a shift memo per element (66 and
-    # 58) makes more products
+    # image once in its memo: a power of s formed again per element (51 and
+    # 48 products), a product chain up to 2p (49 and 49), a power of an
+    # image formed per apply (50 and 46) or a shift memo per element (51 and
+    # 48) makes more products
     argv = ["cancel-verify", "--n1", str(n1), "--n2", str(n2), "--field", field]
     assert _relem_products(argv, monkeypatch) == count, argv
 
@@ -772,17 +775,18 @@ def _fold_pairs(argv, monkeypatch) -> int:
 
 
 _FOLDS = [
-    # the witness map's 15 applies and its relation check share its memo of
+    # the witness map's 8 applies and its relation check share its memo of
     # image powers and group products, and the five shifts U -> U - s share
-    # one: 2257 pairs with a memo per apply, 2244 with one per shift;
+    # one: 1202 pairs with a memo per apply, 1309 with one per shift;
     # the coaction check's phi_(S+U)(g) expands by binomial rows and folds
-    # nothing, where substituting U -> S + U folded 18 pairs more.  4445
-    # when the coefficients of the T^2 and y2*z2 rows were substituted
-    # through the map; they are certified as products of the factor rows'
-    # coefficients instead.  2303 when phi_S(phi_U(y)) and phi(y1) were
-    # substituted, and 2278 with both certified from the relations but phi
-    # applied to s again in each of the five expansions
-    (["cancel-verify", "--n1", "2", "--n2", "3", "--field", "Q"], 2123),
+    # nothing, where substituting U -> S + U folds 7 pairs more.  2123 when
+    # the T, y2 and z2 rows' coefficients were substituted through the map
+    # and the T^2 and y2*z2 rows' certified as products of theirs, 4265
+    # with every coefficient substituted; the coaction identity certifies
+    # them all now.  1213 when phi_S(phi_U(y)) and phi(y1) are substituted,
+    # and 1343 with both certified from the relations but phi applied to s
+    # again in each of the five expansions
+    (["cancel-verify", "--n1", "2", "--n2", "3", "--field", "Q"], 1188),
     # L(2) sends x -> 2*x and y -> y/8, which act on each term in place:
     # 951 pairs with the two images bound
     (["aut-apply", "--ring", "R(n=3,h=1,field=Q)", "--word", "L(2) * T * E(x)",
