@@ -15,7 +15,7 @@ class InputError(AlgebraError):
 
 
 class ParseError(InputError):
-    """Syntax error in an input string; .offset is the byte position."""
+    """Syntax error in an input string; .offset is a character (str) index, not a byte."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (offset {offset})")

@@ -84,8 +84,8 @@ def _unusual(text: str):
 
 class _Refused(Exception):
     """A text refused at the k-th match of _FACTOR (None: at its end), at the
-    start of `group`, with `message` (None: the token found there is
-    unexpected)."""
+    start of `group` (None: at the token after the match), with `message`
+    (None: the token found there is unexpected)."""
 
 
 def _exponent(digits: str, k: int) -> int:
@@ -145,15 +145,26 @@ def _read(text: str, field: FieldSpec) -> Poly:
     is c*x^tops).  A sum is a dict of raw coefficients, and a Scalar is
     formed only for each term of a result.  Only a parenthesized sum of two
     or more terms becomes a Poly, multiplied and powered as one.  An open
-    parenthesis pushes the sum and term being read; its ')' pops them."""
+    parenthesis pushes the sum and term being read; its ')' pops them.
+    Each refusal's message is decided here from that state; _refusal finds
+    its offset, and reports first any character that no token takes."""
     p = field.characteristic
     stack, scanned = [], False  # scanned: _unusual found nothing in text
     sums, polys = {}, []
     c, negate, tops, rest = None, False, [0, 0, 0, 0, 0, 0], None  # c is None: no factor yet
     factors = _FACTOR.findall(text.rstrip())  # linear: see _FACTOR
     for k, (op, digits, den, name, close, exp, opn, other) in enumerate(factors):
-        if other:
-            raise _Refused(k, _OTHER, None)
+        if other:  # a character where no factor starts
+            if c is None:  # the start of a sum ('(' leaves c None)
+                raise _Refused(k, None if other in "+-" else _OTHER, None)
+            if other in "+-*":  # an operator with no factor after it
+                raise _Refused(k, None, None)
+            before = factors[k - 1]  # the factor before it
+            if other == "^" and not before[_EXP - 1]:
+                raise _Refused(k, None, "expected a natural-number exponent")
+            if other == "/" and before[_INT - 1] and not (before[_DEN - 1] or before[_EXP - 1]):
+                raise _Refused(k, None, "expected an integer denominator")
+            raise _Refused(k, _OTHER, "expected ')'" if stack else None)
         if c is None:  # the first factor of a sum, after an optional sign
             if op == "*" or close:
                 raise _Refused(k, _OP if op == "*" else _CLOSE, None)
@@ -163,11 +174,7 @@ def _read(text: str, field: FieldSpec) -> Poly:
                 raise _Refused(k, _INT if digits else _NAME if name else _OPEN,
                                "expected ')'" if stack else None)
         elif op != "*":  # a new term
-            if rest is None:
-                m = tuple(tops)
-                sums[m] = sums.get(m, 0) + (-c if negate else c)
-            else:
-                _add_term(field, sums, polys, c, negate, tops, rest)
+            _add_term(field, sums, polys, c, negate, tops, rest)
             c, negate, tops, rest = 1, op == "-", [0, 0, 0, 0, 0, 0], None
         if name:
             try:
@@ -261,37 +268,16 @@ _SPACE = re.compile(r"\s*")
 
 def _refusal(text: str, k, group, message) -> ParseError:
     """The ParseError for a text _read refused: the first character that no
-    token takes, wherever it is; else the refusal at the k-th match, which
-    is found by scanning again.  A stray character (_OTHER) is read from
-    the match before it: after a sign or an operator a factor is missing,
-    after a base an exponent or a denominator may be, and anywhere else it
-    is unexpected, or inside parentheses a missing ')'.  Each of these
-    branches restates a rule that _read enforces, and must change with it;
-    tests/test_io.py's test_refusals_read_from_context and the refusals
-    pinned in tests/data/refusals.json check them."""
+    token takes, wherever it is; else _read's refusal, whose offset is
+    found by scanning the k-th match again."""
     error = _unusual(text)
     if error:
         return error
     if k is None:
         at = len(text)
     else:
-        matches = list(islice(_FACTOR.finditer(text), k + 1))
-        mt = matches[k]
-        at = mt.start(group)
-        if group == _OTHER:
-            ch, prev = mt.group(_OTHER), matches[k - 1] if k else None
-            after = _SPACE.match(text, mt.end()).end()
-            if prev is None or prev.group(_OPEN):  # the start of a sum
-                if ch in "+-":
-                    at = after
-            elif ch in "+-*":
-                at = after
-            elif ch == "^" and not prev.group(_EXP):
-                at, message = after, "expected a natural-number exponent"
-            elif ch == "/" and prev.group(_INT) and not (prev.group(_DEN) or prev.group(_EXP)):
-                at, message = after, "expected an integer denominator"
-            elif sum(1 if m.group(_OPEN) else -1 if m.group(_CLOSE) else 0 for m in matches):
-                message = "expected ')'"
+        mt = next(islice(_FACTOR.finditer(text), k, None))
+        at = mt.start(group) if group else _SPACE.match(text, mt.end()).end()
     if message is None:
         message = (f"unexpected {_TOKEN.match(text, at).group()!r}" if at < len(text) else
                    "unexpected end of input")

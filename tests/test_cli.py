@@ -78,6 +78,13 @@ def test_exp_verify_failure_exit_code():
     assert "relation: FAIL" in out
 
 
+def test_offsets_count_characters_not_bytes():
+    # U+3000 is one character of three UTF-8 bytes, so h's "1\u3000+" ends
+    # at offset 11 of the spec, not at byte 13
+    argv = ["normal-form", "--ring", "R(n=2,h=1\u3000+,field=Q)", "--expr", "x"]
+    assert dispatch(argv) == (2, "input error: unexpected end of input (offset 11)")
+
+
 def test_usage_errors_exit_2():
     code, _ = dispatch(["no-such-command"])
     assert code == 2

@@ -64,6 +64,20 @@ _CONTEXT_REFUSALS = (
     ("x^999999*(x^2 + 1)", "product has exponent 999999 + 2, which exceeds 1000000", 9),
     ("x^2^3", "unexpected '^'", 3),
     ("1/ x", "expected an integer denominator", 3),
+    # inside parentheses, a stray character at the start of a sum, after an
+    # operator, or where an exponent or a denominator may follow keeps its
+    # own message; only elsewhere does it read as a missing ')'
+    ("(x ^", "expected a natural-number exponent", 4),
+    ("(1 / x)", "expected an integer denominator", 5),
+    ("(+ * x)", "unexpected '*'", 3),
+    ("(* x)", "unexpected '*'", 1),
+    ("(x + * y)", "unexpected '*'", 5),
+    ("(x^2^3)", "expected ')'", 4),
+    ("(-)", "unexpected ')'", 2),
+    ("(x ^ 2 ^", "expected ')'", 7),
+    ("x + (y ^ + 1)", "expected a natural-number exponent", 9),
+    ("(**x)", "unexpected '*'", 1),
+    ("(^x)", "unexpected '^'", 1),
 )
 
 
