@@ -157,7 +157,7 @@ def test_expand_in_slice_applies_twice(monkeypatch):
 
 
 def test_verify_witness_applies_phi_to_s_once(monkeypatch):
-    # slice_action forms phi(s), and the five expansions' slice guards read
+    # slice_action forms phi(s), and the three expansions' slice guards read
     # it; y1 is certified from the embedded relation, not applied
     w = build_witness(Q, 2, 3)
     calls = []
@@ -230,13 +230,17 @@ _INPUTS = [(field, n1, n2) for field in (Q, F2, F3, F5)
            for n1 in range(2, 6) for n2 in range(n1 + 1, 2 * n1 + 1)]
 
 
-def reference_slice_generates(w):
+def reference_slice_generates(w, products=True):
     """The slice_generates check with the direct test phi(c) = c on every
-    coefficient of all five rows."""
+    coefficient of the rows T, y2 and z2, and with products=True also of
+    the rows T^2 and y2*z2, which the check once expanded too."""
     spec = w.spec2
     t, y, z = (RElem.var(spec, v) for v in ("T", "y", "z"))
+    rows = [("T", t), ("y2", y), ("z2", z)]
+    if products:
+        rows += [("T^2", t * t), ("y2*z2", y * z)]
     bad = []
-    for name, a in (("T", t), ("y2", y), ("z2", z), ("T^2", t * t), ("y2*z2", y * z)):
+    for name, a in rows:
         try:
             parts = expand_in_slice(w.phi, w.s, a)
         except AlgebraError as exc:
@@ -262,14 +266,17 @@ def reference_invariance(w):
 
 def assert_matches_reference(w):
     """verify_witness's report equals the one whose invariance check applies
-    phi to y1 and whose slice_generates check substitutes every
-    coefficient; returns the report."""
+    phi to y1 and whose slice_generates check substitutes every coefficient
+    of the rows T, y2 and z2, and its verdict is the one that adding the
+    rows T^2 and y2*z2 gives; returns the report."""
     report = verify_witness(w)
     names = [c.name for c in report.checks]
     assert names[3] == "invariance" and names[-1] == "slice_generates"
     checks = list(report.checks)
-    checks[3], checks[-1] = reference_invariance(w), reference_slice_generates(w)
+    checks[3], checks[-1] = reference_invariance(w), reference_slice_generates(w, products=False)
     assert report == VerificationReport(tuple(checks))
+    checks[-1] = reference_slice_generates(w)
+    assert report.passed == VerificationReport(tuple(checks)).passed
     return report
 
 
@@ -340,14 +347,14 @@ def test_tampered_witnesses_match_the_direct_check(field):
     report = assert_matches_reference(_tampered(w, short))
     assert "relation" in report.check("exponential").detail
     # y -> y + z*U, T -> T + U breaks the relation (its image is x^n2*z*U)
-    # and keeps T a slice: the T, y2 and z2 rows pass phi(c) = c, and the
-    # y2*z2 coefficients, products of theirs, do not, which the product path
-    # would miss
+    # and keeps T a slice: the T, y2 and z2 rows pass phi(c) = c (only a
+    # y2*z2 row's coefficients, which are not products of theirs when phi
+    # is no ring homomorphism, would not), and the report fails on the
+    # checks that see phi move T and break the relation
     report = assert_matches_reference(_tampered(w, {"y": y + z * u, "T": t + u}, s=t))
-    assert not report.check("exponential").passed
-    assert report.check("slice_generates").detail == (
-        "y2*z2: coefficient of s^0 is not invariant; "
-        "y2*z2: coefficient of s^1 is not invariant")
+    assert report.check("slice_generates") == CheckResult("slice_generates", True, "")
+    assert [c.name for c in report.checks if not c.passed] == [
+        "exponential", "invariance", "linear_form"]
     # a tampered y1 breaks the embedded relation, so y1 is not certified
     # from it: y1 + T is not invariant, y1 + x is
     for extra, detail in ((t, "not invariant: y1"), (x, "")):
@@ -357,16 +364,38 @@ def test_tampered_witnesses_match_the_direct_check(field):
         assert report.check("invariance").detail == detail
 
 
+@pytest.mark.parametrize("field, n1, n2", [(Q, 2, 3), (F3, 3, 4)], ids=["Q", "F3"])
+def test_embedded_relation_reads_the_witness_x1(field, n1, n2):
+    # x1^n1*y1 = z1^2 + z1 is checked with the witness's x1, not the ring's
+    # x: none of 1, x^2 and 2*x satisfies it (over F3, n1 = 3 keeps
+    # 2^n1 != 1)
+    w = build_witness(field, n1, n2)
+    x = RElem.var(w.spec2, "x")
+    for x1 in (RElem.one(w.spec2), x**2, 2 * x):
+        tampered = CancellationWitness(w.spec2, w.n1, w.n2, x1, w.z1, w.y1, w.phi, w.s)
+        report = assert_matches_reference(tampered)
+        assert [c.name for c in report.checks if not c.passed] == ["embedded_relation"]
+        emb = x1**w.n1 * w.y1 - (w.z1 * w.z1 + w.z1)
+        assert report.check("embedded_relation").detail == str(emb)
+
+
+def test_embedded_relation_accepts_minus_x_for_even_n1():
+    # over F3, 2*x = -x and (-x)^2 = x^2: x1 -> -x embeds R_1 as well
+    w = build_witness(F3, 2, 3)
+    x = RElem.var(w.spec2, "x")
+    tampered = CancellationWitness(w.spec2, w.n1, w.n2, 2 * x, w.z1, w.y1, w.phi, w.s)
+    assert assert_matches_reference(tampered).passed
+
+
 def test_coefficients_are_substituted_iff_the_exponential_check_fails(monkeypatch):
     # y -> y + z^2*U, T -> T + U with s = T: not an exponential map (it
-    # breaks the relation), and y2 and y2*z2 have coefficients it moves
+    # breaks the relation), and y2 has coefficients it moves
     w = build_witness(Q, 2, 3)
     y, z, t, u = (RElem.var(w.spec2, v) for v in ("y", "z", "T", "U"))
     tampered = _tampered(w, {"y": y + z * z * u, "T": t + u}, s=t)
-    rows = (t, y, z, t * t, y * z)
+    rows = (t, y, z)
     expansions = [[c for c, _ in expand_in_slice(tampered.phi, t, a)] for a in rows]
-    detail = ("y2: coefficient of s^0 is not invariant; y2: coefficient of s^1 is not invariant; "
-              "y2*z2: coefficient of s^0 is not invariant; y2*z2: coefficient of s^1 is not invariant")
+    detail = "y2: coefficient of s^0 is not invariant; y2: coefficient of s^1 is not invariant"
     calls = []
     original = ExponentialMap.apply
 
@@ -384,7 +413,7 @@ def test_coefficients_are_substituted_iff_the_exponential_check_fails(monkeypatc
     assert report == assert_matches_reference(tampered)
     # (b) with the check forced to pass, the slice_generates loop applies
     # phi to no coefficient: only x1, z1, y1 (phi moves z1, so y1 is not
-    # certified from the relation), s (= T) and the five rows
+    # certified from the relation), s (= T) and the three rows
     monkeypatch.setattr(cancellation, "verify_exponential", lambda phi: VerificationReport(()))
     calls.clear()
     report = verify_witness(tampered)

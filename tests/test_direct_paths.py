@@ -688,15 +688,16 @@ _SUBSTITUTIONS = [
     (["aut-compose", "--ring", _R, "--word", "L(-1) * E(x) * T * E(1+x)"], 2),
     (["aut-decompose", "--ring", _R, "--word", "E(1) * T"], 0),
     # the witness's exponential map verified, applied and expanded in the
-    # slice.  Once the exponential check passes, every coefficient of the
-    # five expansions is invariant by the coaction identity and none is
-    # substituted: 19 when the T, y2 and z2 rows' coefficients were (and
-    # the T^2 and y2*z2 rows' certified as products of theirs), 24 with
-    # every coefficient substituted.  The map's y and the embedded y1 are
-    # certified from the relations (17 when both are substituted), and
-    # phi(s) is formed once for slice_action and the five expansions (20
-    # when each expansion applies phi to s again)
-    (["cancel-verify", "--n1", "2", "--n2", "3", "--field", "Q"], 15),
+    # slice on the generators T, y2 and z2 (15 when the T^2 and y2*z2 rows
+    # were expanded too).  Once the exponential check passes, every
+    # coefficient of the three expansions is invariant by the coaction
+    # identity and none is substituted (15 with every coefficient
+    # substituted, 24 with the five rows).  The map's y and the embedded y1
+    # are certified from the relations (13 when both are substituted, 17
+    # with the five rows), and phi(s) is formed once for slice_action and
+    # the three expansions (14 when each expansion applies phi to s again,
+    # 20 with the five rows)
+    (["cancel-verify", "--n1", "2", "--n2", "3", "--field", "Q"], 11),
 ]
 
 
@@ -741,19 +742,21 @@ def test_relem_product_count_of_frobenius_powers(field, count, monkeypatch):
     assert _relem_products(argv, monkeypatch) == count, argv
 
 
-# 64 and 56 when the T, y2 and z2 rows' coefficients were substituted and
-# the T^2 and y2*z2 rows' certified by products of theirs, 58 and 49 with
-# every coefficient substituted: the coaction identity certifies them all
-@pytest.mark.parametrize("n1, n2, field, count", [(2, 3, "Q", 49), (3, 5, "F3", 46)],
+# 49 and 46 when slice_generates expanded T^2 and y2*z2 too; 45 and 39
+# with every coefficient of the three rows substituted (58 and 49 with the
+# five rows): the coaction identity certifies them all
+@pytest.mark.parametrize("n1, n2, field, count", [(2, 3, "Q", 40), (3, 5, "F3", 38)],
                          ids=["Q", "F3"])
 def test_relem_product_count_of_cancel_verify(n1, n2, field, count, monkeypatch):
-    # the slice_generates check forms each power of s and of U - s once for
-    # its five elements, over F3 the powers of s from s^3 on are Frobenius
-    # steps, and the map's applies and relation check form each power of an
-    # image once in its memo: a power of s formed again per element (51 and
-    # 48 products), a product chain up to 2p (49 and 49), a power of an
-    # image formed per apply (50 and 46) or a shift memo per element (51 and
-    # 48) makes more products
+    # over F3 the cube of phi(T), which phi(s) needs, is a Frobenius step:
+    # a product chain up to 2p makes more products (40 and 40; 49 and 49
+    # with the five rows), and so do phi_S(phi_U(y)) and phi(y1)
+    # substituted (40 and 39).  Of
+    # the powers of s and of U - s only y2's expansion needs the square, so
+    # the three rows share no memo of them; with the five rows a power
+    # formed again per row made more products (51 and 48), as did a power
+    # of an image formed per apply (50 and 46); with the three rows neither
+    # makes more
     argv = ["cancel-verify", "--n1", str(n1), "--n2", str(n2), "--field", field]
     assert _relem_products(argv, monkeypatch) == count, argv
 
@@ -775,18 +778,18 @@ def _fold_pairs(argv, monkeypatch) -> int:
 
 
 _FOLDS = [
-    # the witness map's 8 applies and its relation check share its memo of
-    # image powers and group products, and the five shifts U -> U - s share
-    # one: 1202 pairs with a memo per apply, 1309 with one per shift;
-    # the coaction check's phi_(S+U)(g) expands by binomial rows and folds
-    # nothing, where substituting U -> S + U folds 7 pairs more.  2123 when
-    # the T, y2 and z2 rows' coefficients were substituted through the map
-    # and the T^2 and y2*z2 rows' certified as products of theirs, 4265
-    # with every coefficient substituted; the coaction identity certifies
-    # them all now.  1213 when phi_S(phi_U(y)) and phi(y1) are substituted,
-    # and 1343 with both certified from the relations but phi applied to s
-    # again in each of the five expansions
-    (["cancel-verify", "--n1", "2", "--n2", "3", "--field", "Q"], 1188),
+    # slice_generates expands the generators T, y2 and z2: 1188 pairs when
+    # it expanded T^2 and y2*z2 too.  The coaction check's phi_(S+U)(g)
+    # expands by binomial rows and folds nothing, where substituting
+    # U -> S + U folds 7 pairs more.  1034 with every coefficient of the
+    # three rows substituted through the map (4265 with the five rows); the
+    # coaction identity certifies them all.  440 when phi_S(phi_U(y)) and
+    # phi(y1) are substituted (1213 with the five rows), and 508 with both
+    # certified from the relations but phi applied to s again in each of
+    # the three expansions (1343 with the five rows).  With the five rows,
+    # a memo per apply of the map (1202) or per shift U -> U - s (1309)
+    # folded more; with the three rows neither does
+    (["cancel-verify", "--n1", "2", "--n2", "3", "--field", "Q"], 415),
     # L(2) sends x -> 2*x and y -> y/8, which act on each term in place:
     # 951 pairs with the two images bound
     (["aut-apply", "--ring", "R(n=3,h=1,field=Q)", "--word", "L(2) * T * E(x)",
